@@ -58,8 +58,8 @@
 
 use divrel_bench::context::default_sweep_threads;
 use divrel_bench::dist::{
-    default_worker_threads, spawn_stdio_fleet, AdaptiveCoordinator, Coordinator, FaultPlan,
-    JsonLines, StdioFleet, Transport, Worker,
+    default_worker_threads, spawn_stdio_fleet, AdaptiveCoordinator, Coordinator, DistStats,
+    FaultPlan, JsonLines, StdioFleet, Transport, Worker,
 };
 use divrel_bench::scenario::{ExperimentSpec, ScenarioOutcome};
 use divrel_bench::{Context, Scenario};
@@ -489,6 +489,17 @@ fn accept_tcp_workers(addr: &str, n: usize) -> Result<Vec<Box<dyn Transport>>, S
     Ok(transports)
 }
 
+/// Cells each worker returned, in fleet order (`8/8`): the lease
+/// balance a provenance line shows.
+fn cells_per_worker(stats: &DistStats) -> String {
+    let counts: Vec<String> = stats.worker_cells.iter().map(u64::to_string).collect();
+    if counts.is_empty() {
+        "-".into()
+    } else {
+        counts.join("/")
+    }
+}
+
 fn run_coordinator(args: &Args, scenario: Scenario, workers: usize) -> Result<(), String> {
     // An un-pinned adaptive spec is a round *loop*, not one grid — it
     // distributes round by round through its own coordinator.
@@ -559,8 +570,11 @@ fn run_coordinator(args: &Args, scenario: Scenario, workers: usize) -> Result<()
         .provenance(
             "leases",
             format!(
-                "{} ({} retried, {} timed out)",
-                run.stats.leases, run.stats.retries, run.stats.timeouts
+                "{} ({} retried, {} timed out); cells per worker {}",
+                run.stats.leases,
+                run.stats.retries,
+                run.stats.timeouts,
+                cells_per_worker(&run.stats)
             ),
         )
         .provenance(
@@ -680,6 +694,7 @@ fn run_adaptive_coordinator(args: &Args, scenario: Scenario, workers: usize) -> 
         if stats.resumed_from_journal {
             note.push_str(&format!(", {} cell(s) from journal", stats.resumed_cells));
         }
+        note.push_str(&format!("; cells per worker {}", cells_per_worker(stats)));
         card.provenance(format!("round {i} fleet"), note);
     }
     println!("{}", card.to_markdown());

@@ -96,9 +96,9 @@ pub const MIN_PROTOCOL_VERSION: u64 = 2;
 /// First revision with the cached-spec handshake and binary framing.
 pub const BINARY_PROTOCOL_VERSION: u64 = 3;
 
-/// Default cells per lease (see [`Coordinator::lease_cells`]): small
-/// enough that a fleet load-balances, large enough that framing is
-/// noise.
+/// Default base lease (see [`Coordinator::lease_cells`]): a worker's
+/// starting grant and the granularity a failed lease is retried at.
+/// Fleet balance comes from guided sizing, not from this value.
 pub const DEFAULT_LEASE_CELLS: u64 = 8;
 
 /// Default per-lease deadline: generous enough that only a genuinely
@@ -824,6 +824,9 @@ pub struct DistStats {
     pub worker_faults: Vec<String>,
     /// Grid cells reduced.
     pub cells: u64,
+    /// Cells each worker returned in accepted results, in the order
+    /// the transports were handed to [`Coordinator::run`].
+    pub worker_cells: Vec<u64>,
     /// Whether the run started from a resumed journal.
     pub resumed_from_journal: bool,
     /// Cells preloaded from the journal before any lease was issued.
@@ -842,9 +845,17 @@ pub struct DistRun {
     pub stats: DistStats,
 }
 
-/// Default pipeline depth: leases a worker may hold at once, so the
-/// next lease is already granted while the current one computes.
+/// Pipeline depth: leases a worker may hold at once, so the next lease
+/// is already granted while the current one computes.
 pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
+
+/// Guided self-scheduling (Polychronopoulos & Kuck, 1987): a claim gets
+/// the worker's adaptive `grant`, capped at its share of the `unleased`
+/// cells so that no worker holds the tail while the others idle.
+fn guided_lease_size(grant: u64, unleased: u64, live_workers: usize) -> u64 {
+    let slots = (live_workers.max(1) * DEFAULT_PIPELINE_DEPTH) as u64;
+    grant.min(unleased.div_ceil(slots).max(1))
+}
 
 /// Coordinates a fleet of workers over one committed scenario.
 pub struct Coordinator {
@@ -852,8 +863,6 @@ pub struct Coordinator {
     spec_text: String,
     spec_hash: String,
     lease_cells: u64,
-    lease_cap: Option<u64>,
-    pipeline_depth: usize,
     lease_timeout: Duration,
     backoff_base: Duration,
     backoff_cap: Duration,
@@ -883,8 +892,6 @@ impl Coordinator {
             spec_text,
             spec_hash,
             lease_cells: DEFAULT_LEASE_CELLS,
-            lease_cap: None,
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             lease_timeout: DEFAULT_LEASE_TIMEOUT,
             backoff_base: Duration::from_millis(25),
             backoff_cap: Duration::from_secs(2),
@@ -902,32 +909,14 @@ impl Coordinator {
     ///
     /// Leases grow adaptively from this base: a worker that returns a
     /// lease without missing a deadline has its next grant doubled (up
-    /// to [`Coordinator::adaptive_lease_cap`], default 8× the base,
-    /// assembled by coalescing adjacent queued ranges), and a missed
-    /// deadline shrinks it back to the base. Fast workers therefore pay
-    /// per-lease round-trip overhead logarithmically often while slow
-    /// or flaky workers keep fine-grained, cheap-to-retry leases.
+    /// to 8× the base), and a missed deadline shrinks it back to the
+    /// base. Every grant is also capped at the worker's share of the
+    /// cells still unleased (guided self-scheduling), so leases shrink
+    /// towards the end of the grid and every worker stays busy to the
+    /// tail. Failed leases are re-queued in base-sized pieces.
     #[must_use]
     pub fn lease_cells(mut self, cells: u64) -> Self {
         self.lease_cells = cells.max(1);
-        self
-    }
-
-    /// Caps adaptive lease growth at `cells` per lease (clamped to at
-    /// least the base granularity at claim time).
-    #[must_use]
-    pub fn adaptive_lease_cap(mut self, cells: u64) -> Self {
-        self.lease_cap = Some(cells.max(1));
-        self
-    }
-
-    /// Sets how many leases a worker may hold at once (minimum 1 —
-    /// which disables pipelining). With the default of
-    /// [`DEFAULT_PIPELINE_DEPTH`], the coordinator grants the next
-    /// lease while the current one computes, hiding the round-trip.
-    #[must_use]
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth.max(1);
         self
     }
 
@@ -1043,7 +1032,8 @@ impl Coordinator {
                 filled += 1;
             }
         }
-        let pending = missing_ranges(&cells, self.lease_cells)
+        // Whole gaps: claims split their leases off the front.
+        let pending = missing_ranges(&cells, cell_count)
             .into_iter()
             .map(|range| PendingLease {
                 range,
@@ -1053,6 +1043,9 @@ impl Coordinator {
             .collect();
         let board = Mutex::new(Board {
             pending,
+            unleased: cell_count - filled as u64,
+            live: workers.len(),
+            worker_cells: vec![0; workers.len()],
             cells,
             filled,
             leases: 0,
@@ -1065,7 +1058,7 @@ impl Coordinator {
         });
         let wakeup = Condvar::new();
         std::thread::scope(|scope| {
-            for transport in workers {
+            for (worker, transport) in workers.into_iter().enumerate() {
                 let board = &board;
                 let wakeup = &wakeup;
                 scope.spawn(move || {
@@ -1077,22 +1070,21 @@ impl Coordinator {
                     // stream closes; the channel going dead tells it to
                     // stop forwarding.
                     std::thread::spawn(move || pump_frames(rx.as_mut(), &events_tx));
-                    let served = self.drive_worker(tx.as_mut(), &events, board, wakeup);
-                    if let Err(exit) = served {
-                        let mut b = board.lock().expect("lease board poisoned");
-                        match exit {
-                            DriveExit::Abort(msg) => {
-                                b.fatal.get_or_insert(msg);
-                            }
-                            DriveExit::Quarantined(msg) => {
-                                b.quarantined += 1;
-                                b.faults.push(msg);
-                            }
-                            DriveExit::Dead(Some(msg)) => b.faults.push(msg),
-                            DriveExit::Dead(None) => {}
+                    let served = self.drive_worker(worker, tx.as_mut(), &events, board, wakeup);
+                    let mut b = board.lock().expect("lease board poisoned");
+                    b.live -= 1;
+                    match served {
+                        Ok(()) | Err(DriveExit::Dead(None)) => {}
+                        Err(DriveExit::Abort(msg)) => {
+                            b.fatal.get_or_insert(msg);
                         }
-                        wakeup.notify_all();
+                        Err(DriveExit::Quarantined(msg)) => {
+                            b.quarantined += 1;
+                            b.faults.push(msg);
+                        }
+                        Err(DriveExit::Dead(Some(msg))) => b.faults.push(msg),
                     }
+                    wakeup.notify_all();
                 });
             }
         });
@@ -1142,6 +1134,7 @@ impl Coordinator {
                 quarantined_workers: board.quarantined,
                 worker_faults: board.faults,
                 cells: cell_count,
+                worker_cells: board.worker_cells,
                 resumed_from_journal: self.resumed_from,
                 resumed_cells: self.resumed.len() as u64,
                 recovered_in_process: recovered,
@@ -1239,6 +1232,7 @@ impl Coordinator {
 
     fn drive_worker(
         &self,
+        worker: usize,
         tx: &mut dyn FrameSend,
         events: &Receiver<RxEvent>,
         board: &Mutex<Board>,
@@ -1273,14 +1267,14 @@ impl Coordinator {
         self.handshake_ready(protocol, tx, events)?;
         board.lock().expect("lease board poisoned").handshaken += 1;
 
-        // Pipelined, adaptive lease loop. Up to `pipeline_depth` leases
-        // stay outstanding per worker so the next range is already
-        // granted while the current one computes (the grant rides the
-        // wire during compute instead of after it), and the per-worker
-        // grant size doubles on every clean completion — up to
-        // `lease_cap_cells()` — then snaps back to the base on a missed
-        // deadline. A worker that keeps pace ends up with a handful of
-        // large leases instead of hundreds of chatty small ones.
+        // Pipelined, adaptive lease loop. Up to `DEFAULT_PIPELINE_DEPTH`
+        // leases stay outstanding per worker so the next range is
+        // already granted while the current one computes (the grant
+        // rides the wire during compute instead of after it), and the
+        // per-worker grant doubles on every clean completion — up to 8×
+        // the base — then snaps back to the base on a missed deadline.
+        // `guided_lease_size` caps each grant at the worker's share of
+        // what is left, so the tail is spread over the whole fleet.
         enum Claim {
             /// The run is over (all cells filled, or fatal).
             Drained,
@@ -1290,8 +1284,7 @@ impl Coordinator {
             Lease(PendingLease),
         }
         let base = self.lease_cells;
-        let cap = self.lease_cap_cells();
-        let depth = self.pipeline_depth.max(1);
+        let cap = base.saturating_mul(8);
         let mut grant = base;
         let mut strikes: u32 = 0;
         let mut outstanding: VecDeque<InFlight> = VecDeque::new();
@@ -1300,7 +1293,7 @@ impl Coordinator {
             // and the worker is keeping its deadlines. After a strike,
             // granting pauses until a (late) frame clears it — handing
             // more work to a straggler only deepens the hole.
-            'grant: while strikes == 0 && outstanding.len() < depth {
+            'grant: while strikes == 0 && outstanding.len() < DEFAULT_PIPELINE_DEPTH {
                 let claim = {
                     let mut b = board.lock().expect("lease board poisoned");
                     loop {
@@ -1313,24 +1306,16 @@ impl Coordinator {
                             .iter()
                             .position(|p| p.ready_at.is_none_or(|t| t <= now))
                         {
-                            let mut lease = b.pending.remove(pos);
-                            b.leases += 1;
-                            // Coalesce queue-adjacent eligible ranges up
-                            // to the adaptive grant: the queue starts as
-                            // base-sized chunks, so a grown grant is
-                            // assembled from contiguous neighbours.
-                            while lease.range.len() < grant {
-                                let Some(next) = b.pending.iter().position(|p| {
-                                    p.range.start == lease.range.end
-                                        && p.ready_at.is_none_or(|t| t <= now)
-                                        && lease.range.len() + p.range.len() <= grant
-                                }) else {
-                                    break;
-                                };
-                                let p = b.pending.remove(next);
-                                lease.range = CellRange::new(lease.range.start, p.range.end);
-                                lease.attempt = lease.attempt.max(p.attempt);
+                            let size = guided_lease_size(grant, b.unleased, b.live);
+                            let rest = &mut b.pending[pos];
+                            let mut lease = *rest;
+                            lease.range.end = rest.range.end.min(rest.range.start + size);
+                            rest.range.start = lease.range.end;
+                            if rest.range.is_empty() {
+                                b.pending.remove(pos);
                             }
+                            b.unleased -= lease.range.len();
+                            b.leases += 1;
                             break Claim::Lease(lease);
                         }
                         if !outstanding.is_empty() {
@@ -1402,7 +1387,7 @@ impl Coordinator {
                 }
                 RxWait::Event(RxEvent::Frame(Message::Result { start, end, cells })) => {
                     let range = CellRange::new(start, end);
-                    match self.accept(board, wakeup, range, cells) {
+                    match self.accept(board, wakeup, worker, range, cells) {
                         Ok(()) => {
                             // A result for a lease that already went
                             // back in the queue (or was re-split) is
@@ -1508,6 +1493,7 @@ impl Coordinator {
     fn requeue(&self, board: &Mutex<Board>, wakeup: &Condvar, lease: &PendingLease, retry: bool) {
         let mut b = board.lock().expect("lease board poisoned");
         let ready_at = retry.then(|| Instant::now() + self.backoff_delay(lease.attempt));
+        b.unleased += lease.range.len();
         let mut s = lease.range.start;
         while s < lease.range.end {
             let e = (s + self.lease_cells).min(lease.range.end);
@@ -1534,13 +1520,6 @@ impl Coordinator {
             .map_or(self.backoff_cap, |d| d.min(self.backoff_cap))
     }
 
-    /// Effective adaptive-lease ceiling.
-    fn lease_cap_cells(&self) -> u64 {
-        self.lease_cap
-            .unwrap_or_else(|| self.lease_cells.saturating_mul(8))
-            .max(self.lease_cells)
-    }
-
     /// Admits one lease result: validates its shape and every cell
     /// payload, journals it, then publishes it to the board
     /// (first-write-wins). A malformed result is the *worker's* fault —
@@ -1551,6 +1530,7 @@ impl Coordinator {
         &self,
         board: &Mutex<Board>,
         wakeup: &Condvar,
+        worker: usize,
         range: CellRange,
         cells: Vec<Wire>,
     ) -> Result<(), String> {
@@ -1588,6 +1568,7 @@ impl Coordinator {
             wakeup.notify_all();
             return Ok(());
         }
+        b.worker_cells[worker] += range.len();
         for (i, wire) in cells.into_iter().enumerate() {
             let slot = &mut b.cells[range.start as usize + i];
             if slot.is_none() {
@@ -1919,6 +1900,7 @@ enum DriveExit {
     Abort(String),
 }
 
+#[derive(Clone, Copy)]
 struct PendingLease {
     range: CellRange,
     attempt: u32,
@@ -1936,6 +1918,11 @@ struct InFlight {
 
 struct Board {
     pending: Vec<PendingLease>,
+    /// Cells in `pending`, kept in step with every claim and requeue.
+    unleased: u64,
+    /// Transports whose drive loop has not exited yet.
+    live: usize,
+    worker_cells: Vec<u64>,
     cells: Vec<Option<Wire>>,
     filled: usize,
     leases: u64,
@@ -2655,6 +2642,7 @@ mod tests {
         assert_eq!(run.stats.quarantined_workers, 0);
         assert!(run.stats.worker_faults.is_empty());
         assert_eq!(run.stats.cells, cell_count);
+        assert_eq!(run.stats.worker_cells.iter().sum::<u64>(), cell_count);
         assert!(!run.stats.resumed_from_journal);
         assert_eq!(run.stats.recovered_in_process, 0);
         // Sequential workers: the second drains after the first's Done.
@@ -2692,7 +2680,7 @@ mod tests {
         let direct = scenario.run(1).unwrap();
         let coordinator = Coordinator::new(scenario)
             .unwrap()
-            .lease_cells(1_000_000) // the whole grid as one lease
+            .lease_cells(1_000_000) // leases as large as guided sizing allows
             .lease_timeout(Duration::from_millis(150))
             .straggler_strikes(1);
         let (mut worker_ends, coord_ends) = duplex_pairs(1);
@@ -2710,8 +2698,52 @@ mod tests {
         assert_eq!(run.stats.retries, 0, "stats: {:?}", run.stats);
         assert_eq!(run.stats.quarantined_workers, 0, "stats: {:?}", run.stats);
         assert_eq!(run.stats.recovered_in_process, 0, "stats: {:?}", run.stats);
-        assert_eq!(summary.leases_served, 1);
+        assert_eq!(summary.leases_served, run.stats.leases);
+        assert_eq!(run.stats.worker_cells, vec![run.stats.cells]);
         assert_eq!(format!("{:?}", run.outcome), format!("{direct:?}"));
+    }
+
+    #[test]
+    fn guided_lease_size_floors_at_one_and_never_exceeds_grant_or_queue() {
+        for grant in [1, 2, 8, 64, u64::MAX] {
+            for unleased in 1..=300 {
+                for live in 0..=5 {
+                    let size = guided_lease_size(grant, unleased, live);
+                    assert!(
+                        (1..=grant.min(unleased)).contains(&size),
+                        "grant {grant}, unleased {unleased}, live {live}: size {size}"
+                    );
+                }
+            }
+        }
+        // The tail: one cell per claim once the queue is thinner than
+        // the fleet's pipeline slots.
+        assert_eq!(guided_lease_size(64, 3, 2), 1);
+        assert_eq!(guided_lease_size(64, 1, 1), 1);
+        // The adaptive grant still bounds a large queue.
+        assert_eq!(guided_lease_size(8, 2048, 2), 8);
+    }
+
+    #[test]
+    fn guided_lease_share_grows_as_workers_exit() {
+        let sizes: Vec<u64> = (1..=4)
+            .rev()
+            .map(|live| guided_lease_size(u64::MAX, 96, live))
+            .collect();
+        assert_eq!(sizes, vec![12, 16, 24, 48]);
+    }
+
+    #[test]
+    fn guided_leases_split_a_16_cell_grid_over_two_workers() {
+        // Two live workers at the default base grant: whatever order
+        // they claim in, the sizes follow ceil(unleased / 4).
+        let (mut unleased, mut sizes) = (16, Vec::new());
+        while unleased > 0 {
+            let size = guided_lease_size(DEFAULT_LEASE_CELLS, unleased, 2);
+            sizes.push(size);
+            unleased -= size;
+        }
+        assert_eq!(sizes, vec![4, 3, 3, 2, 1, 1, 1, 1]);
     }
 
     #[test]

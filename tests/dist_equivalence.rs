@@ -167,12 +167,48 @@ fn every_committed_spec_is_bit_identical_across_fleet_layouts() {
             assert_eq!(run.stats.retries, 0, "{name}: unexpected lease retries");
             assert_eq!(run.stats.spec_hash, coordinator.spec_hash());
             assert!(exits.iter().all(Result::is_ok), "{name}: worker failed");
+            // Lease balance is provenance: it never reaches the results.
+            let mut card = run.outcome.card(&name);
+            card.provenance("cells per worker", format!("{:?}", run.stats.worker_cells));
+            assert_eq!(
+                card.results_markdown(),
+                single.card(&name).results_markdown(),
+                "{name}: provenance leaked into the results section"
+            );
         }
     }
     assert!(
         adaptive_specs >= 2,
         "the committed adaptive spec was not exercised"
     );
+}
+
+#[test]
+fn guided_leases_spread_the_markov_campaign_over_two_workers() {
+    let (name, scenario) = committed_specs()
+        .into_iter()
+        .find(|(n, _)| n == "slow_markov_plant.toml")
+        .expect("slow_markov_plant.toml is committed");
+    let single = scenario.run(2).expect("in-process run");
+    let coordinator = Coordinator::new(scenario).expect("compiles");
+    let (run, exits) = run_fleet(
+        &coordinator,
+        vec![Worker::new().threads(1), Worker::new().threads(1)],
+    );
+    assert_bit_identical(&format!("{name} (default leases)"), &run.outcome, &single);
+    assert!(exits.iter().all(Result::is_ok), "{name}: worker failed");
+    assert_eq!(run.stats.cells, 16, "{name}: the campaign has 16 shards");
+    assert_eq!(run.stats.worker_cells.len(), 2, "stats: {:?}", run.stats);
+    assert_eq!(
+        run.stats.worker_cells.iter().sum::<u64>(),
+        16,
+        "stats: {:?}",
+        run.stats
+    );
+    // Each claim gets at most ceil(unleased / (2 workers × 2 pipeline
+    // slots)) cells: 4, 3, 3, 2, 1, 1, 1, 1 in any claim order, so the
+    // first worker to reach Ready can never hold the whole grid.
+    assert!(run.stats.leases >= 8, "stats: {:?}", run.stats);
 }
 
 #[test]
