@@ -25,9 +25,9 @@
 //!
 //! The driver here is executor-generic: [`drive`] takes a closure that
 //! evaluates one round's allocation to per-cell evidence. The
-//! in-process executor threads it over [`divrel_devsim::sweep`]; the
-//! distributed executor (`dist::AdaptiveCoordinator`) leases each round
-//! to a worker fleet.
+//! in-process executor ([`crate::job::in_process_rounds`]) runs each
+//! round as a cell job; the distributed executor
+//! (`dist::AdaptiveCoordinator`) leases the same job to a worker fleet.
 
 use crate::scenario::ScenarioResult;
 use divrel_bayes::update::observe_batch;
@@ -299,6 +299,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::in_process_rounds;
 
     fn spec() -> RefinementSpec {
         RefinementSpec {
@@ -308,16 +309,6 @@ mod tests {
             round_demands: 8_000,
             max_rounds: 30,
         }
-    }
-
-    fn in_process_exec(
-        runtime: &AdaptivePfdRuntime,
-        round: u32,
-        allocations: &[u64],
-    ) -> ScenarioResult<Vec<CellEvidence>> {
-        Ok((0..runtime.cells())
-            .map(|c| runtime.run_cell(c, allocations[c], round))
-            .collect())
     }
 
     #[test]
@@ -365,7 +356,7 @@ mod tests {
             16,
             &spec(),
             AllocationStrategy::PosteriorDriven,
-            in_process_exec,
+            in_process_rounds(1),
         )
         .expect("the drive succeeds");
         assert!(out.converged, "rounds: {:?}", out.rounds.len());
@@ -400,7 +391,7 @@ mod tests {
             16,
             &spec(),
             AllocationStrategy::PosteriorDriven,
-            in_process_exec,
+            in_process_rounds(1),
         )
         .expect("the drive succeeds");
         // Refinement rounds (1+) must leave some cells unfunded once
@@ -427,7 +418,7 @@ mod tests {
             16,
             &spec(),
             AllocationStrategy::PosteriorDriven,
-            in_process_exec,
+            in_process_rounds(1),
         )
         .expect("adaptive drive succeeds");
         let uniform = drive(
@@ -436,7 +427,7 @@ mod tests {
             16,
             &spec(),
             AllocationStrategy::Uniform,
-            in_process_exec,
+            in_process_rounds(1),
         )
         .expect("uniform drive succeeds");
         assert!(adaptive.converged && uniform.converged);
@@ -457,7 +448,7 @@ mod tests {
             16,
             &spec(),
             AllocationStrategy::PosteriorDriven,
-            in_process_exec,
+            in_process_rounds(1),
         )
         .expect("first drive");
         let b = drive(
@@ -466,7 +457,7 @@ mod tests {
             16,
             &spec(),
             AllocationStrategy::PosteriorDriven,
-            in_process_exec,
+            in_process_rounds(1),
         )
         .expect("second drive");
         assert_eq!(a, b);

@@ -68,15 +68,15 @@
 
 use divrel_bench::adaptive::{drive, AllocationStrategy, RefinementSpec};
 use divrel_bench::context::default_sweep_threads;
+use divrel_bench::job::in_process_rounds;
 use divrel_bench::perf::{to_json, Comparison};
-use divrel_bench::scenario::{ExperimentSpec, Scenario, ScenarioResult};
+use divrel_bench::scenario::{ExperimentSpec, Scenario};
 use divrel_bench::sweep::{forced_sweep, kl_sweep, pfd_sample_sweep};
 use divrel_demand::mapping::FaultRegionMap;
 use divrel_demand::profile::Profile;
 use divrel_demand::region::Region;
 use divrel_demand::space::{Demand, GridSpace2D};
 use divrel_demand::version::ProgramVersion;
-use divrel_devsim::adaptive::{AdaptivePfdRuntime, CellEvidence};
 use divrel_devsim::experiment::MonteCarloExperiment;
 use divrel_devsim::factory::{SampledPair, VersionFactory};
 use divrel_devsim::process::FaultIntroduction;
@@ -179,18 +179,6 @@ fn legacy_protection_run(
         }
     }
     black_box(demands + failures)
-}
-
-/// Serial in-process executor for the adaptive round-loop driver:
-/// evaluates every cell of the round on the calling thread.
-fn adaptive_exec(
-    runtime: &AdaptivePfdRuntime,
-    round: u32,
-    allocations: &[u64],
-) -> ScenarioResult<Vec<CellEvidence>> {
-    Ok((0..runtime.cells())
-        .map(|c| runtime.run_cell(c, allocations[c], round))
-        .collect())
 }
 
 fn main() {
@@ -1499,7 +1487,7 @@ max_rounds = 40
             24,
             &refinement,
             AllocationStrategy::PosteriorDriven,
-            adaptive_exec,
+            in_process_rounds(1),
         )
         .expect("adaptive drive");
         let uniform = drive(
@@ -1508,7 +1496,7 @@ max_rounds = 40
             24,
             &refinement,
             AllocationStrategy::Uniform,
-            adaptive_exec,
+            in_process_rounds(1),
         )
         .expect("uniform drive");
         assert!(adaptive.converged, "adaptive loop did not converge");

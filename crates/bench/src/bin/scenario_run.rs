@@ -500,6 +500,36 @@ fn cells_per_worker(stats: &DistStats) -> String {
     }
 }
 
+/// `--check-single`: re-runs the spec in process and fails unless the
+/// fleet's outcome and rendered results match it bit for bit. `kind`
+/// prefixes the coordinator named in the messages; `detail` closes the
+/// success line.
+fn check_single(
+    args: &Args,
+    scenario: &Scenario,
+    fleet: &ScenarioOutcome,
+    kind: &str,
+    detail: &str,
+) -> Result<(), String> {
+    eprintln!("re-running in process for the bit-identity check…");
+    let single = scenario
+        .run(args.threads.unwrap_or_else(default_sweep_threads))
+        .map_err(|e| format!("in-process check run failed: {e}"))?;
+    let dist_md = fleet.card(&scenario.name).results_markdown();
+    let single_md = single.card(&scenario.name).results_markdown();
+    if single != *fleet || dist_md != single_md {
+        return Err(format!(
+            "BIT-IDENTITY VIOLATION: {kind}coordinator outcome differs from the \
+             in-process run of the same spec\n--- distributed ---\n{dist_md}\n\
+             --- in-process ---\n{single_md}"
+        ));
+    }
+    eprintln!(
+        "check passed: {kind}fleet outcome is bit-identical to the in-process run ({detail})"
+    );
+    Ok(())
+}
+
 fn run_coordinator(args: &Args, scenario: Scenario, workers: usize) -> Result<(), String> {
     // An un-pinned adaptive spec is a round *loop*, not one grid — it
     // distributes round by round through its own coordinator.
@@ -604,24 +634,11 @@ fn run_coordinator(args: &Args, scenario: Scenario, workers: usize) -> Result<()
     eprintln!("completed in {:.2}s", elapsed.as_secs_f64());
 
     if args.check_single {
-        eprintln!("re-running in process for the bit-identity check…");
-        let single = scenario
-            .run(args.threads.unwrap_or_else(default_sweep_threads))
-            .map_err(|e| format!("in-process check run failed: {e}"))?;
-        let dist_md = run.outcome.card(&scenario.name).results_markdown();
-        let single_md = single.card(&scenario.name).results_markdown();
-        if single != run.outcome || dist_md != single_md {
-            return Err(format!(
-                "BIT-IDENTITY VIOLATION: coordinator outcome differs from the \
-                 in-process run of the same spec\n--- distributed ---\n{dist_md}\n\
-                 --- in-process ---\n{single_md}"
-            ));
-        }
-        eprintln!(
-            "check passed: fleet outcome is bit-identical to the in-process run \
-             ({} workers, {} leases, {} retried, {} timed out)",
+        let detail = format!(
+            "{} workers, {} leases, {} retried, {} timed out",
             run.stats.workers, run.stats.leases, run.stats.retries, run.stats.timeouts
         );
+        check_single(args, &scenario, &run.outcome, "", &detail)?;
     }
     write_artifacts(args, &scenario, &card)
 }
@@ -701,24 +718,8 @@ fn run_adaptive_coordinator(args: &Args, scenario: Scenario, workers: usize) -> 
     eprintln!("completed in {:.2}s", elapsed.as_secs_f64());
 
     if args.check_single {
-        eprintln!("re-running in process for the bit-identity check…");
-        let single = scenario
-            .run(args.threads.unwrap_or_else(default_sweep_threads))
-            .map_err(|e| format!("in-process check run failed: {e}"))?;
-        let dist_md = outcome.card(&scenario.name).results_markdown();
-        let single_md = single.card(&scenario.name).results_markdown();
-        if single != outcome || dist_md != single_md {
-            return Err(format!(
-                "BIT-IDENTITY VIOLATION: adaptive coordinator outcome differs from \
-                 the in-process run of the same spec\n--- distributed ---\n{dist_md}\n\
-                 --- in-process ---\n{single_md}"
-            ));
-        }
-        eprintln!(
-            "check passed: adaptive fleet outcome is bit-identical to the in-process \
-             run ({} round(s))",
-            run.rounds.len()
-        );
+        let detail = format!("{} round(s)", run.rounds.len());
+        check_single(args, &scenario, &outcome, "adaptive ", &detail)?;
     }
     write_artifacts(args, &scenario, &card)
 }

@@ -15,9 +15,9 @@
 //!   socket), and folds the returned accumulators **in canonical cell
 //!   order**.
 //! * A [`Worker`] (driven by [`Worker::serve`]) joins a coordinator,
-//!   checks the spec hash, evaluates leased cell ranges through the
-//!   exact same machinery the in-process path uses
-//!   ([`DistJob::run_range`]), streams [`Message::Progress`] heartbeats
+//!   checks the spec hash, evaluates leased cell ranges of the same
+//!   cell job the in-process path runs ([`DistJob::run_range`], see
+//!   [`crate::job`]), streams [`Message::Progress`] heartbeats
 //!   while a long lease runs, and returns per-cell accumulators in
 //!   [wire form](divrel_numerics::wire) — `f64`s as bit patterns, so
 //!   nothing rounds in transit.
@@ -60,17 +60,10 @@ pub use framing::FramingMode;
 pub use journal::{Journal, JournalError, JournalLoad};
 
 use crate::adaptive::{drive, AdaptiveOutcome, AllocationStrategy, RoundPlan};
-use crate::scenario::{CampaignRuntime, ExperimentSpec, Scenario, ScenarioOutcome, ScenarioResult};
-use crate::sweep::{forced_cell, forced_grid, kl_cell, kl_grid, ForcedSweepStats, KlSweepStats};
-use divrel_devsim::adaptive::{AdaptivePfdRuntime, CellEvidence};
-use divrel_devsim::experiment::{run_cell as mc_cell, McAccumulator, MonteCarloExperiment};
-use divrel_devsim::factory::VersionFactory;
-use divrel_devsim::rare::{RareAccumulator, RareEventExperiment};
-use divrel_devsim::sweep::{run_cells, CellRange, SweepCell, SweepGrid};
-use divrel_model::FaultModel;
-use divrel_numerics::sweep::SweepReduce;
-use divrel_numerics::wire::{Wire, WireError, WireForm};
-use divrel_protection::OperationLog;
+use crate::job::{compile, AnyJob};
+use crate::scenario::{ExperimentSpec, Scenario, ScenarioOutcome, ScenarioResult};
+use divrel_devsim::sweep::CellRange;
+use divrel_numerics::wire::{Wire, WireError};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -444,79 +437,20 @@ impl<R: Read + Send + 'static, W: Write + Send + 'static> Transport for JsonLine
     }
 }
 
-/// The per-cell wire envelope: a kind tag (so a shape mismatch fails
-/// loudly with context) around the accumulator's wire form.
-fn encode_cell(kind: &str, data: Wire) -> Wire {
-    Wire::record([("kind", Wire::Text(kind.to_string())), ("data", data)])
-}
-
-fn decode_cell<'w>(wire: &'w Wire, want: &str) -> Result<&'w Wire, WireError> {
-    let kind = wire.field("kind")?.as_text()?.to_string();
-    if kind != want {
-        return Err(WireError(format!(
-            "cell accumulator kind mismatch: expected {want:?}, got {kind:?}"
-        )));
-    }
-    wire.field("data")
-}
-
-/// A scenario compiled for range-at-a-time execution: the common
-/// machinery of workers (evaluate a leased [`CellRange`]) and the
-/// coordinator (fold every cell in canonical order, assemble the
-/// outcome).
-///
-/// Each experiment family maps onto the same shape — a fixed cell grid
-/// whose layout is a pure function of the spec — so `run_range` on any
-/// host produces the exact per-cell bits of the in-process sweep:
-///
-/// | experiment | cell | accumulator |
-/// |---|---|---|
-/// | `KnightLeveson` | one replication | [`KlSweepStats`] |
-/// | `ForcedDiversity` | ≤ 250 process pairs | [`ForcedSweepStats`] |
-/// | `MonteCarlo` | ≤ 2048 sampled pairs | [`McAccumulator`] |
-/// | `Protection` | one campaign shard of one system | [`OperationLog`] |
-/// | `RareEvent` | ≤ 4096 weighted/stratified draws | [`RareAccumulator`] |
-/// | `AdaptivePfd` (pinned round) | one cell's round demands | [`CellEvidence`] |
+/// A scenario compiled for range-at-a-time execution: the wire face of
+/// its [`CellJob`](crate::job) — the job `Scenario::run` evaluates in
+/// process. Workers evaluate leased [`CellRange`]s to `{kind, data}`
+/// cell records; the coordinator admits each record and folds the full
+/// list in canonical cell order, so `run_range` on any host produces
+/// the exact per-cell bits of the in-process run.
 ///
 /// An `AdaptivePfd` spec is distributable **one pinned round at a
 /// time** (`round = Some`): the round loop itself lives in
 /// [`AdaptiveCoordinator`], which pins each derived round and runs it
 /// through an ordinary [`Coordinator`].
 pub struct DistJob {
-    scenario: Scenario,
+    job: Box<dyn AnyJob>,
     threads: usize,
-    plan: Plan,
-}
-
-enum Plan {
-    Kl {
-        model: Arc<FaultModel>,
-        grid: SweepGrid<()>,
-    },
-    Forced {
-        grid: SweepGrid<usize>,
-    },
-    Mc(Box<McPlan>),
-    Protection(Box<CampaignRuntime>),
-    Rare(Box<RarePlan>),
-    Adaptive(Box<AdaptiveRoundJob>),
-}
-
-struct AdaptiveRoundJob {
-    runtime: AdaptivePfdRuntime,
-    round: u32,
-    allocations: Vec<u64>,
-}
-
-struct McPlan {
-    exp: MonteCarloExperiment,
-    factory: VersionFactory,
-    grid: SweepGrid<usize>,
-}
-
-struct RarePlan {
-    exp: RareEventExperiment,
-    grid: SweepGrid<usize>,
 }
 
 impl DistJob {
@@ -529,91 +463,15 @@ impl DistJob {
     /// Spec validation and constructor errors.
     pub fn new(scenario: Scenario, threads: usize) -> ScenarioResult<Self> {
         scenario.validate()?;
-        let seed = scenario.seed.seed;
-        let plan = match &scenario.experiment {
-            ExperimentSpec::KnightLeveson {
-                model,
-                replications,
-            } => Plan::Kl {
-                model: Arc::new(model.build()?),
-                grid: kl_grid(*replications, seed),
-            },
-            ExperimentSpec::ForcedDiversity { trials } => Plan::Forced {
-                grid: forced_grid(*trials, seed),
-            },
-            ExperimentSpec::MonteCarlo {
-                model,
-                introduction,
-                samples,
-            } => {
-                let exp = MonteCarloExperiment::new(model.build()?, *introduction)
-                    .samples(*samples)
-                    .seed(seed);
-                let factory = exp.factory()?;
-                let grid = exp.grid_spec().grid(seed);
-                Plan::Mc(Box::new(McPlan { exp, factory, grid }))
-            }
-            ExperimentSpec::Protection(campaign) => {
-                Plan::Protection(Box::new(CampaignRuntime::new(campaign, seed)?))
-            }
-            ExperimentSpec::RareEvent {
-                model,
-                channels,
-                k,
-                samples,
-                estimator,
-            } => {
-                let exp = RareEventExperiment::from_shared(
-                    &model.build_shared()?,
-                    *channels,
-                    *k,
-                    estimator.to_estimator(),
-                )?
-                .samples(*samples)
-                .seed(seed);
-                let grid = exp.grid_spec().grid(seed);
-                Plan::Rare(Box::new(RarePlan { exp, grid }))
-            }
-            ExperimentSpec::AdaptivePfd {
-                model,
-                cells,
-                round,
-                ..
-            } => {
-                let plan = round.as_ref().ok_or(
-                    "AdaptivePfd distributes one pinned round at a time; this spec \
-                     has no round plan — run the round loop through AdaptiveCoordinator",
-                )?;
-                let runtime = AdaptivePfdRuntime::new(Arc::new(model.build()?), seed, *cells)?;
-                Plan::Adaptive(Box::new(AdaptiveRoundJob {
-                    runtime,
-                    round: plan.round,
-                    allocations: plan.allocations.clone(),
-                }))
-            }
-        };
         Ok(DistJob {
-            scenario,
+            job: compile(&scenario)?,
             threads: threads.max(1),
-            plan,
         })
-    }
-
-    /// The scenario this job executes.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
     }
 
     /// Total grid cells (the lease space is `[0, cell_count)`).
     pub fn cell_count(&self) -> u64 {
-        match &self.plan {
-            Plan::Kl { grid, .. } => grid.len() as u64,
-            Plan::Forced { grid } => grid.len() as u64,
-            Plan::Mc(mc) => mc.grid.len() as u64,
-            Plan::Protection(rt) => rt.cell_count(),
-            Plan::Rare(rare) => rare.grid.len() as u64,
-            Plan::Adaptive(ad) => ad.allocations.len() as u64,
-        }
+        self.job.cell_count()
     }
 
     /// Evaluates the cells of `range` (clamped to the grid) and returns
@@ -625,84 +483,25 @@ impl DistJob {
     ///
     /// Simulation/model errors from any cell of the range.
     pub fn run_range(&self, range: CellRange) -> ScenarioResult<Vec<Wire>> {
-        match &self.plan {
-            Plan::Kl { model, grid } => {
-                collect_cells(grid.range_cells(range), self.threads, "kl", |cell| {
-                    kl_cell(model, cell).map_err(|e| e.to_string())
-                })
-            }
-            Plan::Forced { grid } => {
-                collect_cells(grid.range_cells(range), self.threads, "forced", |cell| {
-                    forced_cell(cell).map_err(|e| e.to_string())
-                })
-            }
-            Plan::Mc(mc) => collect_cells(mc.grid.range_cells(range), self.threads, "mc", |cell| {
-                Ok(mc_cell(&mc.factory, cell.config, cell.seed))
-            }),
-            Plan::Protection(rt) => {
-                let cells: Vec<SweepCell<u64>> = (range.start..range.end.min(rt.cell_count()))
-                    .map(|k| SweepCell {
-                        index: k,
-                        seed: 0,
-                        config: k,
-                    })
-                    .collect();
-                collect_cells(&cells, self.threads, "campaign", |cell| {
-                    rt.run_cell(cell.config).map_err(|e| e.to_string())
-                })
-            }
-            Plan::Rare(rare) => {
-                collect_cells(rare.grid.range_cells(range), self.threads, "rare", |cell| {
-                    Ok(rare.exp.run_cell(cell.config, cell.seed))
-                })
-            }
-            Plan::Adaptive(ad) => {
-                let cells: Vec<SweepCell<u64>> = (range.start
-                    ..range.end.min(ad.allocations.len() as u64))
-                    .map(|k| SweepCell {
-                        index: k,
-                        seed: 0,
-                        config: k,
-                    })
-                    .collect();
-                collect_cells(&cells, self.threads, "adaptive", |cell| {
-                    let c = cell.config as usize;
-                    Ok::<_, String>(ad.runtime.run_cell(c, ad.allocations[c], ad.round))
-                })
-            }
-        }
+        self.job.run_wire(range, self.threads)
     }
 
     /// Validates that `wire` is a well-formed cell accumulator for this
-    /// job's experiment family — the admission check the coordinator
-    /// runs on every untrusted payload (worker results, journal
-    /// records) *before* publishing it to the reduction board.
+    /// job's experiment family.
     ///
     /// # Errors
     ///
     /// Wire-shape mismatches.
     pub fn check_cell(&self, wire: &Wire) -> Result<(), WireError> {
-        match &self.plan {
-            Plan::Kl { .. } => {
-                KlSweepStats::from_wire(decode_cell(wire, "kl")?)?;
-            }
-            Plan::Forced { .. } => {
-                ForcedSweepStats::from_wire(decode_cell(wire, "forced")?)?;
-            }
-            Plan::Mc(_) => {
-                McAccumulator::from_wire(decode_cell(wire, "mc")?)?;
-            }
-            Plan::Protection(_) => {
-                OperationLog::from_wire(decode_cell(wire, "campaign")?)?;
-            }
-            Plan::Rare(_) => {
-                RareAccumulator::from_wire(decode_cell(wire, "rare")?)?;
-            }
-            Plan::Adaptive(_) => {
-                CellEvidence::from_wire(decode_cell(wire, "adaptive")?)?;
-            }
-        }
-        Ok(())
+        self.job.check_wire(None, wire)
+    }
+
+    /// The admission check the coordinator runs on every untrusted
+    /// payload for cell `k` (worker results, journal records) *before*
+    /// publishing it to the reduction board: the shape check plus the
+    /// family's per-cell check.
+    fn admit_cell(&self, k: u64, wire: &Wire) -> Result<(), WireError> {
+        self.job.check_wire(Some(k), wire)
     }
 
     /// Folds the full per-cell accumulator list (index `i` holding cell
@@ -721,83 +520,8 @@ impl DistJob {
             )
             .into());
         }
-        match &self.plan {
-            Plan::Kl { .. } => {
-                let stats = fold_cells::<KlSweepStats>(cells, "kl")?;
-                Ok(ScenarioOutcome::KnightLeveson(stats.unwrap_or_default()))
-            }
-            Plan::Forced { .. } => {
-                let stats = fold_cells::<ForcedSweepStats>(cells, "forced")?;
-                Ok(ScenarioOutcome::ForcedDiversity(stats.unwrap_or_default()))
-            }
-            Plan::Mc(mc) => {
-                let acc = fold_cells::<McAccumulator>(cells, "mc")?
-                    .ok_or("Monte-Carlo grid reduced to nothing")?;
-                Ok(ScenarioOutcome::MonteCarlo(mc.exp.finish(acc)?))
-            }
-            Plan::Protection(rt) => {
-                let logs = cells
-                    .iter()
-                    .map(|w| Ok(OperationLog::from_wire(decode_cell(w, "campaign")?)?))
-                    .collect::<ScenarioResult<Vec<_>>>()?;
-                Ok(ScenarioOutcome::Protection(rt.finish(logs)?))
-            }
-            Plan::Rare(rare) => {
-                let acc = fold_cells::<RareAccumulator>(cells, "rare")?
-                    .ok_or("rare-event grid reduced to nothing")?;
-                Ok(ScenarioOutcome::RareEvent(rare.exp.finish(acc)?))
-            }
-            Plan::Adaptive(ad) => {
-                let evidence = cells
-                    .iter()
-                    .map(|w| Ok(CellEvidence::from_wire(decode_cell(w, "adaptive")?)?))
-                    .collect::<ScenarioResult<Vec<_>>>()?;
-                Ok(ScenarioOutcome::AdaptiveRound(
-                    crate::adaptive::AdaptiveRoundOutcome {
-                        round: ad.round,
-                        evidence,
-                    },
-                ))
-            }
-        }
+        self.job.finish_wire(cells)
     }
-}
-
-/// Evaluates `cells` with work-stealing workers and wire-encodes each
-/// result under `kind`, preserving slice order.
-fn collect_cells<C, T, F>(
-    cells: &[SweepCell<C>],
-    threads: usize,
-    kind: &str,
-    f: F,
-) -> ScenarioResult<Vec<Wire>>
-where
-    C: Sync,
-    T: WireForm + Send,
-    F: Fn(&SweepCell<C>) -> Result<T, String> + Sync,
-{
-    let results = run_cells(cells, threads, |cell| f(cell).map(|t| t.to_wire()));
-    results
-        .into_iter()
-        .map(|r| r.map(|w| encode_cell(kind, w)).map_err(Into::into))
-        .collect()
-}
-
-/// Decodes every cell under `kind` and folds in slice (canonical cell)
-/// order.
-fn fold_cells<T: WireForm + SweepReduce>(
-    cells: &[Wire],
-    kind: &str,
-) -> Result<Option<T>, WireError> {
-    let mut acc: Option<T> = None;
-    for wire in cells {
-        let t = T::from_wire(decode_cell(wire, kind)?)?;
-        match acc.as_mut() {
-            Some(a) => a.absorb(t),
-            None => acc = Some(t),
-        }
-    }
-    Ok(acc)
 }
 
 /// Execution statistics of a distributed run — the provenance the
@@ -976,7 +700,7 @@ impl Coordinator {
             .map_err(|e| e.to_string())?;
         for (idx, wire) in &load.cells {
             self.job
-                .check_cell(wire)
+                .admit_cell(*idx, wire)
                 .map_err(|e| format!("journal cell {idx} is corrupt: {e}"))?;
         }
         self.resumed = load.cells;
@@ -1543,13 +1267,11 @@ impl Coordinator {
                 cells.len()
             ));
         }
-        for (i, wire) in cells.iter().enumerate() {
-            self.job.check_cell(wire).map_err(|e| {
+        for (k, wire) in (range.start..).zip(&cells) {
+            self.job.admit_cell(k, wire).map_err(|e| {
                 format!(
-                    "corrupt cell payload for cell {} of lease [{}, {}): {e}",
-                    range.start as usize + i,
-                    range.start,
-                    range.end
+                    "corrupt cell payload for cell {k} of lease [{}, {}): {e}",
+                    range.start, range.end
                 )
             })?;
         }
@@ -1700,11 +1422,6 @@ impl AdaptiveCoordinator {
     pub fn halt_after_journal_appends(mut self, n: u64) -> Self {
         self.halt_after_appends = Some(n);
         self
-    }
-
-    /// The wrapped scenario.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
     }
 
     /// Runs the round loop to completion. `fleet(round)` supplies the
@@ -2463,6 +2180,8 @@ mod tests {
     use super::*;
     use crate::scenario::presets;
     use crate::Context;
+    use divrel_devsim::adaptive::CellEvidence;
+    use divrel_numerics::wire::WireForm;
 
     #[test]
     fn spec_hash_is_stable_and_sensitive() {
@@ -2502,7 +2221,10 @@ mod tests {
             Message::Result {
                 start: 3,
                 end: 4,
-                cells: vec![encode_cell("mc", Wire::U64(5))],
+                cells: vec![Wire::record([
+                    ("kind", Wire::Text("mc".into())),
+                    ("data", Wire::U64(5)),
+                ])],
             },
             Message::Done,
             Message::Abort {
@@ -2817,6 +2539,145 @@ mod tests {
         let spans: Vec<(u64, u64)> = ranges.iter().map(|r| (r.start, r.end)).collect();
         assert_eq!(spans, vec![(0, 1), (2, 4), (4, 5), (6, 7)]);
         assert!(missing_ranges(&[Some(w)], 8).is_empty());
+    }
+
+    /// A pinned adaptive round whose cell `c` is allocated
+    /// [`pinned_allocation`]`(c)` demands.
+    fn pinned_round() -> Scenario {
+        use crate::adaptive::RefinementSpec;
+        use divrel_model::spec::FaultModelSpec;
+        Scenario {
+            name: "pinned-round".into(),
+            seed: divrel_numerics::sweep::SeedSpec::new(29),
+            experiment: ExperimentSpec::AdaptivePfd {
+                model: FaultModelSpec::Uniform {
+                    n: 2,
+                    p: 0.25,
+                    q: 0.004,
+                },
+                cells: 12,
+                refinement: RefinementSpec {
+                    confidence: 0.99,
+                    target_width: 0.002,
+                    initial_demands: 1_800,
+                    round_demands: 6_000,
+                    max_rounds: 40,
+                },
+                round: Some(RoundPlan {
+                    round: 2,
+                    allocations: (0..12).map(pinned_allocation).collect(),
+                }),
+            },
+        }
+    }
+
+    fn pinned_allocation(cell: u64) -> u64 {
+        100 + 50 * cell
+    }
+
+    fn evidence_cell(ev: CellEvidence) -> Wire {
+        Wire::record([
+            ("kind", Wire::Text("adaptive".into())),
+            ("data", ev.to_wire()),
+        ])
+    }
+
+    /// Made-up evidence for a cell's allocation.
+    type Forge = fn(u64) -> CellEvidence;
+
+    /// A hand-rolled worker: completes the handshake, then answers its
+    /// leases with well-formed evidence that `forge` makes up, and
+    /// waits to be cut off.
+    fn forging_worker(t: &mut PipeTransport, forge: Forge) {
+        Transport::send(
+            t,
+            &Message::Join {
+                protocol: PROTOCOL_VERSION,
+            },
+        )
+        .unwrap();
+        loop {
+            match Transport::recv(t) {
+                Ok(Some(Message::SpecHash { hash, .. })) => {
+                    Transport::send(t, &Message::NeedSpec { hash }).unwrap();
+                }
+                Ok(Some(Message::Spec { hash, .. })) => {
+                    Transport::send(t, &Message::Ready { hash }).unwrap();
+                }
+                Ok(Some(Message::Lease { start, end })) => {
+                    let cells = (start..end)
+                        .map(|k| evidence_cell(forge(pinned_allocation(k))))
+                        .collect();
+                    let _ = Transport::send(t, &Message::Result { start, end, cells });
+                }
+                Ok(Some(Message::Abort { .. } | Message::Done) | None) | Err(_) => return,
+                Ok(Some(other)) => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn forged_adaptive_evidence_quarantines_its_worker() {
+        let scenario = pinned_round();
+        let direct = scenario.run(1).unwrap();
+        let forgeries: [(&str, Forge); 2] = [
+            ("more failures than demands", |a| CellEvidence {
+                failures: a + 1,
+                demands: a,
+            }),
+            ("demands off the allocation", |a| CellEvidence {
+                failures: 0,
+                demands: a + 1,
+            }),
+        ];
+        for (label, forge) in forgeries {
+            let coordinator = Coordinator::new(scenario.clone()).unwrap();
+            let (mut worker_ends, coord_ends) = duplex_pairs(1);
+            let handle = std::thread::spawn(move || forging_worker(&mut worker_ends[0], forge));
+            let run = coordinator.run(coord_ends).unwrap();
+            handle.join().unwrap();
+            assert_eq!(run.stats.quarantined_workers, 1, "{label}: {:?}", run.stats);
+            assert!(
+                run.stats.worker_faults[0].contains("allocated"),
+                "{label}: {:?}",
+                run.stats.worker_faults
+            );
+            assert_eq!(run.stats.worker_cells, vec![0], "{label}");
+            assert_eq!(run.stats.recovered_in_process, 12, "{label}");
+            assert_eq!(
+                format!("{:?}", run.outcome),
+                format!("{direct:?}"),
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn resume_rejects_forged_adaptive_evidence() {
+        let scenario = pinned_round();
+        let hash = spec_hash(&scenario.to_toml().unwrap());
+        let path = std::env::temp_dir().join(format!(
+            "divrel-forged-evidence-{}.ndjson",
+            std::process::id()
+        ));
+        let mut journal = Journal::create(&path, &hash, 12).unwrap();
+        let forged = CellEvidence {
+            failures: 0,
+            demands: pinned_allocation(3) + 1,
+        };
+        journal
+            .append(CellRange::new(3, 4), &[evidence_cell(forged)])
+            .unwrap();
+        drop(journal);
+        let err = Coordinator::new(scenario)
+            .unwrap()
+            .resume(&path)
+            .err()
+            .expect("forged journal evidence must not resume");
+        let _ = std::fs::remove_file(&path);
+        let err = err.to_string();
+        assert!(err.contains("journal cell 3"), "{err}");
+        assert!(err.contains("allocated"), "{err}");
     }
 
     type PipeTransport = JsonLines<std::io::PipeReader, std::io::PipeWriter>;

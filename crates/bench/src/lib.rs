@@ -29,6 +29,7 @@ pub mod adaptive;
 pub mod context;
 pub mod dist;
 pub mod experiments;
+pub mod job;
 pub mod perf;
 pub mod scenario;
 pub mod sweep;

@@ -51,16 +51,15 @@ use crate::adaptive::{
     drive, AdaptiveOutcome, AdaptiveRoundOutcome, AllocationStrategy, RefinementSpec, RoundPlan,
 };
 use crate::context::Context;
-use crate::sweep::{forced_sweep, kl_sweep, ForcedSweepStats, KlSweepStats};
+use crate::job::{self, CellJob};
+use crate::sweep::{ForcedSweepStats, KlSweepStats};
 use divrel_demand::region::Region;
 use divrel_demand::space::GridSpace2D;
 use divrel_demand::version::ProgramVersion;
-use divrel_devsim::adaptive::{AdaptivePfdRuntime, CellEvidence};
-use divrel_devsim::experiment::{ExperimentResult, MonteCarloExperiment};
+use divrel_devsim::experiment::ExperimentResult;
 use divrel_devsim::factory::VersionFactory;
 use divrel_devsim::process::FaultIntroduction;
 use divrel_devsim::rare::{RareEstimator, RareEventExperiment, RareOutcome};
-use divrel_devsim::sweep::{run_cells, SweepCell};
 use divrel_model::spec::FaultModelSpec;
 use divrel_model::FaultModel;
 use divrel_numerics::sweep::SeedSpec;
@@ -295,10 +294,12 @@ impl Scenario {
         Ok(())
     }
 
-    /// Compiles the spec onto the sweep engine and runs it with up to
-    /// `threads` workers. `threads` is an execution hint only: every
-    /// outcome is bit-identical at any thread count (campaign shard
-    /// counts are part of the spec, not of this parameter).
+    /// Compiles the spec to its cell job ([`crate::job`]) and runs every
+    /// cell in process with up to `threads` workers; an un-pinned
+    /// adaptive spec runs its round loop, one job per round. `threads`
+    /// is an execution hint only: every outcome is bit-identical at any
+    /// thread count (campaign shard counts are part of the spec, not of
+    /// this parameter) and to any fleet execution of the same spec.
     ///
     /// # Errors
     ///
@@ -306,89 +307,24 @@ impl Scenario {
     /// simulators report.
     pub fn run(&self, threads: usize) -> ScenarioResult<ScenarioOutcome> {
         self.validate()?;
-        match &self.experiment {
-            ExperimentSpec::KnightLeveson {
-                model,
-                replications,
-            } => {
-                let model = model.build()?;
-                let stats = kl_sweep(&model, *replications, self.seed.seed, threads)?;
-                Ok(ScenarioOutcome::KnightLeveson(stats))
-            }
-            ExperimentSpec::ForcedDiversity { trials } => Ok(ScenarioOutcome::ForcedDiversity(
-                forced_sweep(*trials, self.seed.seed, threads)?,
-            )),
-            ExperimentSpec::MonteCarlo {
-                model,
-                introduction,
-                samples,
-            } => {
-                let model = model.build()?;
-                let result = MonteCarloExperiment::new(model, *introduction)
-                    .samples(*samples)
-                    .seed(self.seed.seed)
-                    .threads(threads)
-                    .run()?;
-                Ok(ScenarioOutcome::MonteCarlo(result))
-            }
-            ExperimentSpec::Protection(campaign) => Ok(ScenarioOutcome::Protection(run_campaign(
-                campaign,
+        if let ExperimentSpec::AdaptivePfd {
+            model,
+            cells,
+            refinement,
+            round: None,
+        } = &self.experiment
+        {
+            let outcome = drive(
+                Arc::new(model.build()?),
                 self.seed.seed,
-                threads,
-            )?)),
-            ExperimentSpec::RareEvent {
-                model,
-                channels,
-                k,
-                samples,
-                estimator,
-            } => {
-                let shared = model.build_shared()?;
-                let outcome = RareEventExperiment::from_shared(
-                    &shared,
-                    *channels,
-                    *k,
-                    estimator.to_estimator(),
-                )?
-                .samples(*samples)
-                .seed(self.seed.seed)
-                .threads(threads)
-                .run()?;
-                Ok(ScenarioOutcome::RareEvent(outcome))
-            }
-            ExperimentSpec::AdaptivePfd {
-                model,
-                cells,
+                *cells,
                 refinement,
-                round,
-            } => {
-                let built = Arc::new(model.build()?);
-                match round {
-                    Some(plan) => {
-                        let runtime = AdaptivePfdRuntime::new(built, self.seed.seed, *cells)?;
-                        let evidence =
-                            run_adaptive_round(&runtime, plan.round, &plan.allocations, threads)?;
-                        Ok(ScenarioOutcome::AdaptiveRound(AdaptiveRoundOutcome {
-                            round: plan.round,
-                            evidence,
-                        }))
-                    }
-                    None => {
-                        let outcome = drive(
-                            built,
-                            self.seed.seed,
-                            *cells,
-                            refinement,
-                            AllocationStrategy::PosteriorDriven,
-                            |runtime, round, allocations| {
-                                run_adaptive_round(runtime, round, allocations, threads)
-                            },
-                        )?;
-                        Ok(ScenarioOutcome::Adaptive(outcome))
-                    }
-                }
-            }
+                AllocationStrategy::PosteriorDriven,
+                job::in_process_rounds(threads),
+            )?;
+            return Ok(ScenarioOutcome::Adaptive(outcome));
         }
+        job::compile(self)?.run_all(threads)
     }
 
     /// Parses a scenario from spec text, auto-detecting the format: JSON
@@ -832,56 +768,35 @@ impl CampaignRuntime {
     pub fn shards_per_system(&self) -> u64 {
         self.shard_counts.len() as u64
     }
+}
 
-    /// Total shard cells (`systems × shards`).
-    pub fn cell_count(&self) -> u64 {
+impl CellJob for CampaignRuntime {
+    const KIND: &'static str = "campaign";
+    type Acc = OperationLog;
+
+    fn cells(&self) -> u64 {
         self.systems.len() as u64 * self.shards_per_system()
     }
 
-    /// Simulates shard cell `k`, bit-identically to the same shard of
-    /// the in-process sharded run.
-    ///
-    /// # Errors
-    ///
-    /// Propagated simulation errors; an out-of-range index.
-    pub fn run_cell(&self, k: u64) -> ScenarioResult<OperationLog> {
+    fn run_cell(&self, k: u64) -> Result<OperationLog, String> {
         let shards = self.shards_per_system();
         let sys = (k / shards) as usize;
         let shard = (k % shards) as usize;
-        let system = self
-            .systems
-            .get(sys)
-            .ok_or_else(|| format!("campaign cell {k} out of range"))?;
         let campaign_seed = self.seed ^ self.spec.systems[sys].seed_xor;
-        Ok(simulation::run_campaign_shard(
+        simulation::run_campaign_shard(
             &self.plant,
             self.compiled.as_ref(),
-            system,
+            &self.systems[sys],
             self.spec.steps,
             self.shard_counts[shard],
             simulation::shard_seed(campaign_seed, shard),
-        )?)
+        )
+        .map_err(|e| e.to_string())
     }
 
-    /// Assembles the campaign outcome from the per-cell logs (cell
-    /// order, as returned by [`Self::run_cell`] over `0..cell_count()`):
-    /// merges each system's shard logs in shard order, then derives the
-    /// deterministic side products (version outcomes, exact PFDs,
-    /// process expectations).
-    ///
-    /// # Errors
-    ///
-    /// Geometry/model errors from the exact-PFD computations; a log
-    /// list of the wrong length.
-    pub fn finish(&self, logs: Vec<OperationLog>) -> ScenarioResult<CampaignOutcome> {
-        if logs.len() as u64 != self.cell_count() {
-            return Err(format!(
-                "campaign reduction needs {} shard logs, got {}",
-                self.cell_count(),
-                logs.len()
-            )
-            .into());
-        }
+    /// Also derives the deterministic side products: version outcomes,
+    /// exact PFDs and process expectations.
+    fn finish(&self, logs: Vec<OperationLog>) -> ScenarioResult<ScenarioOutcome> {
         let versions = self
             .spec
             .versions
@@ -917,81 +832,12 @@ impl CampaignRuntime {
                 mean_pfd_pair: m.mean_pfd_pair(),
             })
             .collect();
-        Ok(CampaignOutcome {
+        Ok(ScenarioOutcome::Protection(CampaignOutcome {
             versions,
             systems,
             processes,
-        })
+        }))
     }
-}
-
-/// Executes a protection campaign spec in process: every shard cell
-/// through [`CampaignRuntime::run_cell`] with up to `threads`
-/// work-stealing workers, then the cell-order reduction. Bit-identical
-/// to the pre-distribution `run_sharded`-per-system executor (the shard
-/// seeds, counts and compile decision are the same), and to any
-/// coordinator/worker execution of the same spec.
-fn run_campaign(spec: &CampaignSpec, seed: u64, threads: usize) -> ScenarioResult<CampaignOutcome> {
-    let runtime = CampaignRuntime::new(spec, seed)?;
-    let cells: Vec<SweepCell<u64>> = (0..runtime.cell_count())
-        .map(|k| SweepCell {
-            index: k,
-            // Campaign shards derive their streams from the campaign
-            // seed convention, not from split_seed — the cell carries
-            // its index only so the engine can order results.
-            seed: 0,
-            config: k,
-        })
-        .collect();
-    let results = run_cells(&cells, threads, |cell| {
-        runtime.run_cell(cell.config).map_err(|e| e.to_string())
-    });
-    let mut logs = Vec::with_capacity(results.len());
-    for r in results {
-        logs.push(r?);
-    }
-    runtime.finish(logs)
-}
-
-/// Evaluates one adaptive round in process: every cell through
-/// [`AdaptivePfdRuntime::run_cell`] with up to `threads` work-stealing
-/// workers, reduced in cell order. Cells with a zero allocation still
-/// occupy their slot (empty evidence), so the result is always one
-/// entry per cell. Bit-identical at any thread count, and to any
-/// coordinator/worker execution of the same pinned round.
-fn run_adaptive_round(
-    runtime: &AdaptivePfdRuntime,
-    round: u32,
-    allocations: &[u64],
-    threads: usize,
-) -> ScenarioResult<Vec<CellEvidence>> {
-    if allocations.len() != runtime.cells() {
-        return Err(format!(
-            "adaptive round {round} has {} allocations, want one per cell ({})",
-            allocations.len(),
-            runtime.cells()
-        )
-        .into());
-    }
-    let cells: Vec<SweepCell<u64>> = (0..runtime.cells() as u64)
-        .map(|c| SweepCell {
-            index: c,
-            // Adaptive cells derive their streams from the round-salted
-            // split layout, not from the engine's seed field — the cell
-            // carries its index only so the engine can order results.
-            seed: 0,
-            config: c,
-        })
-        .collect();
-    let results = run_cells(&cells, threads, |cell| {
-        let c = cell.config as usize;
-        Ok::<_, String>(runtime.run_cell(c, allocations[c], round))
-    });
-    let mut evidence = Vec::with_capacity(results.len());
-    for r in results {
-        evidence.push(r?);
-    }
-    Ok(evidence)
 }
 
 /// The built-in presets: each function re-expresses one hand-coded

@@ -130,7 +130,8 @@ pub fn kl_grid(replications: usize, sweep_seed: u64) -> SweepGrid<()> {
 
 /// Evaluates one E16 grid cell — one synthetic Knight–Leveson
 /// experiment seeded from the cell's split stream. The per-cell worker
-/// [`kl_sweep`] folds; distributed executors call it directly.
+/// [`kl_sweep`] folds; the E16 cell job ([`crate::job`]) calls it
+/// directly.
 ///
 /// # Errors
 ///

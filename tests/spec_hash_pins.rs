@@ -8,10 +8,15 @@
 //! fields, renderer edits) perturbs the canonical text of an existing
 //! file, warm worker caches and resumable journals in the field would
 //! silently invalidate — so the change fails here first and must be
-//! made back-compatible instead.
+//! made back-compatible instead. The wire pins do the same for the
+//! per-cell accumulator bytes those journals and result frames carry.
 
-use divrel_bench::dist::spec_hash;
-use divrel_bench::scenario::Scenario;
+use divrel::devsim::adaptive::uniform_allocation;
+use divrel::devsim::sweep::CellRange;
+use divrel_bench::adaptive::RoundPlan;
+use divrel_bench::dist::{spec_hash, DistJob};
+use divrel_bench::scenario::{ExperimentSpec, Scenario};
+use divrel_bench::Context;
 
 /// `(committed file, pinned fnv1a hash of the canonical TOML)`.
 ///
@@ -90,6 +95,85 @@ fn canonical_toml_is_a_fixed_point_for_committed_specs() {
         assert_eq!(
             canonical, again,
             "{file}: canonical TOML is not a fixed point"
+        );
+    }
+}
+
+/// `(input, pinned spec_hash of the hex of its cells' binary wire
+/// bytes)`: every committed spec plus the E17 smoke preset, the one
+/// forced-diversity input. Result frames and lease journals carry
+/// these bytes, so a renamed kind tag or a reordered accumulator field
+/// would strand every journal an earlier build wrote.
+const WIRE_PINS: &[(&str, &str)] = &[
+    ("adaptive_confidence", "fnv1a:a72531a798da3763"),
+    ("asymmetric_difficulty", "fnv1a:59b21e44ecac7cde"),
+    ("common_cause_diversity", "fnv1a:048b97a663a44ba9"),
+    ("kl_bimodal", "fnv1a:a2957f2279c0ee6b"),
+    ("rare_event_protection", "fnv1a:910c8965ef5490e9"),
+    ("slow_markov_plant", "fnv1a:848956bf34709885"),
+    ("three_channel_forced", "fnv1a:fce94f013c249d76"),
+    ("tree_2oo3", "fnv1a:245ef89de10eeaf9"),
+    ("E17", "fnv1a:daad843ae86cd621"),
+];
+
+/// The scenario behind a [`WIRE_PINS`] input. The adaptive spec is a
+/// round loop, so its grid is round 0 at the uniform initial
+/// allocation.
+fn wire_pin_input(input: &str) -> Scenario {
+    if input == "E17" {
+        return Scenario::preset_with(input, &Context::smoke()).expect("E17 preset");
+    }
+    let file = format!("scenarios/{input}.toml");
+    let text = std::fs::read_to_string(repo_path(&file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let mut scenario =
+        Scenario::from_spec_text(&text).unwrap_or_else(|e| panic!("{file}: parse: {e}"));
+    if let ExperimentSpec::AdaptivePfd {
+        cells,
+        refinement,
+        round,
+        ..
+    } = &mut scenario.experiment
+    {
+        *round = Some(RoundPlan {
+            round: 0,
+            allocations: uniform_allocation(refinement.initial_demands, *cells),
+        });
+    }
+    scenario
+}
+
+#[test]
+fn cell_wire_bytes_are_pinned() {
+    let mut inputs: Vec<String> = std::fs::read_dir(repo_path("scenarios"))
+        .expect("scenarios/ exists")
+        .filter_map(|entry| {
+            let path = entry.expect("readable entry").path();
+            let stem = path.file_stem()?.to_str()?.to_string();
+            path.extension()
+                .is_some_and(|e| e == "toml")
+                .then_some(stem)
+        })
+        .collect();
+    inputs.push("E17".into());
+    inputs.sort();
+    let mut pinned: Vec<&str> = WIRE_PINS.iter().map(|(input, _)| *input).collect();
+    pinned.sort_unstable();
+    assert_eq!(inputs, pinned, "every committed spec needs a wire pin");
+    for (input, digest) in WIRE_PINS {
+        let job = DistJob::new(wire_pin_input(input), 1).unwrap_or_else(|e| panic!("{input}: {e}"));
+        let wires = job
+            .run_range(CellRange::new(0, job.cell_count()))
+            .unwrap_or_else(|e| panic!("{input}: {e}"));
+        let mut bytes = Vec::new();
+        for wire in &wires {
+            wire.encode_binary(&mut bytes);
+        }
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            &spec_hash(&hex),
+            digest,
+            "{input}: cell wire bytes drifted — journals and result frames \
+             written by earlier builds would no longer fold"
         );
     }
 }
