@@ -1,23 +1,29 @@
-//! Runs every paper-reproduction experiment in order and writes artifacts
+//! Runs the paper-reproduction experiments and writes their artifacts
 //! under `results/`.
 //!
-//! Usage: `cargo run -p divrel-bench --release --bin all_experiments
-//! [--smoke]`.
+//! Usage: `cargo run -p divrel-bench --release --bin all_experiments --
+//! [--smoke] [ID ...]`. With no ID it runs every `registry()` entry in
+//! order and writes the verdicts to `results/SUMMARY.md`. With IDs it
+//! runs just those entries, in registry order, and leaves the summary
+//! alone. An unknown ID exits with status 2 and lists the known IDs.
 
-use divrel_bench::{registry, Context};
+use divrel_bench::{select, Context};
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let ctx = if smoke {
-        let mut c = Context::new();
-        c.scale = 0.02;
-        c
-    } else {
-        Context::new()
-    };
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let ids: Vec<&String> = args.iter().filter(|a| *a != "--smoke").collect();
+    let entries = select(&ids).unwrap_or_else(|e| {
+        eprintln!("all_experiments: {e}");
+        std::process::exit(2);
+    });
+    let mut ctx = Context::new();
+    if smoke {
+        ctx.scale = 0.02;
+    }
     let mut failures = 0usize;
     let mut verdicts: Vec<(String, String)> = Vec::new();
-    for (id, title, runner) in registry() {
+    for (id, title, runner) in entries {
         println!("\n──────────────────────────────────────────────────────");
         println!("Running {id}: {title}");
         println!("──────────────────────────────────────────────────────");
@@ -47,12 +53,15 @@ fn main() {
         verdicts.len(),
         failures
     ));
-    let summary_path = ctx.results_root.join("SUMMARY.md");
-    if let Err(e) = std::fs::write(&summary_path, summary_md) {
-        eprintln!("could not write {}: {e}", summary_path.display());
+    // A run of named experiments leaves the full run's summary alone.
+    if ids.is_empty() {
+        let summary_path = ctx.results_root.join("SUMMARY.md");
+        if let Err(e) = std::fs::write(&summary_path, summary_md) {
+            eprintln!("could not write {}: {e}", summary_path.display());
+        }
     }
     println!(
-        "\n{} experiments, {} failed. Artifacts in {}/ (index: SUMMARY.md)",
+        "\n{} experiments, {} failed. Artifacts in {}/",
         verdicts.len(),
         failures,
         ctx.results_root.display()

@@ -308,6 +308,9 @@ impl<W: Write + Send> FrameSend for FrameWriter<W> {
 pub struct FrameReader<R: Read> {
     inner: R,
     pending: Vec<u8>,
+    /// Leading bytes of `pending` already searched for a JSON line's
+    /// `\n`, so each read is scanned once.
+    scanned: usize,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -315,6 +318,7 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             inner,
             pending: Vec::new(),
+            scanned: 0,
         }
     }
 
@@ -335,7 +339,8 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// Extracts one complete frame from the head of the pending buffer,
-    /// or `None` if more bytes are needed.
+    /// or `None` if more bytes are needed. A JSON line is held to the
+    /// binary payload cap, [`framing::MAX_BINARY_PAYLOAD`].
     fn take_frame(&mut self) -> std::io::Result<Option<Message>> {
         loop {
             match self.pending.first() {
@@ -353,10 +358,24 @@ impl<R: Read> FrameReader<R> {
                     };
                 }
                 Some(_) => {
-                    let Some(pos) = self.pending.iter().position(|&b| b == b'\n') else {
+                    let Some(pos) = self.pending[self.scanned..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                    else {
+                        self.scanned = self.pending.len();
+                        if self.scanned as u64 > framing::MAX_BINARY_PAYLOAD {
+                            return Err(std::io::Error::new(
+                                ErrorKind::InvalidData,
+                                format!(
+                                    "JSON line runs past {} bytes without a newline",
+                                    framing::MAX_BINARY_PAYLOAD
+                                ),
+                            ));
+                        }
                         return Ok(None);
                     };
-                    let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
+                    let mut line: Vec<u8> = self.pending.drain(..=self.scanned + pos).collect();
+                    self.scanned = 0;
                     line.pop();
                     if line.last() == Some(&b'\r') {
                         line.pop();
@@ -2304,6 +2323,43 @@ mod tests {
         }
         assert_eq!(got, msgs);
         assert!(blocks > 10, "choppy reader should have blocked repeatedly");
+    }
+
+    #[test]
+    fn frame_reader_refuses_an_endless_json_line() {
+        /// Hands out the wrapped reader's bytes, counting them.
+        struct Counting<R> {
+            inner: R,
+            read: Arc<AtomicU64>,
+        }
+        impl<R: Read> Read for Counting<R> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.inner.read(buf)?;
+                self.read.fetch_add(n as u64, Ordering::Relaxed);
+                Ok(n)
+            }
+        }
+        let cap = framing::MAX_BINARY_PAYLOAD;
+        let read = Arc::new(AtomicU64::new(0));
+        let mut rx = FrameReader::new(Counting {
+            inner: std::io::repeat(b'x').take(cap + (1 << 20)),
+            read: Arc::clone(&read),
+        });
+        let err = rx.recv().expect_err("a line past the cap is refused");
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        let read = read.load(Ordering::Relaxed);
+        assert!(read <= cap + 4096, "read {read} bytes before refusing");
+    }
+
+    #[test]
+    fn deeply_nested_json_line_is_an_error_not_a_stack_overflow() {
+        // Runs on the test harness's default thread stack, the size a
+        // coordinator's per-worker frame pump gets.
+        let mut line = "[".repeat(100_000).into_bytes();
+        line.push(b'\n');
+        let mut transport = JsonLines::new(std::io::Cursor::new(line), std::io::sink());
+        let err = Transport::recv(&mut transport).expect_err("nesting past the cap");
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! | F2 | Fig 2 failure regions | [`experiments::failure_regions`] |
 //!
 //! Run everything with `cargo run -p divrel-bench --release --bin
-//! all_experiments`; each experiment also has its own binary.
+//! all_experiments`, or name experiments by ID to run just those
+//! (`… --bin all_experiments -- --smoke E1 F2`).
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
@@ -144,4 +145,56 @@ pub fn registry() -> Vec<RegistryEntry> {
             experiments::lattice_ablation::run,
         ),
     ]
+}
+
+/// The registry entries named by `ids`, in registry order; every entry
+/// when `ids` is empty.
+///
+/// # Errors
+///
+/// A message naming the first unknown ID and listing the known ones.
+pub fn select<S: AsRef<str>>(ids: &[S]) -> Result<Vec<RegistryEntry>, String> {
+    let entries = registry();
+    if let Some(unknown) = ids
+        .iter()
+        .find(|id| !entries.iter().any(|(known, ..)| *known == id.as_ref()))
+    {
+        let known: Vec<&str> = entries.iter().map(|(id, ..)| *id).collect();
+        return Err(format!(
+            "unknown experiment ID {:?}; known IDs: {}",
+            unknown.as_ref(),
+            known.join(" ")
+        ));
+    }
+    Ok(entries
+        .into_iter()
+        .filter(|(id, ..)| ids.is_empty() || ids.iter().any(|x| x.as_ref() == *id))
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_ids_are_unique() {
+        let ids: Vec<&str> = registry().iter().map(|(id, ..)| *id).collect();
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), ids.len(), "duplicate registry IDs in {ids:?}");
+    }
+
+    #[test]
+    fn select_keeps_registry_order_and_refuses_unknown_ids() {
+        assert_eq!(select::<&str>(&[]).unwrap().len(), registry().len());
+        let picked: Vec<&str> = select(&["F2", "E1"])
+            .unwrap()
+            .iter()
+            .map(|(id, ..)| *id)
+            .collect();
+        assert_eq!(picked, ["E1", "F2"]);
+        let err = select(&["E1", "E99"]).map(|_| ()).unwrap_err();
+        assert!(err.contains("\"E99\"") && err.contains("E2-E3 "), "{err}");
+    }
 }

@@ -1023,6 +1023,13 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_spec_text_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert!(Scenario::from_spec_text(&format!("{{\"name\": {deep}")).is_err());
+        assert!(Scenario::from_spec_text(&format!("name = {deep}")).is_err());
+    }
+
+    #[test]
     fn spec_text_round_trips_in_both_formats() {
         let ctx = Context::smoke();
         for id in Scenario::PRESETS {

@@ -6,8 +6,9 @@
 //! **bit-identical across thread counts** and the regression suite can
 //! pin them. Each sweep here is shared by three consumers: the
 //! experiment module that reports it, the `bench` binary that measures
-//! its thread scaling (`sweep/*` rows of `BENCH_pr3.json`), and the
-//! `sweep_smoke` binary CI runs at two threads.
+//! its thread scaling (the `sweep/*` rows), and
+//! `tests/sweep_determinism.rs`, which checks its bits at 1, 2 and 7
+//! threads.
 
 use divrel_devsim::kl::KnightLevesonExperiment;
 use divrel_devsim::process::FaultIntroduction;

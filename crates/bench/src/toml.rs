@@ -87,6 +87,7 @@ pub fn parse(s: &str) -> Result<Value, TomlError> {
     Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     }
     .parse_document()
 }
@@ -95,9 +96,16 @@ pub fn parse(s: &str) -> Result<Value, TomlError> {
 // Parser
 // ---------------------------------------------------------------------
 
+/// The deepest nesting the parser accepts. A key path's segments each
+/// count one level, and so does each inline array or table in the value
+/// the key names.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Nesting levels open at the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -134,7 +142,7 @@ impl Parser<'_> {
                 self.skip_inline_ws();
                 self.expect(b'=')?;
                 self.skip_inline_ws();
-                let value = self.parse_value()?;
+                let value = self.nested(path.len(), Self::parse_value)?;
                 self.expect_line_end()?;
                 let full: Vec<String> = cursor.iter().chain(path.iter()).cloned().collect();
                 insert(&mut root, &full, value, self.pos)?;
@@ -208,18 +216,21 @@ impl Parser<'_> {
         }
     }
 
-    /// A dotted key path: `a.b."c d"`.
+    /// A dotted key path: `a.b."c d"`. Each segment nests the value it
+    /// names one table deeper, so segments count toward `MAX_DEPTH`.
     fn parse_key_path(&mut self) -> Result<Vec<String>, TomlError> {
         let mut path = vec![self.parse_key()?];
         loop {
             self.skip_inline_ws();
-            if self.peek() == Some(b'.') {
-                self.pos += 1;
-                self.skip_inline_ws();
-                path.push(self.parse_key()?);
-            } else {
+            if self.peek() != Some(b'.') {
                 return Ok(path);
             }
+            if self.depth + path.len() == MAX_DEPTH {
+                return Err(self.too_deep());
+            }
+            self.pos += 1;
+            self.skip_inline_ws();
+            path.push(self.parse_key()?);
         }
     }
 
@@ -245,8 +256,8 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.parse_basic_string()?)),
             Some(b'\'') => Ok(Value::Str(self.parse_literal_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_inline_table(),
+            Some(b'[') => self.nested(1, Self::parse_array),
+            Some(b'{') => self.nested(1, Self::parse_inline_table),
             Some(b't') | Some(b'f') => {
                 if self.bytes[self.pos..].starts_with(b"true") {
                     self.pos += 4;
@@ -376,6 +387,26 @@ impl Parser<'_> {
         Ok(s)
     }
 
+    /// Runs `parse` `levels` nesting levels down, refusing to nest
+    /// deeper than `MAX_DEPTH` so hostile input cannot exhaust the stack.
+    fn nested(
+        &mut self,
+        levels: usize,
+        parse: fn(&mut Self) -> Result<Value, TomlError>,
+    ) -> Result<Value, TomlError> {
+        if self.depth + levels > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += levels;
+        let value = parse(self);
+        self.depth -= levels;
+        value
+    }
+
+    fn too_deep(&self) -> TomlError {
+        TomlError::new(format!("nesting deeper than {MAX_DEPTH} levels"), self.pos)
+    }
+
     fn parse_array(&mut self) -> Result<Value, TomlError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
@@ -412,7 +443,7 @@ impl Parser<'_> {
             self.skip_inline_ws();
             self.expect(b'=')?;
             self.skip_inline_ws();
-            let value = self.parse_value()?;
+            let value = self.nested(path.len(), Self::parse_value)?;
             insert(&mut table, &path, value, self.pos)?;
             self.skip_blank();
             match self.peek() {
@@ -804,6 +835,35 @@ count = 5
         assert!(to_string(&Value::Num(3.0)).is_err());
         assert!(to_string(&map(vec![("x", Value::Num(f64::INFINITY))])).is_err());
         assert!(to_string(&map(vec![("xs", Value::Seq(vec![Value::Null]))])).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        // The key `x` is the first level, its arrays the rest.
+        let nest = |depth: usize| format!("x = {}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH - 1)).is_ok());
+        let err = parse(&nest(MAX_DEPTH)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        assert!(parse(&format!("x = {}", "{ a = ".repeat(MAX_DEPTH + 1))).is_err());
+        // Unclosed input a hundred thousand levels deep: an error, not a
+        // stack overflow.
+        assert!(parse(&format!("x = {}", "[".repeat(100_000))).is_err());
+        assert!(parse(&format!("x = {}", "{ a = [".repeat(50_000))).is_err());
+        assert!(from_str::<Value>(&format!("x = {}", "[".repeat(100_000))).is_err());
+    }
+
+    #[test]
+    fn dotted_keys_count_toward_the_depth_cap() {
+        let key = |segments: usize| vec!["a"; segments].join(".");
+        assert!(parse(&format!("{} = 1", key(MAX_DEPTH - 1))).is_ok());
+        assert!(parse(&format!("[{}]\nx = 1", key(MAX_DEPTH))).is_ok());
+        assert!(parse(&format!("{} = [1]", key(MAX_DEPTH))).is_err());
+        assert!(parse(&format!("x = {{ {} = 1 }}", key(MAX_DEPTH))).is_err());
+        // A hundred thousand segments would nest the value as deep.
+        assert!(parse(&format!("{} = 1", key(100_000))).is_err());
+        assert!(parse(&format!("[{}]", key(100_000))).is_err());
+        let inline = format!("{{ {} = ", key(MAX_DEPTH / 2));
+        assert!(parse(&format!("x = {}", inline.repeat(MAX_DEPTH))).is_err());
     }
 
     #[test]

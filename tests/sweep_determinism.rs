@@ -2,7 +2,8 @@
 //!
 //! 1. **Bit-identity across thread counts** — the same sweep seed gives
 //!    byte-for-byte identical reduced results at 1, 2 and 7 workers, for
-//!    the devsim Monte-Carlo grid and for the ported bench sweeps.
+//!    the devsim Monte-Carlo grid, the ported bench sweeps and a grid of
+//!    protection campaigns.
 //! 2. **Order-insensitivity of `SweepReduce` merges** — a proptest
 //!    shuffles the cell listing arbitrarily and the reduced output does
 //!    not move a bit (the fold is by canonical cell index, never by
@@ -13,6 +14,11 @@
 //!    distort the sampled distribution (p > 0.01), and the sharded
 //!    sample must match the exact analytic law (p > 0.01).
 
+use divrel::demand::mapping::FaultRegionMap;
+use divrel::demand::profile::Profile;
+use divrel::demand::region::Region;
+use divrel::demand::space::GridSpace2D;
+use divrel::demand::version::ProgramVersion;
 use divrel::devsim::experiment::MonteCarloExperiment;
 use divrel::devsim::process::FaultIntroduction;
 use divrel::devsim::sweep::{run_sweep, SweepCell, SweepGrid};
@@ -20,6 +26,12 @@ use divrel::model::FaultModel;
 use divrel::numerics::descriptive::Moments;
 use divrel::numerics::ks::{chi_squared_gof, chi_squared_homogeneity};
 use divrel::numerics::weighted_sum::WeightedBernoulliSum;
+use divrel::protection::adjudicator::Adjudicator;
+use divrel::protection::channel::Channel;
+use divrel::protection::plant::Plant;
+use divrel::protection::simulation;
+use divrel::protection::system::ProtectionSystem;
+use divrel::protection::OperationLog;
 use divrel_bench::sweep::{forced_sweep, kl_sweep, pfd_sample_sweep};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -82,6 +94,39 @@ fn ported_bench_sweeps_are_bit_identical_across_thread_counts() {
         forced1.advantage_sum.to_bits(),
         forced7.advantage_sum.to_bits()
     );
+}
+
+#[test]
+fn protection_campaign_grid_is_bit_identical_across_thread_counts() {
+    // Rate-plant campaigns as sweep cells, 8 cells of 20,000 steps,
+    // reduced through OperationLog's SweepReduce merge.
+    let space = GridSpace2D::new(50, 50).expect("valid space");
+    let profile = Profile::uniform(&space);
+    let regions = vec![Region::rect(0, 0, 9, 9), Region::rect(5, 5, 14, 14)];
+    let map = FaultRegionMap::new(space, regions).expect("valid map");
+    let system = ProtectionSystem::new(
+        vec![
+            Channel::new("A", ProgramVersion::new(vec![true, false])),
+            Channel::new("B", ProgramVersion::new(vec![false, true])),
+        ],
+        Adjudicator::OneOutOfN,
+        map,
+    )
+    .expect("valid system");
+    let plant = Plant::with_demand_rate(profile, 0.05).expect("valid plant");
+    let grid = SweepGrid::new(2001, vec![20_000u64; 8]);
+    let campaign = |threads: usize| -> OperationLog {
+        run_sweep(grid.cells(), threads, |cell| {
+            let mut rng = StdRng::seed_from_u64(cell.seed);
+            simulation::run(&plant, &system, cell.config, &mut rng).expect("runs")
+        })
+        .expect("non-empty grid")
+    };
+    let base = campaign(1);
+    assert!(base.demands() > 0 && base.system_failures() > 0);
+    for threads in [2usize, 7] {
+        assert_eq!(base, campaign(threads), "threads = {threads}");
+    }
 }
 
 fn sweep_moments(cells: &[SweepCell<u32>], threads: usize) -> Moments {
