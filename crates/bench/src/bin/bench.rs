@@ -11,10 +11,10 @@
 //!
 //! * `protection/*`: the compiled fault-tree table against a per-cell
 //!   tree walk (gated ≥ 1×); the Markov demand compiler against the tick
-//!   loop, including the sparse backend on a 16.7M-cell plant (gated
+//!   loop, including its hash store on a 16.7M-cell plant (gated
 //!   ≥ 10×); the fused exit draw against a reconstruction of the
-//!   four-draw sampler it replaced; a sharded campaign and a parallel
-//!   `true_pfd` against one thread.
+//!   four-draw sampler it replaced; a sharded campaign against one
+//!   thread.
 //! * `sweep/*`: whole experiment grids at one thread against all cores,
 //!   and the demand trials posterior-driven allocation needs to close
 //!   every credible bound against a fixed uniform schedule (samples,
@@ -105,7 +105,6 @@ fn main() {
     let mut bench = Bench::new(host_cores);
     tree_row(&mut bench);
     markov_rows(&mut bench, host_cores.min(8));
-    true_pfd_row(&mut bench, host_cores.min(8));
     sweep_rows(&mut bench);
     scenario_rows(&mut bench);
     fused_row(&mut bench);
@@ -249,56 +248,6 @@ fn markov_rows(bench: &mut Bench, threads: usize) {
             seed_f += 1;
             black_box(
                 simulation::run_sharded(&plant, &system, steps, threads, seed_f).expect("runs"),
-            );
-        },
-    ));
-}
-
-/// The exact PFD of a 400×400 two-channel system, serial against
-/// `threads` partial sums (identical to 1e-12, asserted first).
-fn true_pfd_row(bench: &mut Bench, threads: usize) {
-    let space = GridSpace2D::new(400, 400).expect("valid space");
-    let profile = Profile::uniform(&space);
-    let regions: Vec<Region> = (0..48)
-        .map(|i| {
-            let x = (i * 17) as u32 % 360;
-            let y = (i * 31) as u32 % 360;
-            Region::rect(x, y, x + 24, y + 24)
-        })
-        .collect();
-    let map = FaultRegionMap::new(space, regions).expect("valid map");
-    let sys = ProtectionSystem::new(
-        vec![
-            Channel::new(
-                "A",
-                ProgramVersion::new((0..48).map(|i| i % 2 == 0).collect()),
-            ),
-            Channel::new(
-                "B",
-                ProgramVersion::new((0..48).map(|i| i % 3 == 0).collect()),
-            ),
-        ],
-        Adjudicator::OneOutOfN,
-        map,
-    )
-    .expect("valid system");
-    let serial = sys.true_pfd(&profile).expect("computable");
-    let parallel = sys
-        .true_pfd_parallel(&profile, threads)
-        .expect("computable");
-    assert!(
-        (serial - parallel).abs() < 1e-12,
-        "parallel true_pfd diverged: {parallel} vs {serial}"
-    );
-    bench.push(Row::time(
-        &format!("protection/true_pfd/{threads}threads/48_regions_400x400"),
-        || {
-            black_box(sys.true_pfd(&profile).expect("computable"));
-        },
-        || {
-            black_box(
-                sys.true_pfd_parallel(&profile, threads)
-                    .expect("computable"),
             );
         },
     ));
@@ -1047,47 +996,18 @@ max_rounds = 40
     );
 }
 
-/// A 4096 × 4096 plant (16,777,216 cells, four times past the eager
-/// compiler's `MAX_COMPILED_CELLS` ceiling) on the sparse on-demand
-/// backend, which compiles only the states the walk visits, against the
-/// tick loop. The sparse backend is first checked bit-identical to the
-/// eager compiler on a space small enough for both.
+/// A 4096 × 4096 plant (16,777,216 cells, four times past the
+/// compiler's `MAX_COMPILED_CELLS` ceiling), whose rows the compiler
+/// keeps in its hash store and builds only for the states the walk
+/// visits, against the tick loop. The compiler's own tests hold the hash
+/// store bit-identical to the dense one.
 fn sparse_row(bench: &mut Bench) {
-    let small = GridSpace2D::new(64, 64).expect("valid space");
-    let small_system = pair_system(small);
-    let small_plant =
-        Plant::markov_walk(small, Region::rect(0, 0, 4, 4), 2, 0.002).expect("valid plant");
-    let eager = CompiledPlant::compile_eager(&small_plant)
-        .expect("compilable")
-        .expect("markov plants compile");
-    let sparse = CompiledPlant::compile_sparse(&small_plant)
-        .expect("compilable")
-        .expect("markov plants compile");
-    assert!(!eager.is_sparse() && sparse.is_sparse());
-    for seed in 900u64..910 {
-        let mut rng_e = StdRng::seed_from_u64(seed);
-        let mut rng_s = StdRng::seed_from_u64(seed);
-        let e = simulation::run_compiled(&eager, &small_system, 50_000, &mut rng_e)
-            .expect("eager runs");
-        let s = simulation::run_compiled(&sparse, &small_system, 50_000, &mut rng_s)
-            .expect("sparse runs");
-        assert_eq!(
-            format!("{e:?}"),
-            format!("{s:?}"),
-            "sparse backend diverged from the eager compiler at seed {seed}"
-        );
-    }
-
     let space = GridSpace2D::new(4096, 4096).expect("valid space");
     let system = pair_system(space);
     let plant = Plant::markov_walk(space, Region::rect(0, 0, 4, 4), 2, 0.002).expect("valid plant");
     let compiled = CompiledPlant::compile(&plant)
         .expect("compilable")
         .expect("markov plants compile");
-    assert!(
-        compiled.is_sparse(),
-        "a 16.7M-cell space must take the sparse path"
-    );
     let steps = 400_000u64;
     let (mut rng_l, mut rng_f) = (reseeded(900), reseeded(900));
     bench.push(
@@ -1109,7 +1029,7 @@ fn sparse_row(bench: &mut Bench) {
     );
     println!(
         "{:<44} {} of {} states compiled ({:.5}% occupancy)",
-        "  sparse backend",
+        "  hash store",
         compiled.compiled_states(),
         compiled.states(),
         compiled.occupancy() * 100.0

@@ -10,7 +10,7 @@
 //! section is **byte-identical** to an uninterrupted one.
 //!
 //! The format is deliberately boring: each line is one
-//! [`Wire`](divrel_numerics::wire::Wire) record rendered as JSON (the
+//! [`Wire`] record rendered as JSON (the
 //! same self-describing encoding the worker protocol uses — `f64`s as
 //! bit patterns, counters as decimal strings), so a journal survives
 //! hosts, architectures and text tooling.

@@ -39,14 +39,33 @@ fn sample_ns<F: FnMut()>(f: &mut F, iters: u64) -> f64 {
     t.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Median nanoseconds per iteration of each side. The sides take their
-/// 31 samples in alternation, so bursts of load on the host land on
-/// both alike instead of skewing their ratio: on a shared 2-vCPU host,
-/// timing one side after the other failed the 10% overhead gate of two
-/// sides with identical bits in most runs.
-fn time_pair<L: FnMut(), F: FnMut()>(mut legacy: L, mut fast: F) -> (f64, f64) {
+/// The least, median and greatest of one side's samples.
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Spread {
+        samples.sort_by(f64::total_cmp);
+        Spread {
+            min: samples[0],
+            median: samples[samples.len() / 2],
+            max: samples[samples.len() - 1],
+        }
+    }
+}
+
+/// Nanoseconds per iteration of each side over 31 samples. The sides
+/// take their samples in alternation, so bursts of load on the host
+/// land on both alike instead of skewing their ratio: on a shared
+/// 2-vCPU host, timing one side after the other failed the 10% overhead
+/// gate of two sides with identical bits in most runs.
+fn time_pair<L: FnMut(), F: FnMut()>(mut legacy: L, mut fast: F) -> (Spread, Spread) {
     let (legacy_iters, fast_iters) = (sample_iters(&mut legacy), sample_iters(&mut fast));
-    let (mut l, mut f): (Vec<f64>, Vec<f64>) = (0..31)
+    let (l, f): (Vec<f64>, Vec<f64>) = (0..31)
         .map(|_| {
             (
                 sample_ns(&mut legacy, legacy_iters),
@@ -54,9 +73,22 @@ fn time_pair<L: FnMut(), F: FnMut()>(mut legacy: L, mut fast: F) -> (f64, f64) {
             )
         })
         .unzip();
-    l.sort_by(f64::total_cmp);
-    f.sort_by(f64::total_cmp);
-    (l[l.len() / 2], f[f.len() / 2])
+    (Spread::of(l), Spread::of(f))
+}
+
+/// The commit checked out in the source tree this binary was built
+/// from, suffixed `-dirty` when that tree has uncommitted changes, or
+/// `None` when git or the checkout is missing. Tags are excluded, so
+/// it is always a commit hash. It is read when the binary runs, so it
+/// names the tree's state then.
+fn git_revision() -> Option<String> {
+    let out = std::process::Command::new("git")
+        .args(["-C", env!("CARGO_MANIFEST_DIR"), "describe", "--always"])
+        .args(["--dirty", "--abbrev=40", "--exclude=*"])
+        .output()
+        .ok()?;
+    let rev = String::from_utf8(out.stdout).ok()?;
+    out.status.success().then(|| rev.trim().to_string())
 }
 
 /// One comparison row of the export.
@@ -66,10 +98,16 @@ pub struct Row {
     name: String,
     /// What both sides count: `"ns"` per iteration or `"samples"`.
     unit: &'static str,
-    /// The baseline side.
+    /// The baseline side (the median sample of an `ns` row).
     legacy: f64,
-    /// The current side.
+    /// The current side (the median sample of an `ns` row).
     fast: f64,
+    /// The least and greatest baseline sample of an `ns` row.
+    legacy_min: Option<f64>,
+    legacy_max: Option<f64>,
+    /// The least and greatest current sample of an `ns` row.
+    fast_min: Option<f64>,
+    fast_max: Option<f64>,
     /// `legacy / fast`: how many times less the current side costs.
     speedup: f64,
     /// The gate: the run fails unless `speedup >= min_speedup`.
@@ -77,11 +115,17 @@ pub struct Row {
 }
 
 impl Row {
-    /// Times both sides (median ns per iteration, after calibration)
-    /// into an ungated `ns` row.
+    /// Times both sides (ns per iteration, after calibration) into an
+    /// ungated `ns` row of their medians and extremes.
     pub fn time<L: FnMut(), F: FnMut()>(name: &str, legacy: L, fast: F) -> Row {
-        let (legacy, fast) = time_pair(legacy, fast);
-        Row::new(name, "ns", legacy, fast)
+        let (l, f) = time_pair(legacy, fast);
+        Row {
+            legacy_min: Some(l.min),
+            legacy_max: Some(l.max),
+            fast_min: Some(f.min),
+            fast_max: Some(f.max),
+            ..Row::new(name, "ns", l.median, f.median)
+        }
     }
 
     /// An ungated row of sample counts.
@@ -95,6 +139,10 @@ impl Row {
             unit,
             legacy,
             fast,
+            legacy_min: None,
+            legacy_max: None,
+            fast_min: None,
+            fast_max: None,
             speedup: legacy / fast,
             min_speedup: None,
         }
@@ -114,11 +162,13 @@ impl Row {
     }
 }
 
-/// A bench run: the measuring host's core count and the rows so far.
+/// A bench run: the measuring host's core count, the commit measured
+/// and the rows so far.
 #[derive(Debug, Serialize)]
 pub struct Bench {
     schema: u32,
     host_cores: usize,
+    git_revision: Option<String>,
     rows: Vec<Row>,
 }
 
@@ -128,6 +178,7 @@ impl Bench {
         Bench {
             schema: 2,
             host_cores,
+            git_revision: git_revision(),
             rows: Vec::new(),
         }
     }
@@ -149,8 +200,11 @@ impl Bench {
     }
 
     /// Writes the schema-2 export to `path`:
-    /// `{"schema": 2, "host_cores", "rows": [{"name", "unit", "legacy",
-    /// "fast", "speedup", "min_speedup"}]}`.
+    /// `{"schema": 2, "host_cores", "git_revision", "rows": [{"name",
+    /// "unit", "legacy", "fast", "legacy_min", "legacy_max", "fast_min",
+    /// "fast_max", "speedup", "min_speedup"}]}`. The extremes are `null`
+    /// in a `samples` row, and `git_revision` is `null` outside a git
+    /// checkout.
     ///
     /// # Errors
     ///
@@ -205,8 +259,23 @@ mod tests {
         assert_eq!(rows[0]["fast"], 20.0);
         assert_eq!(rows[0]["speedup"], 5.0);
         assert_eq!(rows[0]["min_speedup"], 3.0);
+        assert_eq!(rows[0]["legacy_min"], serde_json::Value::Null);
+        assert_eq!(rows[0]["fast_max"], serde_json::Value::Null);
         assert_eq!(rows[1]["unit"], "ns");
         assert_eq!(rows[1]["min_speedup"], serde_json::Value::Null);
+        for side in ["legacy", "fast"] {
+            let at = |key: String| rows[1][key.as_str()].as_f64().unwrap();
+            let (min, max) = (at(format!("{side}_min")), at(format!("{side}_max")));
+            assert!(0.0 < min && min <= at(side.to_string()) && at(side.to_string()) <= max);
+        }
+        match &v["git_revision"] {
+            serde_json::Value::Null => {}
+            rev => {
+                let rev = rev.as_str().unwrap();
+                let hash = rev.strip_suffix("-dirty").unwrap_or(rev);
+                assert!(hash.len() == 40 && hash.chars().all(|c| c.is_ascii_hexdigit()));
+            }
+        }
     }
 
     #[test]
@@ -240,6 +309,8 @@ mod tests {
             || a = a.wrapping_add(std::hint::black_box(1)),
             || b = b.wrapping_add(std::hint::black_box(2)),
         );
-        assert!(l > 0.0 && f > 0.0);
+        for s in [l, f] {
+            assert!(0.0 < s.min && s.min <= s.median && s.median <= s.max);
+        }
     }
 }

@@ -817,7 +817,7 @@ impl CellJob for CampaignRuntime {
             for shard_log in &logs[si * shards..(si + 1) * shards] {
                 log.merge(shard_log);
             }
-            let true_pfd = system.true_pfd_parallel(&self.profile, self.spec.shards)?;
+            let true_pfd = system.true_pfd(&self.profile)?;
             systems.push(SystemOutcome {
                 label: sys.label.clone(),
                 log,

@@ -56,7 +56,6 @@ pub mod difficulty;
 pub mod error;
 pub mod fault_set;
 pub mod mapping;
-pub mod parallel;
 pub mod profile;
 pub mod region;
 pub mod render;

@@ -137,39 +137,6 @@ impl FaultRegionMap {
         pfd
     }
 
-    /// Multi-threaded [`Self::union_pfd_set`] for very large grids: the
-    /// demand cells are split into `threads` contiguous ranges summed on
-    /// `std::thread::scope` threads. The partial sums are combined in
-    /// range order, so the result is deterministic for a fixed thread
-    /// count (and equals the serial sum up to floating-point
-    /// re-association).
-    ///
-    /// Falls back to the serial path for `threads <= 1`, for profiles
-    /// over a different space, and for grids too small to amortise the
-    /// thread spawns.
-    pub fn union_pfd_set_parallel(
-        &self,
-        faults: &FaultSet,
-        profile: &Profile,
-        threads: usize,
-    ) -> f64 {
-        let cells = self.space.cell_count();
-        if !crate::parallel::worth_parallelising(cells, threads) || profile.space() != &self.space {
-            return self.union_pfd_set(faults, profile);
-        }
-        let probs = profile.probs();
-        let wps = self.words_per_set;
-        crate::parallel::chunked_sum(cells, threads, |range| {
-            let mut pfd = 0.0;
-            for cell in range {
-                if faults.intersects_words(&self.cell_masks[cell * wps..(cell + 1) * wps]) {
-                    pfd += probs[cell];
-                }
-            }
-            pfd
-        })
-    }
-
     /// The demand space.
     pub fn space(&self) -> &GridSpace2D {
         &self.space
@@ -426,40 +393,5 @@ mod tests {
     fn empty_group_has_zero_presence() {
         let res = FaultRegionMap::grouped_region_presence(&[0.1], &[vec![]]).unwrap();
         assert_eq!(res[0], (0.0, 0.0));
-    }
-
-    #[test]
-    fn parallel_union_pfd_matches_serial() {
-        // Big enough to cross the parallel threshold (160×160 = 25 600
-        // cells), with enough regions to exercise multi-word masks.
-        let space = GridSpace2D::new(160, 160).unwrap();
-        let profile = Profile::uniform(&space);
-        let regions: Vec<Region> = (0..70)
-            .map(|i| {
-                let x = (i * 13) as u32 % 150;
-                let y = (i * 29) as u32 % 150;
-                Region::rect(x, y, x + 8, y + 8)
-            })
-            .collect();
-        let map = FaultRegionMap::new(space, regions).unwrap();
-        let faults = FaultSet::from_indices(70, &(0..70).step_by(3).collect::<Vec<_>>()).unwrap();
-        let serial = map.union_pfd_set(&faults, &profile);
-        assert!(serial > 0.0);
-        for threads in [1, 2, 4, 7] {
-            let par = map.union_pfd_set_parallel(&faults, &profile, threads);
-            assert!(
-                (par - serial).abs() < 1e-12,
-                "{threads} threads: {par} vs {serial}"
-            );
-        }
-        // Small grids silently take the serial path.
-        let small_space = GridSpace2D::new(10, 10).unwrap();
-        let small_profile = Profile::uniform(&small_space);
-        let small = FaultRegionMap::new(small_space, vec![Region::rect(0, 0, 3, 3)]).unwrap();
-        let fs = FaultSet::from_indices(1, &[0]).unwrap();
-        assert_eq!(
-            small.union_pfd_set_parallel(&fs, &small_profile, 8),
-            small.union_pfd_set(&fs, &small_profile)
-        );
     }
 }

@@ -237,9 +237,9 @@ impl MonteCarloExperiment {
     }
 
     /// The declarative grid layout of this experiment: the sample budget
-    /// in cells of [`MC_CELL_SAMPLES`]. A function of `samples` alone —
-    /// never of the thread count — which is what makes the reduced
-    /// result thread-invariant.
+    /// in cells of `MC_CELL_SAMPLES` (2048). A function of `samples`
+    /// alone — never of the thread count — which is what makes the
+    /// reduced result thread-invariant.
     pub fn grid_spec(&self) -> GridSpec {
         GridSpec::new(self.samples, MC_CELL_SAMPLES)
     }

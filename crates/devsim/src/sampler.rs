@@ -17,7 +17,7 @@
 //!
 //! Each plane decides every still-undecided fault with probability ½,
 //! so a 64-fault word finishes after ~`log₂ 64 + 1.3 ≈ 7` draws in
-//! expectation. The plane depth is capped at [`DEPTH`]; the
+//! expectation. The plane depth is capped at `DEPTH` (40); the
 //! astronomically rare ties left after that are finished with exact
 //! per-fault draws against the remaining fraction tail, so every
 //! marginal is exactly `p` (to the same fp quantisation as the
@@ -28,7 +28,7 @@
 //! halving the draw count again.
 //!
 //! The §6.1 correlated mixtures of
-//! [`FaultIntroduction`](crate::process::FaultIntroduction) keep their
+//! [`FaultIntroduction`] keep their
 //! exact marginal-preserving semantics:
 //!
 //! * **CommonCause** — the comonotone branch's fault set is a function

@@ -6,11 +6,11 @@
 //! it" idea to any plant that can state its exact one-step law
 //! ([`crate::plant::Plant::transition_row`]):
 //!
-//! 1. **Compile.** For every plant state `s`, split the transition row
-//!    into the *demand* mass (successors inside the trip set), the quiet
+//! 1. **Compile.** For a plant state `s`, split the transition row into
+//!    the *demand* mass (successors inside the trip set), the quiet
 //!    *self-loop* mass `R(s, s)`, and the quiet *move* mass. Build one
-//!    Walker–Vose alias table per state over each of the two non-self
-//!    successor classes.
+//!    Walker–Vose alias row over each of the two non-self successor
+//!    classes.
 //! 2. **Sample.** The number of consecutive ticks the chain holds in `s`
 //!    before an exit (demand or move) is geometric with parameter
 //!    `p_exit(s) = 1 − R(s, s)` (self-loops inside the trip set count as
@@ -26,24 +26,23 @@
 //! ticks per operating point does `~p · steps` iterations instead of
 //! `steps`.
 //!
-//! Two backends share the per-state algebra:
+//! States compile **on first visit**. [`CompiledPlant::compile`] builds
+//! the initial state's row; every other row is built the first time a
+//! walk enters its state, from one reusable set of scratch buffers, so a
+//! slow-mixing chain pays only for the small part of its space it
+//! reaches. [`CompiledPlant::occupancy`] reports that part. Built rows
+//! live in one of two stores, chosen by the size of the space:
 //!
-//! * **Eager** (spaces up to [`MAX_COMPILED_CELLS`]): every state is
-//!   compiled up front into flat arrays — the densest, fastest layout
-//!   when the whole space fits.
-//! * **Sparse** (spaces up to [`MAX_SPARSE_CELLS`]): states are compiled
-//!   **on first visit** into a hash-indexed table behind a mutex, with
-//!   one reusable [`RowScratch`](crate::plant::RowScratch) so the lazy
-//!   builds allocate nothing per probed row. A slow-mixing chain visits
-//!   a vanishing fraction of a 16M-cell space, so huge plants now ride
-//!   the analytic fast path instead of falling back to the tick loop.
-//!   [`CompiledPlant::occupancy`] reports the visited fraction.
+//! * up to [`MAX_COMPILED_CELLS`] cells, one slot per cell: a built row
+//!   is read with one acquire load, and a lock is taken only inside a
+//!   first-visit build;
+//! * past that, up to [`MAX_SPARSE_CELLS`], a hash map behind a mutex,
+//!   because a slot per cell of such a space does not fit in memory.
 //!
-//! Both backends build their tables with the same functions from the
-//! same exact rows and consume identically many RNG draws, so for any
-//! plant the eager compiler accepts, sparse and eager runs are
-//! **bit-identical** (held to account by this module's tests and the
-//! `markov_sparse` bench row's pre-measure assertion).
+//! The store decides only where a row is kept. Rows are built by one
+//! function and read by one sampler loop, and builds consume no RNG, so
+//! a seed's event stream is **bit-identical** in either store (held to
+//! account by this module's tests).
 //!
 //! Plants whose law cannot be enumerated (the rate plant, or spaces
 //! beyond [`MAX_SPARSE_CELLS`]) are simply not compilable —
@@ -55,19 +54,18 @@ use crate::plant::{Plant, RowScratch};
 use divrel_demand::space::{Demand, GridSpace2D};
 use rand::Rng;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Largest demand-space cell count the compiler will enumerate
-/// **eagerly**. Each cell stores a handful of floats plus its alias
-/// rows, so this bounds up-front compile time and memory; larger plants
-/// switch to the sparse on-demand backend instead of falling back to
-/// tick-by-tick simulation.
+/// Largest demand-space cell count whose rows are kept in one slot per
+/// cell. A slot takes 96 bytes, so at this ceiling the slots take
+/// 384 MiB; larger spaces keep their rows in a hash map instead.
 pub const MAX_COMPILED_CELLS: usize = 1 << 22;
 
-/// Largest demand-space cell count the **sparse** backend accepts. The
-/// per-state tables are built lazily, so this bounds only the trip-set
-/// bitmap (one bit per cell) and the cell-index width, not compile
-/// time; beyond it plants are not compilable at all.
+/// Largest demand-space cell count the compiler accepts. Rows are built
+/// lazily, so this bounds only the trip-set bitmap (one bit per cell)
+/// and the cell-index width, not compile time; beyond it plants are not
+/// compilable at all.
 pub const MAX_SPARSE_CELLS: usize = 1 << 28;
 
 /// What the compiled sampler produced for one request.
@@ -111,22 +109,32 @@ pub enum CompiledEvent {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
 pub struct CompiledPlant {
     space: GridSpace2D,
     start: u32,
-    backend: Backend,
+    plant: Plant,
+    /// Bit per cell: is this cell a demand when entered?
+    trip_bits: Vec<u64>,
+    rows: RowStore,
+    builder: Mutex<RowBuilder>,
 }
 
+/// Where built rows live (see the module docs for the choice). Both
+/// are needed: past [`MAX_COMPILED_CELLS`] a slot per cell does not fit
+/// in memory, and below it the hash map's lock on every row fetch slows
+/// a walk 1.5–1.8× (40×40 to 100×100 plants, 2-vCPU x86 host).
+enum RowStore {
+    /// A slot per cell: a built row is read with one acquire load.
+    Dense(Box<[OnceLock<StateRow>]>),
+    /// The mutex is taken once per **state change**: lookups amortise
+    /// over the geometric dwell, not per tick.
+    Hashed(Mutex<HashMap<u32, Arc<StateRow>>>),
+}
+
+/// One compiled state: its dwell parameters plus the alias rows of its
+/// two exit classes.
 #[derive(Debug, Clone)]
-enum Backend {
-    Eager(EagerTables),
-    Sparse(SparseTables),
-}
-
-/// The dwell/branch parameters of one compiled state.
-#[derive(Debug, Clone, Copy)]
-struct StateParams {
+struct StateRow {
     /// `1 − R(s, s)` with self-loops inside the trip set counted as
     /// exits (they are demands).
     exit_prob: f64,
@@ -135,70 +143,64 @@ struct StateParams {
     inv_log_hold: f64,
     /// `p_demand(s) / p_exit(s)`; meaningless (0) where `p_exit = 0`.
     demand_given_exit: f64,
+    /// Alias row over the successors inside the trip set.
+    demands: AliasRow,
+    /// Alias row over the quiet successors other than `s` itself.
+    quiet_moves: AliasRow,
 }
 
-/// The eager backend: every state compiled up front into flat arrays.
+/// A Walker–Vose alias row: bucket `i` yields `cells[i]` when its coin
+/// falls below `accept[i]`, else its alias `cells[n + i]`. The aliases
+/// sit apart from the cells because a draw almost always accepts, so
+/// they stay out of the cache a walk depends on.
 #[derive(Debug, Clone)]
-struct EagerTables {
-    exit_prob: Vec<f64>,
-    inv_log_hold: Vec<f64>,
-    demand_given_exit: Vec<f64>,
-    quiet_moves: AliasForest,
-    demands: AliasForest,
+struct AliasRow {
+    accept: Box<[f64]>,
+    /// Each bucket's cell, then each bucket's alias.
+    cells: Box<[u32]>,
 }
 
-/// The sparse backend: states compiled on first visit into a
-/// hash-indexed table. The mutex is taken once per **state change**
-/// (lookups amortise over the geometric dwell, not per tick), and the
-/// scratch buffers live inside it so concurrent shards share one set.
-struct SparseTables {
-    plant: Plant,
-    /// Bit per cell: is this cell a demand when entered? Same bitmap
-    /// the eager compiler builds, so trip classification is identical.
-    trip_bits: Vec<u64>,
-    inner: Mutex<SparseInner>,
-}
-
-struct SparseInner {
-    states: HashMap<u32, Arc<StateRow>>,
+/// What first-visit builds share: one set of scratch buffers, so builds
+/// allocate nothing but the row itself, and the count of rows built.
+#[derive(Debug, Default)]
+struct RowBuilder {
     scratch: CompileScratch,
+    built: usize,
 }
 
-/// One lazily-compiled state: parameters plus its two alias rows.
-#[derive(Debug)]
-struct StateRow {
-    params: StateParams,
-    demand_cells: Box<[u32]>,
-    demand_accept: Box<[f64]>,
-    demand_alias: Box<[u32]>,
-    quiet_cells: Box<[u32]>,
-    quiet_accept: Box<[f64]>,
-    quiet_alias: Box<[u32]>,
-}
-
-impl std::fmt::Debug for SparseTables {
+impl std::fmt::Debug for CompiledPlant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let compiled = self
-            .inner
-            .lock()
-            .expect("sparse compiler lock")
-            .states
-            .len();
-        f.debug_struct("SparseTables")
-            .field("compiled_states", &compiled)
+        f.debug_struct("CompiledPlant")
+            .field("space", &self.space)
+            .field("start", &self.start)
+            .field("compiled_states", &self.compiled_states())
             .finish_non_exhaustive()
     }
 }
 
-impl Clone for SparseTables {
+impl Clone for CompiledPlant {
+    /// A copy holding the rows built so far; it builds the rest on its
+    /// own.
     fn clone(&self) -> Self {
-        let inner = self.inner.lock().expect("sparse compiler lock");
-        SparseTables {
+        let rows = match &self.rows {
+            RowStore::Dense(slots) => RowStore::Dense(slots.clone()),
+            RowStore::Hashed(map) => {
+                RowStore::Hashed(Mutex::new(map.lock().expect("row store lock").clone()))
+            }
+        };
+        let built = match &rows {
+            RowStore::Dense(slots) => slots.iter().filter(|s| s.get().is_some()).count(),
+            RowStore::Hashed(map) => map.lock().expect("row store lock").len(),
+        };
+        CompiledPlant {
+            space: self.space,
+            start: self.start,
             plant: self.plant.clone(),
             trip_bits: self.trip_bits.clone(),
-            inner: Mutex::new(SparseInner {
-                states: inner.states.clone(),
-                scratch: CompileScratch::default(),
+            rows,
+            builder: Mutex::new(RowBuilder {
+                built,
+                ..RowBuilder::default()
             }),
         }
     }
@@ -209,86 +211,26 @@ impl CompiledPlant {
     /// an enumerable transition law (rate plants) or its space exceeds
     /// [`MAX_SPARSE_CELLS`].
     ///
-    /// Spaces up to [`MAX_COMPILED_CELLS`] compile eagerly
-    /// (`O(cells × successors)` once, the densest hot-path layout);
-    /// larger spaces compile **sparsely** — `O(1)` up front, each state
-    /// built on first visit — so a 4096×4096 plant pays only for the
-    /// states its chain actually reaches. One compiled plant can drive
-    /// any number of runs (it is `Sync`, so sharded campaigns share a
-    /// single instance across threads), and for any plant both backends
-    /// accept, their event streams are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtectionError::InvalidConfig`] if a transition row is not a
-    /// probability distribution (a plant-implementation bug, not a
-    /// caller error). The sparse backend checks the initial state here
-    /// and asserts the rest at first visit.
-    pub fn compile(plant: &Plant) -> Result<Option<Self>, ProtectionError> {
-        let cells = plant.space().cell_count();
-        if cells <= MAX_COMPILED_CELLS {
-            Self::compile_eager(plant)
-        } else {
-            Self::compile_sparse(plant)
-        }
-    }
-
-    /// Compiles `plant` eagerly (every state up front), or `None` for
-    /// rate plants and spaces beyond [`MAX_COMPILED_CELLS`]. Exposed so
-    /// tests and benchmarks can pin the backend; [`CompiledPlant::compile`]
-    /// picks it automatically for spaces that fit.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledPlant::compile`].
-    pub fn compile_eager(plant: &Plant) -> Result<Option<Self>, ProtectionError> {
-        let space = *plant.space();
-        let cells = space.cell_count();
-        if cells > MAX_COMPILED_CELLS || plant.transition_row(plant.initial_state()).is_none() {
-            return Ok(None);
-        }
-        let trip_bits = trip_bitmap(plant, &space);
-        let mut exit_prob = Vec::with_capacity(cells);
-        let mut inv_log_hold = Vec::with_capacity(cells);
-        let mut demand_given_exit = Vec::with_capacity(cells);
-        let mut quiet_builder = AliasForestBuilder::new(cells);
-        let mut demand_builder = AliasForestBuilder::new(cells);
-        let mut scratch = CompileScratch::default();
-        for cell in 0..cells {
-            let params = compile_state(plant, &space, &trip_bits, cell, &mut scratch)?;
-            exit_prob.push(params.exit_prob);
-            inv_log_hold.push(params.inv_log_hold);
-            demand_given_exit.push(params.demand_given_exit);
-            quiet_builder.push_state(&scratch.quiet_row, &mut scratch.work);
-            demand_builder.push_state(&scratch.demand_row, &mut scratch.work);
-        }
-        let start = space
-            .index_of(plant.initial_state())
-            .expect("initial state in space") as u32;
-        Ok(Some(CompiledPlant {
-            space,
-            start,
-            backend: Backend::Eager(EagerTables {
-                exit_prob,
-                inv_log_hold,
-                demand_given_exit,
-                quiet_moves: quiet_builder.finish(),
-                demands: demand_builder.finish(),
-            }),
-        }))
-    }
-
-    /// Compiles `plant` with the sparse on-demand backend regardless of
-    /// its size (up to [`MAX_SPARSE_CELLS`]), or `None` for rate plants
-    /// and spaces beyond that ceiling. Exposed so the bit-identity
-    /// suite can force the lazy backend onto spaces the eager compiler
-    /// also accepts.
+    /// Only the initial state's row is built here; every other row is
+    /// built on its state's first visit, so compiling costs one row plus
+    /// a slot per cell (none past [`MAX_COMPILED_CELLS`]). One compiled
+    /// plant can drive any number of runs: it is `Sync`, so sharded
+    /// campaigns share a single instance across threads, and a row one
+    /// shard builds serves them all.
     ///
     /// # Errors
     ///
     /// [`ProtectionError::InvalidConfig`] if the initial state's
-    /// transition row is not a probability distribution.
-    pub fn compile_sparse(plant: &Plant) -> Result<Option<Self>, ProtectionError> {
+    /// transition row is not a probability distribution (a
+    /// plant-implementation bug, not a caller error). Any other state's
+    /// row is checked at its first visit, which panics on a bad row.
+    pub fn compile(plant: &Plant) -> Result<Option<Self>, ProtectionError> {
+        Self::compile_into(plant, plant.space().cell_count() <= MAX_COMPILED_CELLS)
+    }
+
+    /// [`CompiledPlant::compile`] into the dense store when `dense`, else
+    /// into the hash store.
+    fn compile_into(plant: &Plant, dense: bool) -> Result<Option<Self>, ProtectionError> {
         let space = *plant.space();
         let cells = space.cell_count();
         if cells > MAX_SPARSE_CELLS || plant.transition_row(plant.initial_state()).is_none() {
@@ -297,30 +239,30 @@ impl CompiledPlant {
         let trip_bits = trip_bitmap(plant, &space);
         let start = space
             .index_of(plant.initial_state())
-            .expect("initial state in space") as u32;
-        let mut inner = SparseInner {
-            states: HashMap::new(),
-            scratch: CompileScratch::default(),
-        };
-        // Compile the initial state now: its row mass check surfaces a
+            .expect("initial state in space");
+        // Build the initial state's row now: its mass check surfaces a
         // plant-implementation bug as a typed error here rather than a
         // panic mid-run, and every run starts there anyway.
-        let first = build_state_row(
-            plant,
-            &space,
-            &trip_bits,
-            start as usize,
-            &mut inner.scratch,
-        )?;
-        inner.states.insert(start, Arc::new(first));
+        let mut builder = RowBuilder {
+            built: 1,
+            ..RowBuilder::default()
+        };
+        let first = build_state_row(plant, &space, &trip_bits, start, &mut builder.scratch)?;
+        let rows = if dense {
+            let slots: Box<[OnceLock<StateRow>]> = (0..cells).map(|_| OnceLock::new()).collect();
+            slots[start].set(first).expect("fresh slot");
+            RowStore::Dense(slots)
+        } else {
+            let map = HashMap::from([(start as u32, Arc::new(first))]);
+            RowStore::Hashed(Mutex::new(map))
+        };
         Ok(Some(CompiledPlant {
             space,
-            start,
-            backend: Backend::Sparse(SparseTables {
-                plant: plant.clone(),
-                trip_bits,
-                inner: Mutex::new(inner),
-            }),
+            start: start as u32,
+            plant: plant.clone(),
+            trip_bits,
+            rows,
+            builder: Mutex::new(builder),
         }))
     }
 
@@ -362,31 +304,23 @@ impl CompiledPlant {
         &self.space
     }
 
-    /// Number of compiled states (demand-space cells).
+    /// Number of plant states (demand-space cells).
     pub fn states(&self) -> usize {
         self.space.cell_count()
     }
 
-    /// Number of states whose tables have actually been built: every
-    /// state for the eager backend, the visited set for the sparse one.
+    /// Number of states whose rows have been built: the initial state
+    /// plus every state a walk or [`CompiledPlant::demand_prob`] has
+    /// visited.
     pub fn compiled_states(&self) -> usize {
-        match &self.backend {
-            Backend::Eager(t) => t.exit_prob.len(),
-            Backend::Sparse(t) => t.inner.lock().expect("sparse compiler lock").states.len(),
-        }
+        self.builder.lock().expect("row builder lock").built
     }
 
-    /// Fraction of the state space with built tables
-    /// (`compiled_states / states`): 1.0 for the eager backend, the
-    /// visited fraction for the sparse one — the occupancy figure the
+    /// Fraction of the state space with built rows
+    /// (`compiled_states / states`) — the occupancy figure the
     /// `markov_sparse` bench row records.
     pub fn occupancy(&self) -> f64 {
         self.compiled_states() as f64 / self.states() as f64
-    }
-
-    /// Whether this instance uses the sparse on-demand backend.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.backend, Backend::Sparse(_))
     }
 
     /// The plant's initial state as a cell index.
@@ -395,15 +329,13 @@ impl CompiledPlant {
     }
 
     /// Per-state demand probability `P(next tick is a demand | state)` —
-    /// exposed for diagnostics and tests. On the sparse backend this
-    /// compiles `cell` if it has not been visited yet.
+    /// exposed for diagnostics and tests. Builds the row of `cell` if
+    /// no walk has visited it yet.
     pub fn demand_prob(&self, cell: usize) -> f64 {
-        match &self.backend {
-            Backend::Eager(t) => t.exit_prob[cell] * t.demand_given_exit[cell],
-            Backend::Sparse(t) => {
-                let row = t.state_row(&self.space, cell as u32);
-                row.params.exit_prob * row.params.demand_given_exit
-            }
+        let of = |row: &StateRow| row.exit_prob * row.demand_given_exit;
+        match &self.rows {
+            RowStore::Dense(slots) => of(self.dense_row(slots, cell as u32)),
+            RowStore::Hashed(map) => of(&self.hashed_row(map, cell as u32)),
         }
     }
 
@@ -415,41 +347,46 @@ impl CompiledPlant {
     /// geometric draw plus one **fused** exit draw per *state change*,
     /// not per tick. The exit tick used to spend up to three uniforms
     /// (demand-vs-move coin, alias bucket, alias coin); one uniform now
-    /// covers all three where the chain's branch masses allow it (see
-    /// [`branch_uniform`]), halving the RNG work per state change. Both
-    /// backends consume the stream identically, so swapping eager for
-    /// sparse never perturbs an event sequence.
+    /// covers all three where the chain's branch masses allow it,
+    /// halving the RNG work per state change.
     pub fn next_demand<R: Rng + ?Sized>(
         &self,
         state: &mut u32,
         budget: u64,
         rng: &mut R,
     ) -> CompiledEvent {
-        match &self.backend {
-            Backend::Eager(t) => t.next_demand(&self.space, state, budget, rng),
-            Backend::Sparse(t) => t.next_demand(&self.space, state, budget, rng),
+        match &self.rows {
+            RowStore::Dense(slots) => {
+                self.walk(|cell| self.dense_row(slots, cell), state, budget, rng)
+            }
+            RowStore::Hashed(map) => {
+                self.walk(|cell| self.hashed_row(map, cell), state, budget, rng)
+            }
         }
     }
-}
 
-impl EagerTables {
-    fn next_demand<R: Rng + ?Sized>(
+    /// The sampler loop of [`CompiledPlant::next_demand`], over rows
+    /// fetched by `row_of`.
+    fn walk<T, R>(
         &self,
-        space: &GridSpace2D,
+        row_of: impl Fn(u32) -> T,
         state: &mut u32,
         budget: u64,
         rng: &mut R,
-    ) -> CompiledEvent {
+    ) -> CompiledEvent
+    where
+        T: Deref<Target = StateRow>,
+        R: Rng + ?Sized,
+    {
         let mut quiet = 0u64;
+        let mut row = row_of(*state);
         while quiet < budget {
-            let s = *state as usize;
-            let p_exit = self.exit_prob[s];
-            if p_exit <= 0.0 {
+            if row.exit_prob <= 0.0 {
                 // Absorbing quiet state: every remaining tick is quiet.
                 return CompiledEvent::Quiet { ticks: budget };
             }
             let left = budget - quiet;
-            let dwell = crate::simulation::geometric_gap(self.inv_log_hold[s], left, rng);
+            let dwell = crate::simulation::geometric_gap(row.inv_log_hold, left, rng);
             if dwell >= left {
                 return CompiledEvent::Quiet { ticks: budget };
             }
@@ -457,94 +394,58 @@ impl EagerTables {
             // The exit tick itself: demand or quiet move, plus the
             // successor alias lookup, all from one uniform.
             let u: f64 = rng.gen();
-            let dge = self.demand_given_exit[s];
+            let dge = row.demand_given_exit;
             if u < dge {
-                let v = branch_uniform(u, 0.0, dge, rng);
-                let cell = self.demands.sample_with(s, v);
+                let cell = row.demands.pick(branch_uniform(u, 0.0, dge, rng));
                 *state = cell;
                 return CompiledEvent::Demand {
                     quiet_gap: quiet,
-                    demand: space
+                    demand: self
+                        .space
                         .demand_at(cell as usize)
                         .expect("compiled successor in range"),
                 };
             }
             quiet += 1;
-            *state = self
-                .quiet_moves
-                .sample_with(s, branch_uniform(u, dge, 1.0 - dge, rng));
+            *state = row.quiet_moves.pick(branch_uniform(u, dge, 1.0 - dge, rng));
+            row = row_of(*state);
         }
         CompiledEvent::Quiet { ticks: budget }
     }
-}
 
-impl SparseTables {
-    /// The compiled tables of `cell`, building them on first visit. The
-    /// lock is held for the lookup/build only, never across sampling.
-    fn state_row(&self, space: &GridSpace2D, cell: u32) -> Arc<StateRow> {
-        let mut inner = self.inner.lock().expect("sparse compiler lock");
-        if let Some(row) = inner.states.get(&cell) {
-            return Arc::clone(row);
-        }
-        let built = build_state_row(
+    /// The row of `cell` in the dense store, built on first visit.
+    fn dense_row<'a>(&'a self, slots: &'a [OnceLock<StateRow>], cell: u32) -> &'a StateRow {
+        slots[cell as usize].get_or_init(|| self.build_row(cell))
+    }
+
+    /// The row of `cell` in the hash store, built on first visit. The
+    /// lock is held for the lookup or build only, never across sampling.
+    fn hashed_row(&self, map: &Mutex<HashMap<u32, Arc<StateRow>>>, cell: u32) -> Arc<StateRow> {
+        let mut map = map.lock().expect("row store lock");
+        Arc::clone(
+            map.entry(cell)
+                .or_insert_with(|| Arc::new(self.build_row(cell))),
+        )
+    }
+
+    /// Builds the row of `cell` at its first visit.
+    #[cold]
+    fn build_row(&self, cell: u32) -> StateRow {
+        let mut builder = self.builder.lock().expect("row builder lock");
+        builder.built += 1;
+        build_state_row(
             &self.plant,
-            space,
+            &self.space,
             &self.trip_bits,
             cell as usize,
-            &mut inner.scratch,
+            &mut builder.scratch,
         )
-        .unwrap_or_else(|e| panic!("sparse lazy compile of cell {cell}: {e}"));
-        let row = Arc::new(built);
-        inner.states.insert(cell, Arc::clone(&row));
-        row
-    }
-
-    /// Mirrors [`EagerTables::next_demand`] draw for draw: the lazy
-    /// builds consume no RNG, so the two backends' event streams are
-    /// bit-identical.
-    fn next_demand<R: Rng + ?Sized>(
-        &self,
-        space: &GridSpace2D,
-        state: &mut u32,
-        budget: u64,
-        rng: &mut R,
-    ) -> CompiledEvent {
-        let mut quiet = 0u64;
-        let mut row = self.state_row(space, *state);
-        while quiet < budget {
-            if row.params.exit_prob <= 0.0 {
-                return CompiledEvent::Quiet { ticks: budget };
-            }
-            let left = budget - quiet;
-            let dwell = crate::simulation::geometric_gap(row.params.inv_log_hold, left, rng);
-            if dwell >= left {
-                return CompiledEvent::Quiet { ticks: budget };
-            }
-            quiet += dwell;
-            let u: f64 = rng.gen();
-            let dge = row.params.demand_given_exit;
-            if u < dge {
-                let v = branch_uniform(u, 0.0, dge, rng);
-                let cell = alias_pick(&row.demand_cells, &row.demand_accept, &row.demand_alias, v);
-                *state = cell;
-                return CompiledEvent::Demand {
-                    quiet_gap: quiet,
-                    demand: space
-                        .demand_at(cell as usize)
-                        .expect("compiled successor in range"),
-                };
-            }
-            quiet += 1;
-            let v = branch_uniform(u, dge, 1.0 - dge, rng);
-            *state = alias_pick(&row.quiet_cells, &row.quiet_accept, &row.quiet_alias, v);
-            row = self.state_row(space, *state);
-        }
-        CompiledEvent::Quiet { ticks: budget }
+        .unwrap_or_else(|e| panic!("first-visit compile of cell {cell}: {e}"))
     }
 }
 
-/// The trip-set bitmap both backends classify successors with (bit per
-/// cell: is this cell a demand when entered?).
+/// The trip-set bitmap successors are classified with (bit per cell: is
+/// this cell a demand when entered?).
 fn trip_bitmap(plant: &Plant, space: &GridSpace2D) -> Vec<u64> {
     let trip_set = plant
         .trip_set()
@@ -556,10 +457,8 @@ fn trip_bitmap(plant: &Plant, space: &GridSpace2D) -> Vec<u64> {
     trip_bits
 }
 
-/// Scratch buffers shared by every per-state compilation: the plant's
-/// row buffer, the demand/quiet split, and the Walker–Vose work areas.
-/// One instance serves a whole eager sweep or a sparse backend's
-/// lifetime of lazy builds — no per-state `Vec` churn.
+/// Scratch buffers shared by every row build: the plant's row buffer,
+/// the demand/quiet split, and the Walker–Vose work areas.
 #[derive(Debug, Default)]
 struct CompileScratch {
     rows: RowScratch,
@@ -568,17 +467,16 @@ struct CompileScratch {
     work: AliasWork,
 }
 
-/// Splits one state's exact transition row into dwell parameters plus
-/// the demand/quiet successor rows (left in `scratch.demand_row` /
-/// `scratch.quiet_row`). This is the single per-state analysis both
-/// backends run, so their tables are bit-identical by construction.
-fn compile_state(
+/// Compiles one state: splits its exact transition row into dwell
+/// parameters plus the demand and quiet successor rows, and builds an
+/// alias row over each.
+fn build_state_row(
     plant: &Plant,
     space: &GridSpace2D,
     trip_bits: &[u64],
     cell: usize,
     scratch: &mut CompileScratch,
-) -> Result<StateParams, ProtectionError> {
+) -> Result<StateRow, ProtectionError> {
     let state = space.demand_at(cell).expect("cell index in range");
     assert!(
         plant.transition_row_into(state, &mut scratch.rows),
@@ -614,36 +512,12 @@ fn compile_state(
         )));
     }
     let p_exit = p_demand + p_move;
-    Ok(StateParams {
+    Ok(StateRow {
         exit_prob: p_exit,
         inv_log_hold: if hold > 0.0 { hold.ln().recip() } else { 0.0 },
         demand_given_exit: if p_exit > 0.0 { p_demand / p_exit } else { 0.0 },
-    })
-}
-
-/// Compiles one state end to end for the sparse backend: analysis plus
-/// both alias rows, boxed to their exact lengths.
-fn build_state_row(
-    plant: &Plant,
-    space: &GridSpace2D,
-    trip_bits: &[u64],
-    cell: usize,
-    scratch: &mut CompileScratch,
-) -> Result<StateRow, ProtectionError> {
-    let params = compile_state(plant, space, trip_bits, cell, scratch)?;
-    build_alias_tables(&scratch.demand_row, &mut scratch.work);
-    let demand_cells: Box<[u32]> = scratch.demand_row.iter().map(|&(c, _)| c).collect();
-    let demand_accept: Box<[f64]> = scratch.work.accept.as_slice().into();
-    let demand_alias: Box<[u32]> = scratch.work.alias.as_slice().into();
-    build_alias_tables(&scratch.quiet_row, &mut scratch.work);
-    Ok(StateRow {
-        params,
-        demand_cells,
-        demand_accept,
-        demand_alias,
-        quiet_cells: scratch.quiet_row.iter().map(|&(c, _)| c).collect(),
-        quiet_accept: scratch.work.accept.as_slice().into(),
-        quiet_alias: scratch.work.alias.as_slice().into(),
+        demands: build_alias_tables(&scratch.demand_row, &mut scratch.work),
+        quiet_moves: build_alias_tables(&scratch.quiet_row, &mut scratch.work),
     })
 }
 
@@ -673,105 +547,64 @@ fn branch_uniform<R: Rng + ?Sized>(u: f64, lo: f64, width: f64, rng: &mut R) -> 
     }
 }
 
-/// Draws one successor from an alias row using a **single** uniform
-/// `v ∈ [0, 1)`: `⌊v·n⌋` picks the bucket and the fractional part
-/// `v·n − ⌊v·n⌋` — independent of the bucket and itself uniform — plays
-/// the accept/alias coin. One draw where Walker–Vose is usually written
-/// with two. Shared by both backends so the lookup arithmetic cannot
-/// drift between them.
-#[inline]
-fn alias_pick(cells: &[u32], accept: &[f64], alias: &[u32], v: f64) -> u32 {
-    let n = cells.len();
-    debug_assert!(n > 0, "alias sample from empty successor set");
-    debug_assert!((0.0..1.0).contains(&v), "alias uniform out of range: {v}");
-    if n == 1 {
-        return cells[0];
-    }
-    let scaled = v * n as f64;
-    let i = (scaled as usize).min(n - 1);
-    let coin = scaled - i as f64;
-    let k = if coin < accept[i] {
-        i
-    } else {
-        alias[i] as usize
-    };
-    cells[k]
-}
-
-/// Per-state Walker–Vose alias tables over variable-length successor
-/// lists, stored flat: state `s` owns entries `offsets[s]..offsets[s+1]`.
-#[derive(Debug, Clone)]
-struct AliasForest {
-    offsets: Vec<u32>,
-    cells: Vec<u32>,
-    accept: Vec<f64>,
-    /// Alias index *within the state's segment*.
-    alias: Vec<u32>,
-}
-
-impl AliasForest {
-    /// Draws one successor cell for `state`. Must not be called for a
-    /// state with an empty segment (the caller's branch probabilities
-    /// guarantee this).
+impl AliasRow {
+    /// Draws one successor using a **single** uniform `v ∈ [0, 1)`:
+    /// `⌊v·n⌋` picks the bucket and the fractional part `v·n − ⌊v·n⌋` —
+    /// independent of the bucket and itself uniform — plays the
+    /// accept/alias coin. One draw where Walker–Vose is usually written
+    /// with two. Must not be called on an empty row (the caller's branch
+    /// probabilities guarantee this).
     #[inline]
-    #[cfg(test)]
-    fn sample<R: Rng + ?Sized>(&self, state: usize, rng: &mut R) -> u32 {
-        self.sample_with(state, rng.gen())
-    }
-
-    /// Draws one successor cell for `state` from a single uniform
-    /// `v ∈ [0, 1)` (see [`alias_pick`]).
-    #[inline]
-    fn sample_with(&self, state: usize, v: f64) -> u32 {
-        let lo = self.offsets[state] as usize;
-        let hi = self.offsets[state + 1] as usize;
-        alias_pick(
-            &self.cells[lo..hi],
-            &self.accept[lo..hi],
-            &self.alias[lo..hi],
-            v,
-        )
+    fn pick(&self, v: f64) -> u32 {
+        let n = self.accept.len();
+        debug_assert!(n > 0, "alias sample from empty successor set");
+        debug_assert!((0.0..1.0).contains(&v), "alias uniform out of range: {v}");
+        let (cells, aliases) = self.cells.split_at(n);
+        if n == 1 {
+            return cells[0];
+        }
+        let scaled = v * n as f64;
+        let i = (scaled as usize).min(n - 1);
+        let coin = scaled - i as f64;
+        if coin < self.accept[i] {
+            cells[i]
+        } else {
+            aliases[i]
+        }
     }
 }
 
-/// Walker–Vose work areas plus the built `accept`/`alias` tables of the
-/// most recent [`build_alias_tables`] call.
+/// Walker–Vose work areas, reused across builds.
 #[derive(Debug, Default)]
 struct AliasWork {
-    accept: Vec<f64>,
-    alias: Vec<u32>,
     scaled: Vec<f64>,
     small: Vec<usize>,
     large: Vec<usize>,
 }
 
-/// Builds one state's Walker–Vose acceptance/alias tables over `row`
-/// (`(cell, weight)` pairs, weights positive but not necessarily
-/// normalised) into `work.accept` / `work.alias`. Split entries into
+/// Builds the Walker–Vose alias row over `row` (`(cell, weight)` pairs,
+/// weights positive but not necessarily normalised). Split entries into
 /// under/over-full relative to the uniform share, pairing each
-/// under-full entry with an over-full alias. One function serves both
-/// backends, so their tables are bit-identical for identical rows.
-fn build_alias_tables(row: &[(u32, f64)], work: &mut AliasWork) {
+/// under-full entry with an over-full alias.
+fn build_alias_tables(row: &[(u32, f64)], work: &mut AliasWork) -> AliasRow {
     let n = row.len();
-    work.accept.clear();
-    work.alias.clear();
-    work.scaled.clear();
-    work.small.clear();
-    work.large.clear();
-    if n == 0 {
-        return;
-    }
+    // Each bucket starts as its own alias with acceptance 1, so a bucket
+    // left unpaired below never reads its alias.
+    let mut accept = vec![1.0; n];
+    let mut cells: Vec<u32> = row.iter().map(|&(cell, _)| cell).collect();
+    cells.extend_from_within(..);
     let total: f64 = row.iter().map(|&(_, w)| w).sum();
+    work.scaled.clear();
     work.scaled
         .extend(row.iter().map(|&(_, w)| w * n as f64 / total));
-    work.alias.resize(n, 0);
-    work.accept.resize(n, 1.0);
+    work.small.clear();
+    work.large.clear();
     work.small.extend((0..n).filter(|&i| work.scaled[i] < 1.0));
     work.large.extend((0..n).filter(|&i| work.scaled[i] >= 1.0));
     while let (Some(&s), Some(&l)) = (work.small.last(), work.large.last()) {
         work.small.pop();
-        work.accept[s] = work.scaled[s];
-        work.alias[s] = l as u32;
+        accept[s] = work.scaled[s];
+        cells[n + s] = row[l].0;
         work.scaled[l] -= 1.0 - work.scaled[s];
         if work.scaled[l] < 1.0 {
             work.large.pop();
@@ -780,56 +613,26 @@ fn build_alias_tables(row: &[(u32, f64)], work: &mut AliasWork) {
     }
     // Leftovers (numerical residue) accept unconditionally.
     for &i in work.small.iter().chain(work.large.iter()) {
-        work.accept[i] = 1.0;
+        accept[i] = 1.0;
     }
-}
-
-struct AliasForestBuilder {
-    offsets: Vec<u32>,
-    cells: Vec<u32>,
-    accept: Vec<f64>,
-    alias: Vec<u32>,
-}
-
-impl AliasForestBuilder {
-    fn new(states: usize) -> Self {
-        let mut offsets = Vec::with_capacity(states + 1);
-        offsets.push(0);
-        AliasForestBuilder {
-            offsets,
-            cells: Vec::new(),
-            accept: Vec::new(),
-            alias: Vec::new(),
-        }
-    }
-
-    /// Appends one state's successor distribution.
-    fn push_state(&mut self, row: &[(u32, f64)], work: &mut AliasWork) {
-        if !row.is_empty() {
-            build_alias_tables(row, work);
-            self.cells.extend(row.iter().map(|&(c, _)| c));
-            self.accept.extend_from_slice(&work.accept);
-            self.alias.extend_from_slice(&work.alias);
-        }
-        self.offsets.push(self.cells.len() as u32);
-    }
-
-    fn finish(self) -> AliasForest {
-        AliasForest {
-            offsets: self.offsets,
-            cells: self.cells,
-            accept: self.accept,
-            alias: self.alias,
-        }
+    AliasRow {
+        accept: accept.into_boxed_slice(),
+        cells: cells.into_boxed_slice(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adjudicator::Adjudicator;
+    use crate::channel::Channel;
     use crate::plant::PlantEvent;
+    use crate::simulation::{run_compiled, shard_seed};
+    use crate::system::ProtectionSystem;
+    use divrel_demand::mapping::FaultRegionMap;
     use divrel_demand::profile::Profile;
     use divrel_demand::region::Region;
+    use divrel_demand::version::ProgramVersion;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -837,6 +640,20 @@ mod tests {
     fn markov_plant() -> Plant {
         let space = GridSpace2D::new(30, 30).unwrap();
         Plant::markov_walk(space, Region::rect(0, 0, 3, 3), 2, 0.2).unwrap()
+    }
+
+    /// `plant` compiled into the hash store, which `compile` keeps for
+    /// spaces past `MAX_COMPILED_CELLS`.
+    fn compile_hashed(plant: &Plant) -> Result<Option<CompiledPlant>, ProtectionError> {
+        CompiledPlant::compile_into(plant, false)
+    }
+
+    /// `plant` compiled into the dense store, then into the hash store.
+    fn both_stores(plant: &Plant) -> [CompiledPlant; 2] {
+        [
+            CompiledPlant::compile(plant).unwrap().unwrap(),
+            compile_hashed(plant).unwrap().unwrap(),
+        ]
     }
 
     #[test]
@@ -862,7 +679,7 @@ mod tests {
         let s = GridSpace2D::new(10, 10).unwrap();
         let plant = Plant::with_demand_rate(Profile::uniform(&s), 0.1).unwrap();
         assert!(CompiledPlant::compile(&plant).unwrap().is_none());
-        assert!(CompiledPlant::compile_sparse(&plant).unwrap().is_none());
+        assert!(compile_hashed(&plant).unwrap().is_none());
     }
 
     #[test]
@@ -872,9 +689,10 @@ mod tests {
         let c = CompiledPlant::compile(&t).unwrap().unwrap();
         assert_eq!(c.states(), 400);
         assert_eq!(c.initial_state(), 10 * 20 + 10);
-        assert!(!c.is_sparse());
-        assert_eq!(c.compiled_states(), 400);
-        assert!((c.occupancy() - 1.0).abs() < 1e-15);
+        assert!(matches!(c.rows, RowStore::Dense(_)));
+        // Only the initial state is built up front.
+        assert_eq!(c.compiled_states(), 1);
+        assert!((c.occupancy() - 1.0 / 400.0).abs() < 1e-15);
         let m = markov_plant();
         assert!(CompiledPlant::compile(&m).unwrap().is_some());
     }
@@ -882,10 +700,7 @@ mod tests {
     #[test]
     fn demand_prob_matches_row_mass_into_trip_set() {
         let plant = markov_plant();
-        for c in [
-            CompiledPlant::compile(&plant).unwrap().unwrap(),
-            CompiledPlant::compile_sparse(&plant).unwrap().unwrap(),
-        ] {
+        for c in both_stores(&plant) {
             let space = *plant.space();
             let trip = plant.trip_set().unwrap().clone();
             for cell in [0usize, 5, 62, 200, 465, 899] {
@@ -945,10 +760,10 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_eager_event_streams_are_bit_identical() {
-        // The tentpole contract: on any plant both backends accept, the
-        // same seed must produce the exact same event sequence — lazy
-        // builds consume no RNG and the table algebra is shared.
+    fn dense_and_hash_stores_emit_bit_identical_streams() {
+        // On any plant, the same seed must produce the exact same event
+        // sequence from either store — builds consume no RNG and both
+        // stores hold rows from the same build.
         let plants = [
             markov_plant(),
             Plant::markov_walk(
@@ -966,36 +781,36 @@ mod tests {
             .unwrap(),
         ];
         for (pi, plant) in plants.iter().enumerate() {
-            let eager = CompiledPlant::compile_eager(plant).unwrap().unwrap();
-            let sparse = CompiledPlant::compile_sparse(plant).unwrap().unwrap();
-            assert!(sparse.is_sparse() && !eager.is_sparse());
-            assert_eq!(eager.initial_state(), sparse.initial_state());
+            let [dense, hashed] = both_stores(plant);
+            assert!(matches!(dense.rows, RowStore::Dense(_)));
+            assert!(matches!(hashed.rows, RowStore::Hashed(_)));
+            assert_eq!(dense.initial_state(), hashed.initial_state());
             for seed in [1u64, 7, 1234] {
-                let mut rng_e = StdRng::seed_from_u64(seed);
-                let mut rng_s = StdRng::seed_from_u64(seed);
-                let mut st_e = eager.initial_state();
-                let mut st_s = sparse.initial_state();
+                let mut rng_d = StdRng::seed_from_u64(seed);
+                let mut rng_h = StdRng::seed_from_u64(seed);
+                let mut st_d = dense.initial_state();
+                let mut st_h = hashed.initial_state();
                 for step in 0..400 {
-                    let ev_e = eager.next_demand(&mut st_e, 2_000, &mut rng_e);
-                    let ev_s = sparse.next_demand(&mut st_s, 2_000, &mut rng_s);
+                    let ev_d = dense.next_demand(&mut st_d, 2_000, &mut rng_d);
+                    let ev_h = hashed.next_demand(&mut st_h, 2_000, &mut rng_h);
                     assert_eq!(
-                        ev_e, ev_s,
-                        "plant {pi} seed {seed} event {step}: backends diverged"
+                        ev_d, ev_h,
+                        "plant {pi} seed {seed} event {step}: stores diverged"
                     );
-                    assert_eq!(st_e, st_s, "plant {pi} seed {seed} event {step}: state");
+                    assert_eq!(st_d, st_h, "plant {pi} seed {seed} event {step}: state");
                 }
             }
-            // The sparse side visited a strict subset of the space but
-            // produced the full stream.
-            assert!(sparse.compiled_states() <= sparse.states());
-            assert!(sparse.occupancy() > 0.0);
+            // Both stores built exactly the states the walks visited.
+            assert_eq!(dense.compiled_states(), hashed.compiled_states());
+            assert!(dense.compiled_states() <= dense.states());
+            assert!(dense.occupancy() > 0.0);
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
-        fn sparse_matches_eager_on_arbitrary_plants(
+        fn hash_store_matches_dense_on_arbitrary_plants(
             nx in 2u32..34,
             ny in 2u32..34,
             step in 1u32..4,
@@ -1006,56 +821,116 @@ mod tests {
             let space = GridSpace2D::new(nx, ny).unwrap();
             let region = Region::rect(0, 0, trip.0.min(nx - 1), trip.1.min(ny - 1));
             let plant = Plant::markov_walk(space, region, step, move_prob).unwrap();
-            let eager = CompiledPlant::compile_eager(&plant).unwrap().unwrap();
-            let sparse = CompiledPlant::compile_sparse(&plant).unwrap().unwrap();
-            let mut rng_e = StdRng::seed_from_u64(seed);
-            let mut rng_s = StdRng::seed_from_u64(seed);
-            let mut st_e = eager.initial_state();
-            let mut st_s = sparse.initial_state();
+            let [dense, hashed] = both_stores(&plant);
+            let mut rng_d = StdRng::seed_from_u64(seed);
+            let mut rng_h = StdRng::seed_from_u64(seed);
+            let mut st_d = dense.initial_state();
+            let mut st_h = hashed.initial_state();
             for _ in 0..60 {
-                let ev_e = eager.next_demand(&mut st_e, 700, &mut rng_e);
-                let ev_s = sparse.next_demand(&mut st_s, 700, &mut rng_s);
-                prop_assert_eq!(ev_e, ev_s);
-                prop_assert_eq!(st_e, st_s);
+                let ev_d = dense.next_demand(&mut st_d, 700, &mut rng_d);
+                let ev_h = hashed.next_demand(&mut st_h, 700, &mut rng_h);
+                prop_assert_eq!(ev_d, ev_h);
+                prop_assert_eq!(st_d, st_h);
             }
         }
     }
 
     #[test]
-    fn sparse_clone_preserves_tables_and_stream() {
+    fn clone_preserves_rows_and_stream() {
         let plant = markov_plant();
-        let sparse = CompiledPlant::compile_sparse(&plant).unwrap().unwrap();
-        // Warm a few states, then clone: the clone must continue the
-        // exact same stream from the same tables.
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut state = sparse.initial_state();
-        for _ in 0..20 {
-            sparse.next_demand(&mut state, 1_000, &mut rng);
+        for c in both_stores(&plant) {
+            // Warm a few states, then clone: the clone must continue the
+            // exact same stream from the same rows.
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut state = c.initial_state();
+            for _ in 0..20 {
+                c.next_demand(&mut state, 1_000, &mut rng);
+            }
+            let cloned = c.clone();
+            assert_eq!(cloned.compiled_states(), c.compiled_states());
+            let mut rng_a = StdRng::seed_from_u64(77);
+            let mut rng_b = StdRng::seed_from_u64(77);
+            let mut sa = c.initial_state();
+            let mut sb = cloned.initial_state();
+            for _ in 0..100 {
+                assert_eq!(
+                    c.next_demand(&mut sa, 500, &mut rng_a),
+                    cloned.next_demand(&mut sb, 500, &mut rng_b)
+                );
+            }
         }
-        let cloned = sparse.clone();
-        assert_eq!(cloned.compiled_states(), sparse.compiled_states());
-        let mut rng_a = StdRng::seed_from_u64(77);
-        let mut rng_b = StdRng::seed_from_u64(77);
-        let mut sa = sparse.initial_state();
-        let mut sb = cloned.initial_state();
-        for _ in 0..100 {
+    }
+
+    #[test]
+    fn racing_first_visits_build_each_row_once() {
+        // Four shards start together on one cold compile, so their walks
+        // race to build the rows around the shared initial state. Each
+        // log must equal its shard run alone, and the rows built must
+        // equal those a one-after-another run builds: none twice, none
+        // missed.
+        let space = GridSpace2D::new(48, 48).unwrap();
+        let plant = Plant::markov_walk(space, Region::rect(0, 0, 5, 5), 2, 0.3).unwrap();
+        let regions = vec![Region::rect(0, 0, 3, 3), Region::rect(2, 2, 5, 5)];
+        let system = ProtectionSystem::new(
+            vec![
+                Channel::new("A", ProgramVersion::new(vec![true, false])),
+                Channel::new("B", ProgramVersion::new(vec![false, true])),
+            ],
+            Adjudicator::OneOutOfN,
+            FaultRegionMap::new(space, regions).unwrap(),
+        )
+        .unwrap();
+        let shard = |c: &CompiledPlant, i: usize| {
+            let mut rng = StdRng::seed_from_u64(shard_seed(41, i));
+            run_compiled(c, &system, 60_000, &mut rng).unwrap()
+        };
+        for (store, dense) in [("dense", true), ("hash", false)] {
+            let compile = || CompiledPlant::compile_into(&plant, dense).unwrap().unwrap();
+            let alone: Vec<_> = (0..4).map(|i| shard(&compile(), i)).collect();
+            let in_turn = compile();
+            for i in 0..4 {
+                shard(&in_turn, i);
+            }
+            let shared = compile();
+            let barrier = std::sync::Barrier::new(4);
+            let raced: Vec<_> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..4)
+                    .map(|i| {
+                        let (shared, barrier) = (&shared, &barrier);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            shard(shared, i)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(raced, alone, "{store} store");
+            assert!(in_turn.compiled_states() > 100);
             assert_eq!(
-                sparse.next_demand(&mut sa, 500, &mut rng_a),
-                cloned.next_demand(&mut sb, 500, &mut rng_b)
+                shared.compiled_states(),
+                in_turn.compiled_states(),
+                "{store} store"
             );
         }
     }
 
     #[test]
-    fn huge_spaces_compile_sparsely_and_sample() {
+    fn a_dense_slot_takes_at_most_96_bytes() {
+        // `MAX_COMPILED_CELLS` is sized by this footprint.
+        assert!(std::mem::size_of::<OnceLock<StateRow>>() <= 96);
+    }
+
+    #[test]
+    fn huge_spaces_take_the_hash_store_and_sample() {
         // 2080 × 2080 = 4,326,400 cells: just past MAX_COMPILED_CELLS
-        // (4,194,304), so `compile` must pick the sparse backend — and a
+        // (4,194,304), so `compile` must pick the hash store — and a
         // slow-mixing walk must ride it without enumerating the space.
         let space = GridSpace2D::new(2080, 2080).unwrap();
         assert!(space.cell_count() > MAX_COMPILED_CELLS);
         let plant = Plant::markov_walk(space, Region::rect(0, 0, 40, 40), 2, 0.02).unwrap();
         let c = CompiledPlant::compile(&plant).unwrap().unwrap();
-        assert!(c.is_sparse());
+        assert!(matches!(c.rows, RowStore::Hashed(_)));
         assert_eq!(c.states(), 4_326_400);
         let mut rng = StdRng::seed_from_u64(9);
         let mut state = c.initial_state();
@@ -1070,7 +945,7 @@ mod tests {
         // The chain visited a vanishing fraction of the space.
         assert!(
             c.compiled_states() < 100_000,
-            "sparse backend compiled {} states",
+            "hash store built {} states",
             c.compiled_states()
         );
         assert!(c.occupancy() < 0.05);
@@ -1136,17 +1011,15 @@ mod tests {
     }
 
     #[test]
-    fn alias_forest_reproduces_weights() {
+    fn alias_table_reproduces_weights() {
         let mut work = AliasWork::default();
-        let mut b = AliasForestBuilder::new(2);
-        b.push_state(&[(0, 0.1), (1, 0.3), (2, 0.6)], &mut work);
-        b.push_state(&[], &mut work);
-        let f = b.finish();
+        let table = build_alias_tables(&[(0, 0.1), (1, 0.3), (2, 0.6)], &mut work);
+        assert!(build_alias_tables(&[], &mut work).accept.is_empty());
         let mut rng = StdRng::seed_from_u64(4);
         let mut counts = [0u32; 3];
         let n = 60_000;
         for _ in 0..n {
-            counts[f.sample(0, &mut rng) as usize] += 1;
+            counts[table.pick(rng.gen()) as usize] += 1;
         }
         for (i, want) in [0.1, 0.3, 0.6].iter().enumerate() {
             let freq = counts[i] as f64 / n as f64;
@@ -1156,14 +1029,13 @@ mod tests {
 
     #[test]
     fn single_uniform_alias_reproduces_weights_exactly_on_a_grid() {
-        // Sweep a dense uniform grid through sample_with: the measure of
+        // Sweep a dense uniform grid through `pick`: the measure of
         // v-values landing on each cell must equal the cell's weight to
         // grid resolution — the single-draw lookup is exact, not
         // approximate.
         let weights = [0.15, 0.05, 0.5, 0.3];
         let mut work = AliasWork::default();
-        let mut b = AliasForestBuilder::new(1);
-        b.push_state(
+        let table = build_alias_tables(
             &[
                 (0, weights[0]),
                 (1, weights[1]),
@@ -1172,12 +1044,11 @@ mod tests {
             ],
             &mut work,
         );
-        let f = b.finish();
         let grid = 400_000usize;
         let mut counts = [0u64; 4];
         for k in 0..grid {
             let v = (k as f64 + 0.5) / grid as f64;
-            counts[f.sample_with(0, v) as usize] += 1;
+            counts[table.pick(v) as usize] += 1;
         }
         for (i, want) in weights.iter().enumerate() {
             let freq = counts[i] as f64 / grid as f64;
@@ -1187,8 +1058,8 @@ mod tests {
             );
         }
         // The extreme uniforms stay in range.
-        let _ = f.sample_with(0, 0.0);
-        let _ = f.sample_with(0, ONE_BELOW);
+        let _ = table.pick(0.0);
+        let _ = table.pick(ONE_BELOW);
     }
 
     #[test]

@@ -217,9 +217,9 @@ impl Plant {
     /// law [`Plant::step`] samples from, not an estimate of it.
     ///
     /// Allocates a fresh row per call; hot paths that probe many states
-    /// (the demand compiler's eager sweep, the sparse compiler's lazy
-    /// per-visit builds) use [`Plant::transition_row_into`] with a
-    /// reused [`RowScratch`] instead.
+    /// (the demand compiler's first-visit builds) use
+    /// [`Plant::transition_row_into`] with a reused [`RowScratch`]
+    /// instead.
     pub fn transition_row(&self, state: Demand) -> Option<Vec<(Demand, f64)>> {
         let mut buf = RowScratch::new();
         self.transition_row_into(state, &mut buf).then_some(buf.row)
@@ -229,7 +229,7 @@ impl Plant {
     /// its previous contents), returning `false` for the memoryless rate
     /// plant. Identical values in identical order to
     /// [`Plant::transition_row`] — the compiler relies on this to build
-    /// bit-identical tables from either entry point — but free of the
+    /// bit-identical rows from either entry point — but free of the
     /// per-call `Vec` allocations: after warm-up the scratch buffers are
     /// reused across every probed state.
     pub fn transition_row_into(&self, state: Demand, buf: &mut RowScratch) -> bool {

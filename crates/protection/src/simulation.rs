@@ -63,16 +63,17 @@ pub fn run<R: Rng + ?Sized>(
     run_stepwise(plant, system, steps, rng)
 }
 
-/// Whether a one-shot run of `steps` ticks should pay for compilation:
-/// the plant must be sticky ([`CompiledPlant::is_profitable`]), and —
-/// for spaces the **eager** compiler enumerates — the run must be long
-/// enough to amortise the `O(cells × successors)` compile; a short run
-/// over a huge state space is faster ticked than compiled. Spaces past
-/// [`MAX_COMPILED_CELLS`](crate::compiler::MAX_COMPILED_CELLS) compile
-/// **sparsely** (per-state cost on first visit, nothing up front), so
-/// they need no amortisation test at all — any sticky plant up to
-/// [`MAX_SPARSE_CELLS`](crate::compiler::MAX_SPARSE_CELLS) rides the
-/// analytic path.
+/// Whether a run of `steps` ticks takes the compiled path: the plant
+/// must be sticky ([`CompiledPlant::is_profitable`]), and a space of up
+/// to [`MAX_COMPILED_CELLS`](crate::compiler::MAX_COMPILED_CELLS) cells
+/// needs a run of at least `4 × cells` steps; past that ceiling any
+/// sticky plant up to
+/// [`MAX_SPARSE_CELLS`](crate::compiler::MAX_SPARSE_CELLS) qualifies.
+///
+/// The step test once amortised a compiler that built every state up
+/// front; states are now built on first visit. It stays because the
+/// compiled and tick paths draw different random streams: it decides
+/// which stream a run follows, and moving it would move pinned results.
 fn compile_worthwhile(plant: &Plant, steps: u64) -> bool {
     let cells = plant.space().cell_count();
     CompiledPlant::is_profitable(plant)
@@ -85,7 +86,8 @@ fn compile_worthwhile(plant: &Plant, steps: u64) -> bool {
 
 /// Runs a pre-compiled plant for `steps` ticks via analytic demand-gap
 /// jumps. Compile once with [`CompiledPlant::compile`] and reuse across
-/// runs (and across threads — see [`run_sharded`]).
+/// runs and threads (see [`run_sharded`]): the rows one run builds on
+/// first visit serve every later run.
 ///
 /// # Errors
 ///

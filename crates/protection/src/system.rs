@@ -361,47 +361,6 @@ impl ProtectionSystem {
         }
         Ok(pfd)
     }
-
-    /// Multi-threaded [`Self::true_pfd`] for very large demand grids:
-    /// cells are split into contiguous ranges scanned on
-    /// `std::thread::scope` threads, and the per-range masses are summed
-    /// in range order (deterministic for a fixed thread count, equal to
-    /// the serial result up to floating-point re-association).
-    ///
-    /// Grids too small to amortise thread spawns, `threads <= 1`, and
-    /// profiles over a different space all take the serial path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::true_pfd`] errors from the serial fallback
-    /// (none on the parallel path for a validated system).
-    pub fn true_pfd_parallel(
-        &self,
-        profile: &Profile,
-        threads: usize,
-    ) -> Result<f64, ProtectionError> {
-        let cells = self.map.space().cell_count();
-        let probs = profile.probs();
-        if !divrel_demand::parallel::worth_parallelising(cells, threads)
-            || profile.space() != self.map.space()
-            || probs.len() != cells
-        {
-            return self.true_pfd(profile);
-        }
-        Ok(divrel_demand::parallel::chunked_sum(
-            cells,
-            threads,
-            |range| {
-                let mut pfd = 0.0;
-                for cell in range {
-                    if self.system_fails_cell(cell) {
-                        pfd += probs[cell];
-                    }
-                }
-                pfd
-            },
-        ))
-    }
 }
 
 impl fmt::Display for ProtectionSystem {
@@ -587,47 +546,6 @@ mod tests {
         // No channels at all.
         let err = ProtectionSystem::with_tree(vec![], FaultTree::Channel(0), map()).unwrap_err();
         assert!(matches!(err, ProtectionError::NoChannels));
-    }
-
-    #[test]
-    fn true_pfd_parallel_matches_serial() {
-        // 150×150 = 22 500 cells crosses the parallel threshold.
-        let space = GridSpace2D::new(150, 150).unwrap();
-        let profile = Profile::uniform(&space);
-        let map = FaultRegionMap::new(
-            space,
-            vec![
-                Region::rect(0, 0, 29, 29),
-                Region::rect(20, 20, 49, 49),
-                Region::rect(100, 100, 139, 139),
-            ],
-        )
-        .unwrap();
-        let sys = ProtectionSystem::new(
-            vec![
-                Channel::new("A", ProgramVersion::new(vec![true, true, false])),
-                Channel::new("B", ProgramVersion::new(vec![false, true, true])),
-            ],
-            Adjudicator::OneOutOfN,
-            map,
-        )
-        .unwrap();
-        let serial = sys.true_pfd(&profile).unwrap();
-        assert!(serial > 0.0);
-        for threads in [1, 2, 4, 5] {
-            let par = sys.true_pfd_parallel(&profile, threads).unwrap();
-            assert!(
-                (par - serial).abs() < 1e-12,
-                "{threads} threads: {par} vs {serial}"
-            );
-        }
-        // Small grids silently take the serial path.
-        let small = two_channel_system();
-        let small_profile = Profile::uniform(small.map().space());
-        assert_eq!(
-            small.true_pfd_parallel(&small_profile, 8).unwrap(),
-            small.true_pfd(&small_profile).unwrap()
-        );
     }
 
     mod properties {

@@ -154,8 +154,8 @@ fn golden_f1_preset_bit_identical_to_direct_campaign() {
         simulation::run_sharded(&plant, &one_oo_two, steps, threads, ctx.seed ^ 0xF1).unwrap();
     let log3 =
         simulation::run_sharded(&plant, &two_oo_three, steps, threads, ctx.seed ^ 0xF2).unwrap();
-    let truth2 = one_oo_two.true_pfd_parallel(&profile, threads).unwrap();
-    let truth3 = two_oo_three.true_pfd_parallel(&profile, threads).unwrap();
+    let truth2 = one_oo_two.true_pfd(&profile).unwrap();
+    let truth3 = two_oo_three.true_pfd(&profile).unwrap();
 
     // --- bitwise agreement -------------------------------------------
     assert_eq!(c.systems.len(), 2);
