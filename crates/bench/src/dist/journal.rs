@@ -32,8 +32,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Journal format revision.
-pub const JOURNAL_VERSION: u64 = 1;
+/// Journal format revision. v2: adaptive cells draw their failures as
+/// geometric gaps, so a v1 journal's evidence comes from another random
+/// stream; resuming it would splice two streams into one run, and the
+/// spec hash cannot tell them apart.
+pub const JOURNAL_VERSION: u64 = 2;
 
 /// A journal failure: I/O, a malformed non-trailing record, or a
 /// header that does not match the campaign being resumed.
@@ -500,6 +503,20 @@ mod tests {
         let err = Journal::resume(&path, "fnv1a:aaaa", 5).unwrap_err();
         assert!(err.to_string().contains("cells"), "unexpected error: {err}");
         assert!(Journal::resume(&path, "fnv1a:aaaa", 4).is_ok());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_journal_of_another_format_is_refused() {
+        let path = temp_path("v1");
+        Journal::create(&path, "fnv1a:0088", 4).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let current = format!("\"journal\":\"u64:{JOURNAL_VERSION}\"");
+        assert!(text.contains(&current), "header layout changed: {text}");
+        std::fs::write(&path, text.replace(&current, "\"journal\":\"u64:1\"")).unwrap();
+        let err = Journal::resume(&path, "fnv1a:0088", 4).unwrap_err();
+        let want = format!("journal format v1, this build reads v{JOURNAL_VERSION}");
+        assert!(err.0.ends_with(&want), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -8,8 +8,10 @@
 //!
 //! * [`AdaptivePfdRuntime`] — a grid of cells, each holding **one
 //!   version sampled from the fault model** (its own SplitMix64 stream,
-//!   independent of every demand stream), exposed to rounds of Bernoulli
-//!   demand trials;
+//!   independent of every demand stream), exposed to rounds of demand
+//!   trials that each fail with the version's exact PFD. A round's
+//!   failure count is drawn as the geometric gaps between failures, so
+//!   it costs one draw per failure, not one per demand;
 //! * [`CellEvidence`] — the per-cell `(failures, demands)` accumulator
 //!   that crosses threads, journals and worker fleets in wire form;
 //! * [`uniform_allocation`] / [`refine_allocation`] — the budget
@@ -32,10 +34,11 @@ use crate::error::DevSimError;
 use crate::factory::VersionFactory;
 use crate::process::FaultIntroduction;
 use divrel_model::FaultModel;
+use divrel_numerics::sampling::geometric_gap;
 use divrel_numerics::sweep::{split_seed, SweepReduce};
 use divrel_numerics::wire::{Wire, WireError, WireForm};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Stream salt of the per-cell **version sampling** streams. Distinct
@@ -87,8 +90,8 @@ impl WireForm for CellEvidence {
 }
 
 /// A compiled adaptive-PFD grid: `cells` versions sampled once from the
-/// fault model (seed layout above), each exposed to per-round Bernoulli
-/// demand trials at its exact PFD. [`Self::run_cell`] is a pure
+/// fault model (seed layout above), each exposed to per-round demand
+/// trials at its exact PFD. [`Self::run_cell`] is a pure
 /// function of `(spec, cell, demands, round)` — the property the
 /// in-process sweep, the distributed runtime and the journal all lean
 /// on.
@@ -139,22 +142,43 @@ impl AdaptivePfdRuntime {
         self.fault_counts[cell]
     }
 
-    /// Runs `demands` Bernoulli demand trials against cell `cell`'s
-    /// version in round `round`, on the cell's round-specific split
-    /// stream. `demands = 0` consumes no randomness and returns empty
-    /// evidence — unrefined cells cost nothing.
+    /// Runs `demands` demand trials against cell `cell`'s version in
+    /// round `round`, on the cell's round-specific split stream. Each
+    /// trial fails with the version's exact PFD `p`, so the failure
+    /// count is Binomial(`demands`, `p`). It is drawn as the geometric
+    /// gaps between failures ([`geometric_gap`] with `1 / ln_1p(−p)`):
+    /// each draw places one failure or runs past the last demand, about
+    /// `p · demands + 1` draws in all. `demands = 0`, `p = 0` and
+    /// `p ≥ 1` consume no randomness — unrefined cells cost nothing.
     pub fn run_cell(&self, cell: usize, demands: u64, round: u32) -> CellEvidence {
+        let pfd = self.true_pfds[cell];
+        if demands == 0 || pfd <= 0.0 {
+            return CellEvidence {
+                failures: 0,
+                demands,
+            };
+        }
+        if pfd >= 1.0 {
+            return CellEvidence {
+                failures: demands,
+                demands,
+            };
+        }
         let seed = split_seed(
             split_seed(self.sweep_seed, round_stream(round)),
             cell as u64,
         );
-        let pfd = self.true_pfds[cell];
         let mut rng = StdRng::seed_from_u64(seed);
+        let inv_log_survive = (-pfd).ln_1p().recip();
         let mut failures = 0u64;
-        for _ in 0..demands {
-            if rng.gen::<f64>() < pfd {
-                failures += 1;
+        let mut left = demands;
+        while left > 0 {
+            let gap = geometric_gap(inv_log_survive, left, &mut rng);
+            if gap >= left {
+                break;
             }
+            failures += 1;
+            left -= gap + 1;
         }
         CellEvidence { failures, demands }
     }
@@ -224,6 +248,7 @@ pub fn refine_allocation(widths: &[f64], target_width: f64, budget: u64) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn runtime(cells: usize) -> AdaptivePfdRuntime {
         let model = FaultModel::uniform(3, 0.4, 0.05).expect("valid model");
@@ -280,6 +305,24 @@ mod tests {
     fn zero_demand_cells_return_empty_evidence() {
         let rt = runtime(4);
         assert_eq!(rt.run_cell(2, 0, 5), CellEvidence::default());
+    }
+
+    #[test]
+    fn certain_pfds_need_no_draws_and_keep_the_allocation() {
+        // `ps = [1]` pins every cell's PFD to `q`.
+        for (q, failures) in [(0.0, 0u64), (1.0, 700)] {
+            let model = FaultModel::from_params(&[1.0], &[q]).expect("valid model");
+            let rt = AdaptivePfdRuntime::new(Arc::new(model), 5, 3).expect("valid runtime");
+            for cell in 0..3 {
+                assert_eq!(
+                    rt.run_cell(cell, 700, 2),
+                    CellEvidence {
+                        failures,
+                        demands: 700
+                    }
+                );
+            }
+        }
     }
 
     #[test]

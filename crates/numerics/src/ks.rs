@@ -127,7 +127,6 @@ pub fn chi_squared_gof(
     sample: &[f64],
     reference: &WeightedBernoulliSum,
 ) -> Result<ChiSquaredTest, NumericsError> {
-    use crate::special::gamma_q;
     if sample.is_empty() {
         return Err(NumericsError::EmptyData("chi_squared_gof"));
     }
@@ -157,16 +156,56 @@ pub fn chi_squared_gof(
         }
         observed[idx] += 1;
     }
+    let masses: Vec<f64> = atoms.iter().map(|a| a.mass).collect();
+    chi_squared_counts(&observed, &masses)
+}
+
+/// Chi-squared goodness-of-fit of category counts against a discrete
+/// law: `observed[i]` draws fell in category `i`, which has probability
+/// `probs[i]`. Cells with expected count below 5 are pooled
+/// (rarest-first) as in [`chi_squared_gof`], which is this test after
+/// matching each sample value to its atom.
+///
+/// # Errors
+///
+/// [`NumericsError::EmptyData`] when no draw was counted;
+/// [`NumericsError::DomainError`] for mismatched lengths or fewer than
+/// two pooled cells.
+///
+/// ```
+/// use divrel_numerics::ks::chi_squared_counts;
+///
+/// let t = chi_squared_counts(&[26, 49, 25], &[0.25, 0.5, 0.25]).unwrap();
+/// assert!(t.p_value > 0.9);
+/// let t = chi_squared_counts(&[60, 20, 20], &[0.25, 0.5, 0.25]).unwrap();
+/// assert!(t.p_value < 1e-10);
+/// ```
+pub fn chi_squared_counts(
+    observed: &[u64],
+    probs: &[f64],
+) -> Result<ChiSquaredTest, NumericsError> {
+    use crate::special::gamma_q;
+    if observed.len() != probs.len() {
+        return Err(crate::error::domain(format!(
+            "{} counts for {} categories",
+            observed.len(),
+            probs.len()
+        )));
+    }
+    let total: u64 = observed.iter().sum();
+    if total == 0 {
+        return Err(NumericsError::EmptyData("chi_squared_counts"));
+    }
     // Pool cells with expected count < 5, rarest first.
-    let n = sample.len() as f64;
-    let mut order: Vec<usize> = (0..atoms.len()).collect();
-    order.sort_by(|&a, &b| atoms[a].mass.total_cmp(&atoms[b].mass));
+    let n = total as f64;
+    let mut order: Vec<usize> = (0..probs.len()).collect();
+    order.sort_by(|&a, &b| probs[a].total_cmp(&probs[b]));
     let mut pooled: Vec<(f64, f64)> = Vec::new(); // (observed, expected)
     let mut acc_o = 0.0;
     let mut acc_e = 0.0;
     for &i in &order {
         acc_o += observed[i] as f64;
-        acc_e += atoms[i].mass * n;
+        acc_e += probs[i] * n;
         if acc_e >= 5.0 {
             pooled.push((acc_o, acc_e));
             acc_o = 0.0;

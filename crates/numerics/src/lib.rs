@@ -18,7 +18,9 @@
 //!   answer the paper's own caveat that "we will not know in practice how
 //!   good an approximation" the CLT is (§3, §5),
 //! * root finding and minimisation used to locate the gain-reversal
-//!   stationary points of Appendix A.
+//!   stationary points of Appendix A,
+//! * the **geometric gap sampler** that runs of Bernoulli trials skip
+//!   with (demand gaps, Markov dwells, operational failures).
 //!
 //! ## Quick example
 //!
@@ -44,6 +46,7 @@ pub mod ks;
 pub mod normal;
 pub mod poisson_binomial;
 pub mod roots;
+pub mod sampling;
 pub mod special;
 pub mod sweep;
 pub mod weighted_sum;

@@ -52,6 +52,7 @@
 use crate::error::ProtectionError;
 use crate::plant::{Plant, RowScratch};
 use divrel_demand::space::{Demand, GridSpace2D};
+use divrel_numerics::sampling::{geometric_gap, inv_log_survive};
 use rand::Rng;
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -139,7 +140,8 @@ struct StateRow {
     /// exits (they are demands).
     exit_prob: f64,
     /// `1 / ln(R(s, s))` — the geometric dwell sampler's constant; `0.0`
-    /// encodes "exit every tick" (no quiet self-loop mass).
+    /// encodes "exit every tick" (no quiet self-loop mass), and a hold
+    /// that rounds to 1.0 takes `1 / ln_1p(−exit_prob)`.
     inv_log_hold: f64,
     /// `p_demand(s) / p_exit(s)`; meaningless (0) where `p_exit = 0`.
     demand_given_exit: f64,
@@ -386,7 +388,7 @@ impl CompiledPlant {
                 return CompiledEvent::Quiet { ticks: budget };
             }
             let left = budget - quiet;
-            let dwell = crate::simulation::geometric_gap(row.inv_log_hold, left, rng);
+            let dwell = geometric_gap(row.inv_log_hold, left, rng);
             if dwell >= left {
                 return CompiledEvent::Quiet { ticks: budget };
             }
@@ -514,7 +516,7 @@ fn build_state_row(
     let p_exit = p_demand + p_move;
     Ok(StateRow {
         exit_prob: p_exit,
-        inv_log_hold: if hold > 0.0 { hold.ln().recip() } else { 0.0 },
+        inv_log_hold: inv_log_survive(hold, p_exit),
         demand_given_exit: if p_exit > 0.0 { p_demand / p_exit } else { 0.0 },
         demands: build_alias_tables(&scratch.demand_row, &mut scratch.work),
         quiet_moves: build_alias_tables(&scratch.quiet_row, &mut scratch.work),

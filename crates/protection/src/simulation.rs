@@ -34,6 +34,7 @@ use crate::history::OperationLog;
 use crate::plant::{Plant, PlantEvent};
 use crate::system::ProtectionSystem;
 use divrel_demand::profile::Profile;
+use divrel_numerics::sampling::{geometric_gap, inv_log_survive};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -297,38 +298,6 @@ pub fn run_stepwise<R: Rng + ?Sized>(
     Ok(log)
 }
 
-/// Capped geometric sampler shared by the rate-plant gap path and the
-/// compiled per-state dwell path: the number of consecutive "survive"
-/// ticks before the first "exit" tick, `P(gap = k) = s^k · (1 − s)`
-/// with survive probability `s`, truncated at `remaining`.
-/// `inv_log_survive = 1 / ln(s)`, with `0.0` encoding `s = 0` (exit
-/// every tick).
-pub(crate) fn geometric_gap<R: Rng + ?Sized>(
-    inv_log_survive: f64,
-    remaining: u64,
-    rng: &mut R,
-) -> u64 {
-    if inv_log_survive == 0.0 {
-        return 0; // rate = 1: every step is a demand
-    }
-    let u: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
-    let gap = u.ln() * inv_log_survive; // >= 0
-    if gap >= remaining as f64 {
-        remaining
-    } else {
-        gap as u64
-    }
-}
-
-/// `1 / ln(1 − rate)` precomputed once per run (0 encodes `rate = 1`).
-fn inv_log_survive(rate: f64) -> f64 {
-    if rate >= 1.0 {
-        0.0
-    } else {
-        (1.0 - rate).ln().recip()
-    }
-}
-
 fn run_rate_gaps<R: Rng + ?Sized>(
     profile: &Profile,
     rate: f64,
@@ -337,7 +306,7 @@ fn run_rate_gaps<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<OperationLog, ProtectionError> {
     let mut log = OperationLog::new(system.channels().len());
-    let ils = inv_log_survive(rate);
+    let ils = inv_log_survive(1.0 - rate, rate);
     let mut remaining = steps;
     while remaining > 0 {
         let gap = geometric_gap(ils, remaining, rng);
@@ -372,7 +341,7 @@ pub fn run_until_demands<R: Rng + ?Sized>(
 ) -> Result<OperationLog, ProtectionError> {
     if let Some((profile, rate)) = plant.rate_parts() {
         let mut log = OperationLog::new(system.channels().len());
-        let ils = inv_log_survive(rate);
+        let ils = inv_log_survive(1.0 - rate, rate);
         let mut steps_left = max_steps;
         while log.demands() < demands {
             let gap = geometric_gap(ils, steps_left, rng);
@@ -730,6 +699,34 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn exits_too_rare_to_move_one_minus_p_record_no_demands() {
+        // Regression: a survive probability that rounds to 1.0 (exit
+        // below ~1.1e-16) once gave the gap sampler the constant
+        // 1 / ln(1.0) = +inf, which reads as "exit every tick".
+        let (_, system, profile) = setup();
+        for rate in [1e-17, 1e-300] {
+            let plant = Plant::with_demand_rate(profile.clone(), rate).unwrap();
+            let mut rng = StdRng::seed_from_u64(21);
+            let log = run(&plant, &system, 1_000, &mut rng).unwrap();
+            assert_eq!((log.steps(), log.demands()), (1_000, 0), "rate {rate}");
+            let err = run_until_demands(&plant, &system, 1, 1_000, &mut rng).unwrap_err();
+            assert!(
+                matches!(err, ProtectionError::DemandShortfall { observed: 0, .. }),
+                "rate {rate}: {err:?}"
+            );
+        }
+        // The compiled dwell: every state's hold rounds to 1.0.
+        let plant =
+            Plant::markov_walk(*profile.space(), Region::rect(0, 0, 3, 3), 2, 1e-17).unwrap();
+        let compiled = CompiledPlant::compile(&plant).unwrap().unwrap();
+        let steps = 200_000;
+        let fast = run_compiled(&compiled, &system, steps, &mut StdRng::seed_from_u64(22)).unwrap();
+        let slow = run_stepwise(&plant, &system, steps, &mut StdRng::seed_from_u64(23)).unwrap();
+        assert_eq!(fast.demands(), 0);
+        assert_eq!(fast, slow);
     }
 
     #[test]

@@ -104,8 +104,13 @@ fn canonical_toml_is_a_fixed_point_for_committed_specs() {
 /// forced-diversity input. Result frames and lease journals carry
 /// these bytes, so a renamed kind tag or a reordered accumulator field
 /// would strand every journal an earlier build wrote.
+///
+/// `adaptive_confidence` moved once on purpose, from
+/// `fnv1a:a72531a798da3763`, when adaptive cells began drawing their
+/// failures as geometric gaps: same law, another random stream (journal
+/// format v2 refuses the older evidence).
 const WIRE_PINS: &[(&str, &str)] = &[
-    ("adaptive_confidence", "fnv1a:a72531a798da3763"),
+    ("adaptive_confidence", "fnv1a:184aed6b5ddd68b0"),
     ("asymmetric_difficulty", "fnv1a:59b21e44ecac7cde"),
     ("common_cause_diversity", "fnv1a:048b97a663a44ba9"),
     ("kl_bimodal", "fnv1a:a2957f2279c0ee6b"),
