@@ -26,8 +26,9 @@
 //! The driver here is executor-generic: [`drive`] takes a closure that
 //! evaluates one round's allocation to per-cell evidence. The
 //! in-process executor ([`crate::job::in_process_rounds`]) runs each
-//! round as a cell job; the distributed executor
-//! (`dist::AdaptiveCoordinator`) leases the same job to a worker fleet.
+//! round as a cell job; the distributed one (`dist::Coordinator`) runs
+//! each round as the next job of one fleet session, leasing the same
+//! cell job to the same workers.
 
 use crate::scenario::ScenarioResult;
 use divrel_bayes::update::observe_batch;

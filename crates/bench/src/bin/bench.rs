@@ -713,7 +713,7 @@ fn dist_rows(bench: &mut Bench, host_cores: usize) {
         let mut coordinator = Coordinator::new(scenario.clone()).expect("compiles");
         if let Some(path) = journal {
             let _ = std::fs::remove_file(path);
-            coordinator = coordinator.journal(path).expect("journal creates");
+            coordinator = coordinator.journal(path);
         }
         if let Some(fleet) = &fleet {
             coordinator

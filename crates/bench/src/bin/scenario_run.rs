@@ -23,47 +23,46 @@
 //! `--worker-stdio` mode) and talks line-delimited JSON over their
 //! stdin/stdout; with `--bind ADDR` it listens on a TCP socket and
 //! waits for `N` remote workers started as `scenario_run --worker ADDR`
-//! on any host. Either way the reduced outcome is **bit-identical** to
-//! the in-process run — any worker count, any lease partitioning, any
-//! failure/recovery history — and `--check-single` re-runs the spec in
-//! process afterwards and fails loudly if a single bit differs.
+//! on any host. Either way the fleet is assembled once and serves the
+//! run as one session of jobs: a grid spec is one job, and an
+//! `AdaptivePfd` spec's round loop runs each posterior-derived round,
+//! pinned into the spec, as the next job on the same workers. The
+//! reduced outcome is **bit-identical** to the in-process run — any
+//! worker count, any lease partitioning, any failure/recovery history —
+//! and `--check-single` re-runs the spec in process afterwards and
+//! fails loudly if a single bit differs.
 //!
 //! Durability and chaos:
 //!
-//! * `--journal PATH` write-ahead journals every completed lease;
-//!   `--resume` restarts a killed campaign from that journal, leasing
-//!   only the cells it is missing.
+//! * `--journal PATH` write-ahead journals every completed lease (an
+//!   adaptive spec journals round `r` to `PATH.r<r>`); `--resume`
+//!   restarts a killed campaign from its journals, leasing only the
+//!   cells they are missing and re-deriving every adaptive allocation —
+//!   bit-identical to an uninterrupted run.
 //! * `--chaos "0=die@1;1=stall@0"` installs a per-worker
 //!   [`FaultPlan`] on a spawned fleet (`--fault PLAN` is the
-//!   worker-side flag it compiles to); `--chaos-exit-after K` makes the
-//!   coordinator stop dead after its `K`-th journal append — the
-//!   crash/resume rehearsal the CI chaos job runs.
+//!   worker-side flag it compiles to; lease ordinals count over the
+//!   whole run); `--chaos-exit-after K` makes the coordinator stop dead
+//!   after the `K`-th append to one journal — the crash/resume
+//!   rehearsal the CI chaos jobs run.
 //!
-//! An `AdaptivePfd` spec is a round *loop*, not one grid:
-//! `--coordinator N` runs it through the adaptive coordinator, which
-//! pins each posterior-derived round into the spec and leases it out
-//! like any committed grid (spawned fleets respawn per round; `--bind`
-//! re-listens per round, which `--persist` workers ride out). Journals
-//! are per round (`PATH.r<round>`), and `--resume` replays complete
-//! rounds from them, finishes the interrupted one, and re-derives every
-//! allocation — bit-identical to an uninterrupted run.
-//!
-//! `--worker ... --persist` keeps a TCP worker alive across
-//! coordinators: after each run it reconnects and serves the next one,
-//! keeping its compiled-spec cache warm — a v3 coordinator re-running
-//! the same committed spec then handshakes with just the spec hash and
-//! never re-ships (or re-compiles) the spec. Result frames use the
-//! compact binary framing whenever protocol v3 is negotiated; set
-//! `DIVREL_DIST_FRAMING=json` (or `binary`) on a worker to override.
+//! Protocol v4 does not negotiate: every worker must be the
+//! coordinator's build. Result frames use the compact binary framing;
+//! `DIVREL_DIST_FRAMING=json` on a worker sends them as JSON lines, a
+//! debugging aid. `--worker ... --persist` keeps a TCP worker alive
+//! across successive runs: after each run it reconnects and serves the
+//! next one, keeping its compiled-spec cache warm, so a re-run of the
+//! same committed spec handshakes with just the spec hash and never
+//! re-ships (or re-compiles) the spec.
 
 use divrel_bench::context::default_sweep_threads;
 use divrel_bench::dist::{
-    default_worker_threads, spawn_stdio_fleet, AdaptiveCoordinator, Coordinator, DistStats,
-    FaultPlan, JsonLines, StdioFleet, Transport, Worker,
+    default_worker_threads, spawn_stdio_fleet, Coordinator, DistStats, FaultPlan, JsonLines,
+    StdioFleet, Transport, Worker,
 };
-use divrel_bench::scenario::{ExperimentSpec, ScenarioOutcome};
 use divrel_bench::{Context, Scenario};
 use divrel_report::{ArtifactSink, ScenarioCard};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::process::ExitCode;
@@ -89,7 +88,9 @@ runners; --emit prints one as a starting point:
 
   scenario_run --preset F1 --emit toml > my_scenario.toml
 
-Distributed execution of a committed spec:
+Distributed execution of a committed spec (one fleet per run; an
+adaptive spec's rounds run as jobs on it; every worker must be the
+coordinator's build):
 
   scenario_run --coordinator 4 scenarios/slow_markov_plant.toml
   scenario_run --coordinator 2 --bind 0.0.0.0:9301 my_scenario.toml   # host A
@@ -105,6 +106,16 @@ Durable + chaos-tested execution:
 Fault plans: die@N, stall@N, corrupt@N, wrong-hash, slow:MS@N, hold:MS,
 seed:S or none — comma-separated, keyed by 0-based lease ordinal.
 ";
+
+/// Writes `line` and its newline to stderr in one `write_all` on the
+/// locked handle. The processes of a spawned fleet share one stderr,
+/// and `eprintln!` writes each formatted piece separately, so their
+/// lines could splice mid-line.
+fn log_line(line: &str) {
+    let _ = std::io::stderr()
+        .lock()
+        .write_all(format!("{line}\n").as_bytes());
+}
 
 struct Args {
     spec_path: Option<String>,
@@ -348,7 +359,7 @@ fn write_artifacts(args: &Args, scenario: &Scenario, card: &ScenarioCard) -> Res
         .map_err(|e| format!("cannot render canonical spec: {e}"))?;
     sink.write_text("spec", &canonical)
         .map_err(|e| format!("cannot write spec: {e}"))?;
-    eprintln!("artifacts in {}", sink.dir().display());
+    log_line(&format!("artifacts in {}", sink.dir().display()));
     Ok(())
 }
 
@@ -382,31 +393,31 @@ fn build_worker(threads: usize, fault: &Option<String>) -> Result<Worker, String
     if let Some(plan) = fault {
         let plan = FaultPlan::parse(plan).map_err(|e| format!("--fault: {e}"))?;
         if !plan.is_empty() {
-            eprintln!("worker chaos plan: {}", plan.to_arg());
+            log_line(&format!("worker chaos plan: {}", plan.to_arg()));
         }
         worker = worker.fault_plan(plan);
     }
     Ok(worker)
 }
 
-/// Serve one coordinator connection as a worker; the protocol rides the
+/// Serve one coordinator session as a worker; the protocol rides the
 /// given transport, diagnostics go to stderr.
 fn serve_connection<T: Transport>(worker: &Worker, mut transport: T) -> Result<(), String> {
     let summary = worker
         .serve(&mut transport)
         .map_err(|e| format!("worker failed: {e}"))?;
-    eprintln!(
-        "worker done: protocol v{}, spec {} ({}), {} lease(s), {} cell(s)",
-        summary.protocol,
-        summary.spec_hash,
-        if summary.spec_was_cached {
-            "cached"
-        } else {
-            "shipped"
-        },
+    log_line(&format!(
+        "worker done: {} job(s) ({} from cache), {} lease(s), {} cell(s), last spec {}",
+        summary.jobs,
+        summary.cached_jobs,
         summary.leases_served,
         summary.cells_run,
-    );
+        if summary.spec_hash.is_empty() {
+            "-"
+        } else {
+            &summary.spec_hash
+        },
+    ));
     Ok(())
 }
 
@@ -470,10 +481,10 @@ fn spawn_local_workers(
 fn accept_tcp_workers(addr: &str, n: usize) -> Result<Vec<Box<dyn Transport>>, String> {
     let listener =
         TcpListener::bind(addr).map_err(|e| format!("cannot bind coordinator on {addr}: {e}"))?;
-    eprintln!(
+    log_line(&format!(
         "coordinator listening on {} for {n} worker(s)…",
         listener.local_addr().map_err(|e| e.to_string())?
-    );
+    ));
     let mut transports: Vec<Box<dyn Transport>> = Vec::with_capacity(n);
     for i in 0..n {
         let (stream, peer) = listener
@@ -483,7 +494,7 @@ fn accept_tcp_workers(addr: &str, n: usize) -> Result<Vec<Box<dyn Transport>>, S
         let reader = stream
             .try_clone()
             .map_err(|e| format!("cloning stream of {peer}: {e}"))?;
-        eprintln!("worker {i} joined from {peer}");
+        log_line(&format!("worker {i} joined from {peer}"));
         transports.push(Box::new(JsonLines::new(reader, stream)));
     }
     Ok(transports)
@@ -500,45 +511,9 @@ fn cells_per_worker(stats: &DistStats) -> String {
     }
 }
 
-/// `--check-single`: re-runs the spec in process and fails unless the
-/// fleet's outcome and rendered results match it bit for bit. `kind`
-/// prefixes the coordinator named in the messages; `detail` closes the
-/// success line.
-fn check_single(
-    args: &Args,
-    scenario: &Scenario,
-    fleet: &ScenarioOutcome,
-    kind: &str,
-    detail: &str,
-) -> Result<(), String> {
-    eprintln!("re-running in process for the bit-identity check…");
-    let single = scenario
-        .run(args.threads.unwrap_or_else(default_sweep_threads))
-        .map_err(|e| format!("in-process check run failed: {e}"))?;
-    let dist_md = fleet.card(&scenario.name).results_markdown();
-    let single_md = single.card(&scenario.name).results_markdown();
-    if single != *fleet || dist_md != single_md {
-        return Err(format!(
-            "BIT-IDENTITY VIOLATION: {kind}coordinator outcome differs from the \
-             in-process run of the same spec\n--- distributed ---\n{dist_md}\n\
-             --- in-process ---\n{single_md}"
-        ));
-    }
-    eprintln!(
-        "check passed: {kind}fleet outcome is bit-identical to the in-process run ({detail})"
-    );
-    Ok(())
-}
-
+/// Runs the spec as one session on a fleet assembled once: spawned, or
+/// accepted over `--bind`.
 fn run_coordinator(args: &Args, scenario: Scenario, workers: usize) -> Result<(), String> {
-    // An un-pinned adaptive spec is a round *loop*, not one grid — it
-    // distributes round by round through its own coordinator.
-    if matches!(
-        &scenario.experiment,
-        ExperimentSpec::AdaptivePfd { round: None, .. }
-    ) {
-        return run_adaptive_coordinator(args, scenario, workers);
-    }
     let mut coordinator = Coordinator::new(scenario.clone())
         .map_err(|e| format!("cannot compile scenario for distribution: {e}"))?;
     if let Some(cells) = args.lease_cells {
@@ -550,28 +525,24 @@ fn run_coordinator(args: &Args, scenario: Scenario, workers: usize) -> Result<()
     if let Some(path) = &args.journal {
         let path = Path::new(path);
         coordinator = if args.resume {
-            let c = coordinator
-                .resume(path)
-                .map_err(|e| format!("cannot resume journal {}: {e}", path.display()))?;
-            eprintln!("resuming from journal {}", path.display());
-            c
+            log_line(&format!("resuming from journal {}", path.display()));
+            coordinator.resume(path)
         } else {
-            coordinator
-                .journal(path)
-                .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?
+            coordinator.journal(path)
         };
     }
     if let Some(k) = args.chaos_exit_after {
         coordinator = coordinator.halt_after_journal_appends(k);
-        eprintln!("chaos: coordinator will halt after {k} journal append(s)");
+        log_line(&format!(
+            "chaos: coordinator will halt after {k} append(s) to one journal"
+        ));
     }
-    eprintln!(
-        "coordinating scenario {:?} (seed {}, {} cells, spec {}) over {workers} worker(s)…",
+    log_line(&format!(
+        "coordinating scenario {:?} (seed {}, spec {}) over {workers} worker(s)…",
         scenario.name,
         scenario.seed.seed,
-        coordinator.job().cell_count(),
         coordinator.spec_hash(),
-    );
+    ));
     let fleet_threads = args.threads.unwrap_or_else(default_worker_threads);
     let (mut children, transports) = match &args.bind {
         Some(addr) => (Vec::new(), accept_tcp_workers(addr, workers)?),
@@ -594,132 +565,77 @@ fn run_coordinator(args: &Args, scenario: Scenario, workers: usize) -> Result<()
     }
     let run = run?;
     let elapsed = started.elapsed();
+    let stats = &run.stats;
     let mut card = run.outcome.card(&scenario.name);
-    card.provenance("spec hash", &run.stats.spec_hash)
-        .provenance("workers", run.stats.workers.to_string())
+    card.provenance("spec hash", &stats.spec_hash)
+        .provenance("workers", stats.workers.to_string())
         .provenance(
             "leases",
             format!(
                 "{} ({} retried, {} timed out); cells per worker {}",
-                run.stats.leases,
-                run.stats.retries,
-                run.stats.timeouts,
-                cells_per_worker(&run.stats)
+                stats.leases,
+                stats.retries,
+                stats.timeouts,
+                cells_per_worker(stats)
             ),
         )
-        .provenance(
-            "quarantined workers",
-            run.stats.quarantined_workers.to_string(),
-        )
-        .provenance("cells", run.stats.cells.to_string());
-    if run.stats.resumed_from_journal {
+        .provenance("quarantined workers", stats.quarantined_workers.to_string())
+        .provenance("cells", stats.cells.to_string());
+    if stats.resumed_from_journal {
         card.provenance(
             "resumed from journal",
-            format!("{} cell(s) preloaded", run.stats.resumed_cells),
+            format!("{} cell(s) preloaded", stats.resumed_cells),
         );
     }
-    if run.stats.recovered_in_process > 0 {
+    if stats.recovered_in_process > 0 {
         card.provenance(
             "recovered in-process",
-            format!(
-                "{} cell(s) after fleet loss",
-                run.stats.recovered_in_process
-            ),
+            format!("{} cell(s) after fleet loss", stats.recovered_in_process),
         );
     }
-    for note in &run.stats.worker_faults {
-        eprintln!("survived worker fault: {note}");
-    }
-    println!("{}", card.to_markdown());
-    eprintln!("completed in {:.2}s", elapsed.as_secs_f64());
-
-    if args.check_single {
-        let detail = format!(
-            "{} workers, {} leases, {} retried, {} timed out",
-            run.stats.workers, run.stats.leases, run.stats.retries, run.stats.timeouts
-        );
-        check_single(args, &scenario, &run.outcome, "", &detail)?;
-    }
-    write_artifacts(args, &scenario, &card)
-}
-
-/// Coordinates an adaptive round loop over per-round worker fleets:
-/// each round the posterior-derived allocation is pinned into the spec
-/// and leased out like any committed grid. Spawned stdio fleets are
-/// respawned per round (workers exit on `Done`); with `--bind`, the
-/// listener re-opens each round and `--persist` workers reconnect to
-/// it, keeping their compiled-spec caches warm.
-fn run_adaptive_coordinator(args: &Args, scenario: Scenario, workers: usize) -> Result<(), String> {
-    let mut coordinator = AdaptiveCoordinator::new(scenario.clone())
-        .map_err(|e| format!("cannot compile scenario for distribution: {e}"))?;
-    if let Some(cells) = args.lease_cells {
-        coordinator = coordinator.lease_cells(cells);
-    }
-    if let Some(ms) = args.lease_timeout_ms {
-        coordinator = coordinator.lease_timeout(Duration::from_millis(ms));
-    }
-    if let Some(path) = &args.journal {
-        let path = Path::new(path);
-        coordinator = if args.resume {
-            eprintln!("resuming per-round journals under {}", path.display());
-            coordinator.resume(path)
-        } else {
-            coordinator.journal(path)
-        };
-    }
-    if let Some(k) = args.chaos_exit_after {
-        coordinator = coordinator.halt_after_journal_appends(k);
-        eprintln!("chaos: the first round to reach {k} journal append(s) halts the loop");
-    }
-    eprintln!(
-        "coordinating adaptive scenario {:?} (seed {}) over {workers} worker(s) per round…",
-        scenario.name, scenario.seed.seed,
-    );
-    let fleet_threads = args.threads.unwrap_or_else(default_worker_threads);
-    let extra = match &args.chaos {
-        Some(map) => parse_chaos(map, workers)?,
-        None => Vec::new(),
-    };
-    let mut children = Vec::new();
-    let started = std::time::Instant::now();
-    let run = coordinator.run(|round| match &args.bind {
-        Some(addr) => Ok(accept_tcp_workers(addr, workers)?),
-        None => {
-            eprintln!("round {round}: spawning {workers} local worker(s)…");
-            let fleet = spawn_local_workers(workers, fleet_threads, &extra)?;
-            children.extend(fleet.children);
-            Ok(fleet.transports)
-        }
-    });
-    for child in &mut children {
-        // Workers exit on Done/EOF; reap them so none outlive the run.
-        let _ = child.wait();
-    }
-    let run = run.map_err(|e| format!("distributed adaptive run failed: {e}"))?;
-    let elapsed = started.elapsed();
-    let outcome = ScenarioOutcome::Adaptive(run.outcome);
-    let mut card = outcome.card(&scenario.name);
-    if let Ok(canonical) = scenario.to_toml() {
-        card.provenance("spec hash", divrel_bench::dist::spec_hash(&canonical));
-    }
-    card.provenance("workers", format!("{workers} per round"));
-    for (i, stats) in run.rounds.iter().enumerate() {
+    for (i, round) in run.rounds.iter().enumerate() {
         let mut note = format!(
             "{} workers, {} leases ({} retried, {} timed out), {} cells",
-            stats.workers, stats.leases, stats.retries, stats.timeouts, stats.cells
+            round.workers, round.leases, round.retries, round.timeouts, round.cells
         );
-        if stats.resumed_from_journal {
-            note.push_str(&format!(", {} cell(s) from journal", stats.resumed_cells));
+        if round.resumed_from_journal {
+            note.push_str(&format!(", {} cell(s) from journal", round.resumed_cells));
         }
-        note.push_str(&format!("; cells per worker {}", cells_per_worker(stats)));
+        note.push_str(&format!("; cells per worker {}", cells_per_worker(round)));
         card.provenance(format!("round {i} fleet"), note);
     }
+    for note in &stats.worker_faults {
+        log_line(&format!("survived worker fault: {note}"));
+    }
     println!("{}", card.to_markdown());
-    eprintln!("completed in {:.2}s", elapsed.as_secs_f64());
+    log_line(&format!("completed in {:.2}s", elapsed.as_secs_f64()));
 
     if args.check_single {
-        let detail = format!("{} round(s)", run.rounds.len());
-        check_single(args, &scenario, &outcome, "adaptive ", &detail)?;
+        // Re-run in process; fail unless the fleet's outcome and
+        // rendered results match it bit for bit.
+        log_line("re-running in process for the bit-identity check…");
+        let single = scenario
+            .run(args.threads.unwrap_or_else(default_sweep_threads))
+            .map_err(|e| format!("in-process check run failed: {e}"))?;
+        let dist_md = run.outcome.card(&scenario.name).results_markdown();
+        let single_md = single.card(&scenario.name).results_markdown();
+        if single != run.outcome || dist_md != single_md {
+            return Err(format!(
+                "BIT-IDENTITY VIOLATION: coordinator outcome differs from the in-process run \
+                 of the same spec\n--- distributed ---\n{dist_md}\n\
+                 --- in-process ---\n{single_md}"
+            ));
+        }
+        let mut detail = format!(
+            "{} workers, {} leases, {} retried, {} timed out",
+            stats.workers, stats.leases, stats.retries, stats.timeouts
+        );
+        if !run.rounds.is_empty() {
+            detail.push_str(&format!(", {} round(s)", run.rounds.len()));
+        }
+        log_line(&format!(
+            "check passed: fleet outcome is bit-identical to the in-process run ({detail})"
+        ));
     }
     write_artifacts(args, &scenario, &card)
 }
@@ -751,14 +667,16 @@ fn run(args: Args) -> Result<(), String> {
             let stream = match connect_within(addr, window) {
                 Ok(stream) => stream,
                 Err(e) if connections > 0 => {
-                    eprintln!("coordinator gone after {connections} connection(s): {e}");
+                    log_line(&format!(
+                        "coordinator gone after {connections} connection(s): {e}"
+                    ));
                     return Ok(());
                 }
                 Err(e) => return Err(e),
             };
             tune_tcp(&stream)?;
             let reader = stream.try_clone().map_err(|e| e.to_string())?;
-            eprintln!("joined coordinator at {addr}");
+            log_line(&format!("joined coordinator at {addr}"));
             serve_connection(&worker, JsonLines::new(reader, stream))?;
             connections += 1;
             if !args.persist {
@@ -788,10 +706,10 @@ fn run(args: Args) -> Result<(), String> {
     }
 
     let threads = args.threads.unwrap_or_else(default_sweep_threads);
-    eprintln!(
+    log_line(&format!(
         "running scenario {:?} (seed {}, {} worker thread(s))…",
         scenario.name, scenario.seed.seed, threads
-    );
+    ));
     let started = std::time::Instant::now();
     let outcome = scenario
         .run(threads)
@@ -803,7 +721,7 @@ fn run(args: Args) -> Result<(), String> {
     }
     card.provenance("workers", format!("in-process ({threads} threads)"));
     println!("{}", card.to_markdown());
-    eprintln!("completed in {:.2}s", elapsed.as_secs_f64());
+    log_line(&format!("completed in {:.2}s", elapsed.as_secs_f64()));
     write_artifacts(&args, &scenario, &card)
 }
 
@@ -814,17 +732,19 @@ fn main() -> ExitCode {
     let args = match parse_args(&argv) {
         Ok(args) => args,
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprint!("{USAGE}");
+            let error = if msg.is_empty() {
+                String::new()
+            } else {
+                format!("error: {msg}\n\n")
+            };
+            log_line(&format!("{error}{}", USAGE.trim_end()));
             return ExitCode::FAILURE;
         }
     };
     match run(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("error: {msg}");
+            log_line(&format!("error: {msg}"));
             ExitCode::FAILURE
         }
     }

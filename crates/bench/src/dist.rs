@@ -8,16 +8,19 @@
 //! runtime itself must be the reliable system for long campaigns — it
 //! treats failure as a modeled input, not an exception:
 //!
-//! * A [`Coordinator`] owns a validated [`Scenario`], partitions its
-//!   grid into [`CellRange`] leases, hands them to workers over a
+//! * A [`Coordinator`] owns a validated [`Scenario`] and runs it as one
+//!   **session** on a fleet: each worker joins once, then serves the
+//!   session's jobs on the same connection — one job for a grid spec,
+//!   one per round of an adaptive round loop. Each job's grid is
+//!   partitioned into [`CellRange`] leases handed out over a
 //!   line-delimited JSON protocol ([`Message`], one frame per line —
 //!   the same frames work over a child process's stdin/stdout or a TCP
-//!   socket), and folds the returned accumulators **in canonical cell
-//!   order**.
+//!   socket), and the returned accumulators are folded **in canonical
+//!   cell order**.
 //! * A [`Worker`] (driven by [`Worker::serve`]) joins a coordinator,
-//!   checks the spec hash, evaluates leased cell ranges of the same
-//!   cell job the in-process path runs ([`DistJob::run_range`], see
-//!   [`crate::job`]), streams [`Message::Progress`] heartbeats
+//!   checks each job's spec hash, evaluates leased cell ranges of the
+//!   same cell job the in-process path runs ([`DistJob::run_range`],
+//!   see [`crate::job`]), streams [`Message::Progress`] heartbeats
 //!   while a long lease runs, and returns per-cell accumulators in
 //!   [wire form](divrel_numerics::wire) — `f64`s as bit patterns, so
 //!   nothing rounds in transit.
@@ -27,7 +30,8 @@
 //! * **Lease checkpointing** ([`journal`]): the coordinator appends a
 //!   write-ahead [`Journal`] record as each lease completes; a
 //!   restarted coordinator ([`Coordinator::resume`]) reloads collected
-//!   accumulators and re-leases only the missing ranges.
+//!   accumulators and re-leases only the missing ranges. An adaptive
+//!   loop journals each round to its own file ([`round_journal_path`]).
 //! * **Deadlines and degradation**: every lease carries a deadline
 //!   ([`Coordinator::lease_timeout`]); a silent worker's lease is
 //!   re-issued with exponential backoff, a repeat offender is
@@ -67,27 +71,21 @@ use divrel_numerics::wire::{Wire, WireError};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Highest protocol revision this build speaks. v2 added
-/// [`Message::Progress`] heartbeats; v3 added the cached-spec handshake
+/// The protocol revision this build speaks. v2 added
+/// [`Message::Progress`] heartbeats; v3 the cached-spec handshake
 /// ([`Message::SpecHash`]/[`Message::NeedSpec`]) and binary `Result`
-/// framing ([`framing`]). The two ends negotiate
-/// `min(coordinator, worker)` at the handshake, so a mixed-version
-/// fleet degrades to the v2 full-spec/JSON path per connection instead
-/// of failing.
-pub const PROTOCOL_VERSION: u64 = 3;
-
-/// Oldest protocol revision the coordinator still accepts.
-pub const MIN_PROTOCOL_VERSION: u64 = 2;
-
-/// First revision with the cached-spec handshake and binary framing.
-pub const BINARY_PROTOCOL_VERSION: u64 = 3;
+/// frames ([`framing`]); v4 sessions: one `Join` per connection, then a
+/// `SpecHash` per job and `Done` after the last. There is no
+/// negotiation: a `Join` at any other revision is refused, so every
+/// worker of a fleet runs the coordinator's build.
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Default base lease (see [`Coordinator::lease_cells`]): a worker's
 /// starting grant and the granularity a failed lease is retried at.
@@ -120,33 +118,32 @@ pub fn spec_hash(text: &str) -> String {
 /// exchanged over any ordered byte stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
-    /// Worker → coordinator: first frame after connecting.
+    /// Worker → coordinator: first frame after connecting, once per
+    /// session.
     Join {
         /// The worker's [`PROTOCOL_VERSION`].
         protocol: u64,
     },
     /// Coordinator → worker: the committed spec, verbatim, plus its
-    /// hash. The worker re-hashes the text and refuses a mismatch.
+    /// hash, in answer to [`Message::NeedSpec`]. The worker re-hashes
+    /// the text and refuses a mismatch.
     Spec {
         /// [`spec_hash`] of `text`.
         hash: String,
         /// Canonical spec text (TOML).
         text: String,
     },
-    /// Coordinator → worker (v3): just the spec fingerprint and the
-    /// negotiated protocol revision. A worker that has already compiled
-    /// this spec answers [`Message::Ready`] straight away; otherwise it
-    /// answers [`Message::NeedSpec`] and the full [`Message::Spec`]
-    /// follows — so a persistent worker parses and compiles each spec
-    /// once per hash, not once per connection.
+    /// Coordinator → worker: the next job's spec fingerprint — after
+    /// the `Join` and again after each job, when the worker is idle. A
+    /// worker that has already compiled this spec answers
+    /// [`Message::Ready`] straight away; otherwise it answers
+    /// [`Message::NeedSpec`] and the full [`Message::Spec`] follows — so
+    /// a worker parses and compiles each spec once per hash.
     SpecHash {
-        /// [`spec_hash`] of the committed spec.
+        /// [`spec_hash`] of the job's committed spec.
         hash: String,
-        /// The protocol revision this connection will speak:
-        /// `min(coordinator, worker)`.
-        protocol: u64,
     },
-    /// Worker → coordinator (v3): the spec behind `hash` is not cached;
+    /// Worker → coordinator: the spec behind `hash` is not cached;
     /// send the full [`Message::Spec`].
     NeedSpec {
         /// Echo of the requested hash.
@@ -186,7 +183,7 @@ pub enum Message {
         /// One wire accumulator per cell of the lease.
         cells: Vec<Wire>,
     },
-    /// Coordinator → worker: no more work; disconnect cleanly.
+    /// Coordinator → worker: the session is over; disconnect cleanly.
     Done,
     /// Either direction: a fatal error (spec mismatch, cell failure).
     /// Unlike a dropped connection, an abort is **not** retried — it
@@ -303,8 +300,8 @@ impl<W: Write + Send> FrameSend for FrameWriter<W> {
 /// each frame: [`framing::BINARY_FRAME_MARKER`] (`0x00`, never the
 /// start of a JSON document) opens a length-prefixed binary frame,
 /// anything else a `\n`-terminated JSON line. Accepting both forms
-/// unconditionally means a receiver never has to know what the peer
-/// negotiated — mixed streams parse cleanly.
+/// unconditionally means a receiver never has to know which framing
+/// the peer chose — mixed streams parse cleanly.
 pub struct FrameReader<R: Read> {
     inner: R,
     pending: Vec<u8>,
@@ -464,9 +461,9 @@ impl<R: Read + Send + 'static, W: Write + Send + 'static> Transport for JsonLine
 /// the exact per-cell bits of the in-process run.
 ///
 /// An `AdaptivePfd` spec is distributable **one pinned round at a
-/// time** (`round = Some`): the round loop itself lives in
-/// [`AdaptiveCoordinator`], which pins each derived round and runs it
-/// through an ordinary [`Coordinator`].
+/// time** (`round = Some`): [`Coordinator`] runs the round loop itself,
+/// pinning each derived round and running it as the next job of the
+/// same session.
 pub struct DistJob {
     job: Box<dyn AnyJob>,
     threads: usize,
@@ -546,11 +543,12 @@ impl DistJob {
 /// Execution statistics of a distributed run — the provenance the
 /// scenario report records (kept out of the byte-comparable results
 /// section).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DistStats {
     /// [`spec_hash`] of the canonical spec the fleet executed.
     pub spec_hash: String,
-    /// Workers that completed the handshake.
+    /// Workers that completed the handshake (for a session, the most
+    /// in any one job).
     pub workers: usize,
     /// Leases issued, including re-issues.
     pub leases: u64,
@@ -579,13 +577,35 @@ pub struct DistStats {
     pub recovered_in_process: u64,
 }
 
+impl DistStats {
+    /// Adds one job's statistics to a session's totals.
+    fn absorb(&mut self, job: &DistStats) {
+        self.workers = self.workers.max(job.workers);
+        self.leases += job.leases;
+        self.retries += job.retries;
+        self.timeouts += job.timeouts;
+        self.quarantined_workers += job.quarantined_workers;
+        self.worker_faults.extend(job.worker_faults.iter().cloned());
+        self.cells += job.cells;
+        for (total, cells) in self.worker_cells.iter_mut().zip(&job.worker_cells) {
+            *total += cells;
+        }
+        self.resumed_from_journal |= job.resumed_from_journal;
+        self.resumed_cells += job.resumed_cells;
+        self.recovered_in_process += job.recovered_in_process;
+    }
+}
+
 /// A distributed scenario execution: outcome plus provenance.
 #[derive(Debug)]
 pub struct DistRun {
     /// The reduced outcome — bit-identical to [`Scenario::run`].
     pub outcome: ScenarioOutcome,
-    /// How the fleet earned it.
+    /// How the fleet earned it, over the whole session.
     pub stats: DistStats,
+    /// One entry per round of an adaptive round loop, round order;
+    /// empty for a grid spec.
+    pub rounds: Vec<DistStats>,
 }
 
 /// Pipeline depth: leases a worker may hold at once, so the next lease
@@ -600,20 +620,49 @@ fn guided_lease_size(grant: u64, unleased: u64, live_workers: usize) -> u64 {
     grant.min(unleased.div_ceil(slots).max(1))
 }
 
-/// Coordinates a fleet of workers over one committed scenario.
+/// A compiled job and the canonical spec text workers verify it by.
+struct Compiled {
+    dist: DistJob,
+    text: String,
+    hash: String,
+}
+
+impl Compiled {
+    fn new(scenario: Scenario) -> ScenarioResult<Self> {
+        let text = scenario.to_toml()?;
+        let hash = spec_hash(&text);
+        // The job doubles as the degradation executor, so give it real
+        // parallelism; worker-side bits never depend on thread count.
+        let dist = DistJob::new(scenario, crate::context::default_sweep_threads())?;
+        Ok(Compiled { dist, text, hash })
+    }
+}
+
+/// What a session runs.
+enum Plan {
+    /// A grid spec's one job, compiled up front.
+    Grid(Arc<Compiled>),
+    /// An un-pinned `AdaptivePfd` spec: each round is pinned into the
+    /// spec and compiled when the loop derives it.
+    Rounds(Box<Scenario>),
+}
+
+/// Coordinates a fleet of workers over one committed scenario. A run is
+/// one **session**: every worker joins once, then serves the session's
+/// jobs on the same connection. A grid spec is a session of one job; an
+/// un-pinned `AdaptivePfd` spec runs its round loop ([`drive`]) with
+/// each round as the next job, under the same settings.
 pub struct Coordinator {
-    job: DistJob,
-    spec_text: String,
+    plan: Plan,
     spec_hash: String,
     lease_cells: u64,
     lease_timeout: Duration,
     backoff_base: Duration,
     backoff_cap: Duration,
     straggler_strikes: u32,
-    journal: Option<Mutex<Journal>>,
+    journal: Option<PathBuf>,
+    resume: bool,
     halt_after_appends: Option<u64>,
-    resumed: Vec<(u64, Wire)>,
-    resumed_from: bool,
 }
 
 impl Coordinator {
@@ -625,24 +674,29 @@ impl Coordinator {
     ///
     /// Spec validation and compilation errors.
     pub fn new(scenario: Scenario) -> ScenarioResult<Self> {
-        let spec_text = scenario.to_toml()?;
-        let spec_hash = spec_hash(&spec_text);
-        // The job doubles as the degradation executor, so give it real
-        // parallelism; worker-side bits never depend on thread count.
-        let job = DistJob::new(scenario, crate::context::default_sweep_threads())?;
+        scenario.validate()?;
+        let (plan, hash) = if matches!(
+            scenario.experiment,
+            ExperimentSpec::AdaptivePfd { round: None, .. }
+        ) {
+            let hash = spec_hash(&scenario.to_toml()?);
+            (Plan::Rounds(Box::new(scenario)), hash)
+        } else {
+            let job = Compiled::new(scenario)?;
+            let hash = job.hash.clone();
+            (Plan::Grid(Arc::new(job)), hash)
+        };
         Ok(Coordinator {
-            job,
-            spec_text,
-            spec_hash,
+            plan,
+            spec_hash: hash,
             lease_cells: DEFAULT_LEASE_CELLS,
             lease_timeout: DEFAULT_LEASE_TIMEOUT,
             backoff_base: Duration::from_millis(25),
             backoff_cap: Duration::from_secs(2),
             straggler_strikes: DEFAULT_STRAGGLER_STRIKES,
             journal: None,
+            resume: false,
             halt_after_appends: None,
-            resumed: Vec::new(),
-            resumed_from: false,
         })
     }
 
@@ -689,121 +743,79 @@ impl Coordinator {
         self
     }
 
-    /// Attaches a fresh write-ahead journal at `path` (truncating any
-    /// existing file): every completed lease is appended before its
-    /// cells are published to the reduction, so a later
-    /// [`Coordinator::resume`] can pick up where a killed coordinator
-    /// left off.
-    ///
-    /// # Errors
-    ///
-    /// Journal creation I/O errors.
-    pub fn journal(mut self, path: &Path) -> ScenarioResult<Self> {
-        let j = Journal::create(path, &self.spec_hash, self.job.cell_count())
-            .map_err(|e| e.to_string())?;
-        self.journal = Some(Mutex::new(j));
-        Ok(self)
+    /// Journals every completed lease to a fresh file at `path`
+    /// (truncating any existing one) before its cells are published to
+    /// the reduction, so a later [`Coordinator::resume`] can pick up
+    /// where a killed coordinator left off. Round `r` of an adaptive
+    /// loop journals to [`round_journal_path`]`(path, r)`.
+    #[must_use]
+    pub fn journal(mut self, path: &Path) -> Self {
+        self.journal = Some(path.to_path_buf());
+        self.resume = false;
+        self
     }
 
-    /// Resumes from the journal at `path`: validates it against this
-    /// spec's hash and grid, preloads every recorded cell
-    /// (first-write-wins), and keeps appending new leases to the same
-    /// file. Only the missing ranges are leased out.
-    ///
-    /// # Errors
-    ///
-    /// A journal for a different spec or grid; a corrupt record before
-    /// the end of the file; unreadable cell payloads.
-    pub fn resume(mut self, path: &Path) -> ScenarioResult<Self> {
-        let (j, load) = Journal::resume(path, &self.spec_hash, self.job.cell_count())
-            .map_err(|e| e.to_string())?;
-        for (idx, wire) in &load.cells {
-            self.job
-                .admit_cell(*idx, wire)
-                .map_err(|e| format!("journal cell {idx} is corrupt: {e}"))?;
-        }
-        self.resumed = load.cells;
-        self.resumed_from = true;
-        self.journal = Some(Mutex::new(j));
-        Ok(self)
+    /// Resumes from the journal at `path`: each job checks its journal
+    /// against its spec hash and grid, preloads every recorded cell
+    /// (first-write-wins), keeps appending to the same file, and leases
+    /// out only the missing ranges. A round of an adaptive loop whose
+    /// journal was never written runs fresh, and a fully journaled round
+    /// runs no lease. [`Coordinator::run`] refuses a grid journal that is
+    /// missing, written for another spec or grid, or holds a corrupt
+    /// record.
+    #[must_use]
+    pub fn resume(mut self, path: &Path) -> Self {
+        self.journal = Some(path.to_path_buf());
+        self.resume = true;
+        self
     }
 
     /// Chaos knob: the coordinator stops (as if killed) right after the
-    /// `n`-th journal append of this run — the deterministic crash
-    /// point the resume tests and the CI chaos job rehearse.
+    /// `n`-th append to one job's journal — the deterministic crash
+    /// point the resume tests and the CI chaos job rehearse. In an
+    /// adaptive loop, the first round to reach `n` appends halts it.
     #[must_use]
     pub fn halt_after_journal_appends(mut self, n: u64) -> Self {
         self.halt_after_appends = Some(n.max(1));
         self
     }
 
-    /// The spec fingerprint workers must echo.
+    /// The fingerprint of the session's spec (for an adaptive loop,
+    /// of the un-pinned spec; each round's job has its own).
     pub fn spec_hash(&self) -> &str {
         &self.spec_hash
     }
 
-    /// The job (for cell counts in logs and tests).
-    pub fn job(&self) -> &DistJob {
-        &self.job
-    }
-
-    /// Runs the fleet to completion: handshakes every worker, hands out
-    /// [`CellRange`] leases with deadlines, re-issues leases whose
-    /// workers disconnect or go silent (exponential backoff, straggler
-    /// cap), journals every completed lease, folds the per-cell
-    /// accumulators in canonical order.
+    /// Runs the session to completion. Each worker joins once; then each
+    /// job offers its spec hash, hands out [`CellRange`] leases with
+    /// deadlines, re-issues leases whose workers disconnect or go silent
+    /// (exponential backoff, straggler cap), journals every completed
+    /// lease and folds the per-cell accumulators in canonical order. A
+    /// worker drains its leases before it gets the next job's
+    /// [`Message::SpecHash`], or [`Message::Done`] after the last job.
     ///
     /// Worker death, silence, corrupt payloads and hash mismatches are
     /// all **recoverable** — the lease goes back in the queue and the
-    /// offender is dropped or quarantined. Losing the whole fleet is
-    /// recoverable too: the remaining cells are evaluated in-process.
-    /// Only a worker [`Message::Abort`] (broken *work*, not a broken
-    /// worker) or a journal write failure is fatal.
+    /// offender is dropped or quarantined for the rest of the session.
+    /// Losing the whole fleet is recoverable too: the remaining cells
+    /// are evaluated in-process. Only a worker [`Message::Abort`]
+    /// (broken *work*, not a broken worker) or a journal failure is
+    /// fatal.
     ///
     /// # Errors
     ///
-    /// A worker abort; journal write failures; cell evaluation errors
-    /// on the in-process degradation path; reduction/assembly errors.
+    /// A worker abort; journals that cannot be created, resumed or
+    /// written; cell evaluation errors on the in-process degradation
+    /// path; model, reduction and assembly errors.
     pub fn run(&self, workers: Vec<Box<dyn Transport>>) -> ScenarioResult<DistRun> {
-        let cell_count = self.job.cell_count();
-        let mut cells: Vec<Option<Wire>> = vec![None; cell_count as usize];
-        let mut filled = 0usize;
-        for (idx, wire) in &self.resumed {
-            let slot = &mut cells[*idx as usize];
-            if slot.is_none() {
-                *slot = Some(wire.clone());
-                filled += 1;
-            }
-        }
-        // Whole gaps: claims split their leases off the front.
-        let pending = missing_ranges(&cells, cell_count)
-            .into_iter()
-            .map(|range| PendingLease {
-                range,
-                attempt: 0,
-                ready_at: None,
-            })
-            .collect();
-        let board = Mutex::new(Board {
-            pending,
-            unleased: cell_count - filled as u64,
-            live: workers.len(),
-            worker_cells: vec![0; workers.len()],
-            cells,
-            filled,
-            leases: 0,
-            retries: 0,
-            timeouts: 0,
-            quarantined: 0,
-            handshaken: 0,
-            faults: Vec::new(),
-            fatal: None,
-        });
-        let wakeup = Condvar::new();
         std::thread::scope(|scope| {
+            // One job queue per worker. The queues close when this
+            // closure returns (or unwinds), and each idle worker then
+            // gets `Done`, so the scope can join it.
+            let mut fleet = Fleet(Vec::new());
             for (worker, transport) in workers.into_iter().enumerate() {
-                let board = &board;
-                let wakeup = &wakeup;
+                let (queue, jobs) = std::sync::mpsc::channel();
+                fleet.0.push(Some(queue));
                 scope.spawn(move || {
                     let (mut tx, mut rx) = transport.split();
                     let (events_tx, events) = std::sync::mpsc::channel();
@@ -813,33 +825,158 @@ impl Coordinator {
                     // stream closes; the channel going dead tells it to
                     // stop forwarding.
                     std::thread::spawn(move || pump_frames(rx.as_mut(), &events_tx));
-                    let served = self.drive_worker(worker, tx.as_mut(), &events, board, wakeup);
-                    let mut b = board.lock().expect("lease board poisoned");
-                    b.live -= 1;
-                    match served {
-                        Ok(()) | Err(DriveExit::Dead(None)) => {}
-                        Err(DriveExit::Abort(msg)) => {
-                            b.fatal.get_or_insert(msg);
-                        }
-                        Err(DriveExit::Quarantined(msg)) => {
-                            b.quarantined += 1;
-                            b.faults.push(msg);
-                        }
-                        Err(DriveExit::Dead(Some(msg))) => b.faults.push(msg),
-                    }
-                    wakeup.notify_all();
+                    self.serve_worker(worker, tx.as_mut(), &events, jobs);
                 });
             }
+            self.run_jobs(&mut fleet)
+        })
+    }
+
+    /// The session's job sequence, run while the worker threads serve
+    /// it.
+    fn run_jobs(&self, fleet: &mut Fleet) -> ScenarioResult<DistRun> {
+        let scenario = match &self.plan {
+            Plan::Grid(job) => {
+                let (outcome, stats) =
+                    self.run_job(fleet, Arc::clone(job), self.journal.clone(), false)?;
+                return Ok(DistRun {
+                    outcome,
+                    stats,
+                    rounds: Vec::new(),
+                });
+            }
+            Plan::Rounds(scenario) => scenario.as_ref(),
+        };
+        let ExperimentSpec::AdaptivePfd {
+            model,
+            cells,
+            refinement,
+            ..
+        } = &scenario.experiment
+        else {
+            unreachable!("a round loop is an AdaptivePfd spec");
+        };
+        let mut rounds: Vec<DistStats> = Vec::new();
+        let outcome = drive(
+            Arc::new(model.build()?),
+            scenario.seed.seed,
+            *cells,
+            refinement,
+            AllocationStrategy::PosteriorDriven,
+            |_runtime, round, allocations| {
+                let mut pinned = scenario.clone();
+                if let ExperimentSpec::AdaptivePfd { round: slot, .. } = &mut pinned.experiment {
+                    *slot = Some(RoundPlan {
+                        round,
+                        allocations: allocations.to_vec(),
+                    });
+                }
+                let journal = self
+                    .journal
+                    .as_deref()
+                    .map(|base| round_journal_path(base, round));
+                let job = Arc::new(Compiled::new(pinned)?);
+                let (outcome, stats) = self.run_job(fleet, job, journal, true)?;
+                rounds.push(stats);
+                match outcome {
+                    ScenarioOutcome::AdaptiveRound(r) => Ok(r.evidence),
+                    other => Err(format!(
+                        "adaptive round {round} reduced to a non-round outcome: {other:?}"
+                    )
+                    .into()),
+                }
+            },
+        )?;
+        let mut stats = DistStats {
+            spec_hash: self.spec_hash.clone(),
+            worker_cells: vec![0; fleet.0.len()],
+            ..DistStats::default()
+        };
+        for round in &rounds {
+            stats.absorb(round);
+        }
+        Ok(DistRun {
+            outcome: ScenarioOutcome::Adaptive(outcome),
+            stats,
+            rounds,
+        })
+    }
+
+    /// Runs one job on the session's fleet, evaluates in process
+    /// whatever cells the fleet left, and folds. The job journals to
+    /// `journal` if one is attached; on resume it preloads that file,
+    /// which a round of a loop may not have written yet
+    /// (`fresh_if_missing`).
+    fn run_job(
+        &self,
+        fleet: &mut Fleet,
+        compiled: Arc<Compiled>,
+        journal: Option<PathBuf>,
+        fresh_if_missing: bool,
+    ) -> ScenarioResult<(ScenarioOutcome, DistStats)> {
+        let cell_count = compiled.dist.cell_count();
+        let mut cells: Vec<Option<Wire>> = vec![None; cell_count as usize];
+        let mut resumed = None;
+        let journal = match journal {
+            Some(path) if self.resume && (path.exists() || !fresh_if_missing) => {
+                let (j, load) = Journal::resume(&path, &compiled.hash, cell_count)
+                    .map_err(|e| format!("cannot resume journal {}: {e}", path.display()))?;
+                resumed = Some(load.cells.len() as u64);
+                for (idx, wire) in load.cells {
+                    compiled
+                        .dist
+                        .admit_cell(idx, &wire)
+                        .map_err(|e| format!("journal cell {idx} is corrupt: {e}"))?;
+                    cells[idx as usize] = Some(wire);
+                }
+                Some(Mutex::new(j))
+            }
+            Some(path) => Some(Mutex::new(
+                Journal::create(&path, &compiled.hash, cell_count)
+                    .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?,
+            )),
+            None => None,
+        };
+        let filled = cells.iter().filter(|c| c.is_some()).count();
+        // Whole gaps: claims split their leases off the front.
+        let pending = missing_ranges(&cells, cell_count)
+            .into_iter()
+            .map(|range| PendingLease {
+                range,
+                attempt: 0,
+                ready_at: None,
+            })
+            .collect();
+        let job = Arc::new(Job {
+            compiled,
+            journal,
+            board: Mutex::new(Board {
+                pending,
+                unleased: cell_count - filled as u64,
+                worker_cells: vec![0; fleet.0.len()],
+                cells,
+                filled,
+                ..Board::default()
+            }),
+            wakeup: Condvar::new(),
         });
-        let mut board = board.into_inner().expect("lease board poisoned");
+        // A fully journaled job runs no lease.
+        if (filled as u64) < cell_count {
+            fleet.publish(&job);
+            let mut b = job.board.lock().expect("lease board poisoned");
+            while b.live > 0 {
+                b = job.wakeup.wait(b).expect("lease board poisoned");
+            }
+        }
+        let mut board = std::mem::take(&mut *job.board.lock().expect("lease board poisoned"));
         let mut recovered = 0u64;
         if board.fatal.is_none() && (board.filled as u64) < cell_count {
             // The whole fleet is gone with cells outstanding: degrade
             // to in-process execution. Same cells, same seeds, same
             // bits — only slower.
             for range in missing_ranges(&board.cells, self.lease_cells) {
-                let wires = self.job.run_range(range)?;
-                match self.journal_append(range, &wires) {
+                let wires = job.compiled.dist.run_range(range)?;
+                match self.journal_append(&job, range, &wires) {
                     Err(e) => return Err(e.into()),
                     Ok(true) => {
                         board.fatal = Some(halt_message(self));
@@ -865,30 +1002,28 @@ impl Coordinator {
             .into_iter()
             .map(|c| c.expect("filled board has every cell"))
             .collect();
-        let outcome = self.job.finish(&cells)?;
-        Ok(DistRun {
-            outcome,
-            stats: DistStats {
-                spec_hash: self.spec_hash.clone(),
-                workers: board.handshaken,
-                leases: board.leases,
-                retries: board.retries,
-                timeouts: board.timeouts,
-                quarantined_workers: board.quarantined,
-                worker_faults: board.faults,
-                cells: cell_count,
-                worker_cells: board.worker_cells,
-                resumed_from_journal: self.resumed_from,
-                resumed_cells: self.resumed.len() as u64,
-                recovered_in_process: recovered,
-            },
-        })
+        let outcome = job.compiled.dist.finish(&cells)?;
+        let stats = DistStats {
+            spec_hash: job.compiled.hash.clone(),
+            workers: board.handshaken,
+            leases: board.leases,
+            retries: board.retries,
+            timeouts: board.timeouts,
+            quarantined_workers: board.quarantined,
+            worker_faults: board.faults,
+            cells: cell_count,
+            worker_cells: board.worker_cells,
+            resumed_from_journal: resumed.is_some(),
+            resumed_cells: resumed.unwrap_or(0),
+            recovered_in_process: recovered,
+        };
+        Ok((outcome, stats))
     }
 
-    /// Appends a completed lease to the journal (if one is attached).
-    /// Returns `true` when the chaos halt point is reached.
-    fn journal_append(&self, range: CellRange, cells: &[Wire]) -> Result<bool, String> {
-        let Some(journal) = &self.journal else {
+    /// Appends a completed lease to the job's journal (if one is
+    /// attached). Returns `true` when the chaos halt point is reached.
+    fn journal_append(&self, job: &Job, range: CellRange, cells: &[Wire]) -> Result<bool, String> {
+        let Some(journal) = &job.journal else {
             return Ok(false);
         };
         let mut j = journal.lock().expect("journal poisoned");
@@ -898,62 +1033,116 @@ impl Coordinator {
         Ok(self.halt_after_appends.is_some_and(|n| appends >= n))
     }
 
-    /// Handshake steps 2..: after the worker's `Join`, get it to a
-    /// verified `Ready`. On v3 the coordinator offers just the spec
-    /// hash and ships the full text only on a cache miss
-    /// ([`Message::NeedSpec`]); on v2 the full spec goes up front.
-    fn handshake_ready(
+    /// Serves one worker for the whole session: its `Join` with its
+    /// first job, then each queued job's handshake and lease loop, then
+    /// `Done` once the queue closes. A worker that fails a job leaves
+    /// the session.
+    fn serve_worker(
         &self,
-        protocol: u64,
+        worker: usize,
+        tx: &mut dyn FrameSend,
+        events: &Receiver<RxEvent>,
+        jobs: Receiver<Arc<Job>>,
+    ) {
+        let mut joined = false;
+        while let Ok(job) = jobs.recv() {
+            let mut serve = || {
+                if !joined {
+                    self.check_join(tx, events)?;
+                    joined = true;
+                }
+                self.handshake_ready(&job, tx, events)?;
+                job.board.lock().expect("lease board poisoned").handshaken += 1;
+                self.lease_loop(worker, tx, events, &job)
+            };
+            let served = serve();
+            if served.is_err() {
+                // Close the queue before releasing the job, so that no
+                // later job counts on this worker.
+                drop(jobs);
+                return job.release(served);
+            }
+            job.release(served);
+        }
+        // Sent outside every lock: a worker that has stopped draining
+        // its socket must not park this blocking write while other
+        // coordinator threads wait on a mutex.
+        let _ = tx.send(&Message::Done);
+    }
+
+    /// The first frame of a session must be a `Join` at this build's
+    /// [`PROTOCOL_VERSION`]. There is no negotiation: a worker of any
+    /// other version is told why and quarantined. Bounded by the lease
+    /// deadline.
+    fn check_join(
+        &self,
         tx: &mut dyn FrameSend,
         events: &Receiver<RxEvent>,
     ) -> Result<(), DriveExit> {
-        if protocol >= BINARY_PROTOCOL_VERSION {
-            tx.send(&Message::SpecHash {
-                hash: self.spec_hash.clone(),
-                protocol,
-            })
-            .map_err(|_| DriveExit::Dead(None))?;
-        } else {
-            tx.send(&Message::Spec {
-                hash: self.spec_hash.clone(),
-                text: self.spec_text.clone(),
-            })
-            .map_err(|_| DriveExit::Dead(None))?;
+        match wait_frame(events, self.lease_timeout) {
+            RxWait::Event(RxEvent::Frame(Message::Join { protocol }))
+                if protocol == PROTOCOL_VERSION =>
+            {
+                Ok(())
+            }
+            RxWait::Event(RxEvent::Frame(Message::Join { protocol })) => {
+                let reason = format!(
+                    "protocol mismatch: coordinator v{PROTOCOL_VERSION}, worker v{protocol} \
+                     (every worker must run the coordinator's build)"
+                );
+                let _ = tx.send(&Message::Abort {
+                    reason: reason.clone(),
+                });
+                Err(DriveExit::Quarantined(reason))
+            }
+            RxWait::Event(RxEvent::Corrupt(e)) => {
+                Err(DriveExit::Quarantined(format!("corrupt Join frame: {e}")))
+            }
+            _ => Err(DriveExit::Dead(None)),
         }
-        let mut spec_sent = protocol < BINARY_PROTOCOL_VERSION;
+    }
+
+    /// A job's handshake: offer the spec hash, ship the full text only
+    /// on a cache miss ([`Message::NeedSpec`]), and wait for a verified
+    /// `Ready`. Each step is bounded by the lease deadline.
+    fn handshake_ready(
+        &self,
+        job: &Job,
+        tx: &mut dyn FrameSend,
+        events: &Receiver<RxEvent>,
+    ) -> Result<(), DriveExit> {
+        let hash = &job.compiled.hash;
+        tx.send(&Message::SpecHash { hash: hash.clone() })
+            .map_err(|_| DriveExit::Dead(None))?;
+        let mut spec_sent = false;
         loop {
             match wait_frame(events, self.lease_timeout) {
-                RxWait::Event(RxEvent::Frame(Message::Ready { hash }))
-                    if hash == self.spec_hash =>
+                RxWait::Event(RxEvent::Frame(Message::Ready { hash: echoed }))
+                    if echoed == *hash =>
                 {
                     return Ok(())
                 }
-                RxWait::Event(RxEvent::Frame(Message::Ready { hash })) => {
-                    let reason = format!(
-                        "worker echoed spec hash {hash}, coordinator expects {}",
-                        self.spec_hash
-                    );
+                RxWait::Event(RxEvent::Frame(Message::Ready { hash: echoed })) => {
+                    let reason =
+                        format!("worker echoed spec hash {echoed}, coordinator expects {hash}");
                     let _ = tx.send(&Message::Abort {
                         reason: reason.clone(),
                     });
                     return Err(DriveExit::Quarantined(reason));
                 }
-                RxWait::Event(RxEvent::Frame(Message::NeedSpec { hash }))
-                    if !spec_sent && hash == self.spec_hash =>
+                RxWait::Event(RxEvent::Frame(Message::NeedSpec { hash: wanted }))
+                    if !spec_sent && wanted == *hash =>
                 {
                     tx.send(&Message::Spec {
-                        hash: self.spec_hash.clone(),
-                        text: self.spec_text.clone(),
+                        hash: hash.clone(),
+                        text: job.compiled.text.clone(),
                     })
                     .map_err(|_| DriveExit::Dead(None))?;
                     spec_sent = true;
                 }
-                RxWait::Event(RxEvent::Frame(Message::NeedSpec { hash })) => {
-                    let reason = format!(
-                        "worker requested spec {hash}, coordinator offers {}",
-                        self.spec_hash
-                    );
+                RxWait::Event(RxEvent::Frame(Message::NeedSpec { hash: wanted })) => {
+                    let reason =
+                        format!("worker requested spec {wanted}, coordinator offers {hash}");
                     let _ = tx.send(&Message::Abort {
                         reason: reason.clone(),
                     });
@@ -967,49 +1156,20 @@ impl Coordinator {
                         "corrupt handshake frame: {e}"
                     )))
                 }
-                RxWait::Deadline => return Err(DriveExit::Dead(None)),
                 _ => return Err(DriveExit::Dead(None)),
             }
         }
     }
 
-    fn drive_worker(
+    /// One worker's leases of one job, until the job's board is drained
+    /// and none of the worker's leases is outstanding.
+    fn lease_loop(
         &self,
         worker: usize,
         tx: &mut dyn FrameSend,
         events: &Receiver<RxEvent>,
-        board: &Mutex<Board>,
-        wakeup: &Condvar,
+        job: &Job,
     ) -> Result<(), DriveExit> {
-        // Handshake: Join → SpecHash/Spec → (NeedSpec → Spec →) Ready.
-        // Each step is bounded by the lease deadline. The connection
-        // speaks min(coordinator, worker): a v2 worker gets the v2
-        // full-spec handshake and JSON-framed results.
-        let protocol = match wait_frame(events, self.lease_timeout) {
-            RxWait::Event(RxEvent::Frame(Message::Join { protocol }))
-                if protocol >= MIN_PROTOCOL_VERSION =>
-            {
-                protocol.min(PROTOCOL_VERSION)
-            }
-            RxWait::Event(RxEvent::Frame(Message::Join { protocol })) => {
-                let reason = format!(
-                    "protocol mismatch: coordinator v{PROTOCOL_VERSION} \
-                     (accepts ≥ v{MIN_PROTOCOL_VERSION}), worker v{protocol}"
-                );
-                let _ = tx.send(&Message::Abort {
-                    reason: reason.clone(),
-                });
-                return Err(DriveExit::Quarantined(reason));
-            }
-            RxWait::Event(RxEvent::Corrupt(e)) => {
-                return Err(DriveExit::Quarantined(format!("corrupt Join frame: {e}")))
-            }
-            RxWait::Deadline => return Err(DriveExit::Dead(None)),
-            _ => return Err(DriveExit::Dead(None)),
-        };
-        self.handshake_ready(protocol, tx, events)?;
-        board.lock().expect("lease board poisoned").handshaken += 1;
-
         // Pipelined, adaptive lease loop. Up to `DEFAULT_PIPELINE_DEPTH`
         // leases stay outstanding per worker so the next range is
         // already granted while the current one computes (the grant
@@ -1038,7 +1198,7 @@ impl Coordinator {
             // more work to a straggler only deepens the hole.
             'grant: while strikes == 0 && outstanding.len() < DEFAULT_PIPELINE_DEPTH {
                 let claim = {
-                    let mut b = board.lock().expect("lease board poisoned");
+                    let mut b = job.board.lock().expect("lease board poisoned");
                     loop {
                         if b.fatal.is_some() || b.filled == b.cells.len() {
                             break Claim::Drained;
@@ -1070,29 +1230,24 @@ impl Coordinator {
                         // its delay expires.
                         if let Some(earliest) = b.pending.iter().filter_map(|p| p.ready_at).min() {
                             let wait = earliest.saturating_duration_since(now);
-                            b = wakeup
+                            b = job
+                                .wakeup
                                 .wait_timeout(b, wait.max(Duration::from_millis(1)))
                                 .expect("lease board poisoned")
                                 .0;
                         } else {
-                            b = wakeup.wait(b).expect("lease board poisoned");
+                            b = job.wakeup.wait(b).expect("lease board poisoned");
                         }
                     }
                 };
                 match claim {
                     Claim::Drained => {
                         if outstanding.is_empty() {
-                            // Send Done *outside* the lock: a worker
-                            // that has stopped draining its socket must
-                            // not park this blocking write while every
-                            // other coordinator thread waits on the
-                            // board mutex.
-                            let _ = tx.send(&Message::Done);
                             return Ok(());
                         }
                         // Results are still in flight: stop granting and
-                        // drain them first so Done only ever reaches an
-                        // idle worker.
+                        // drain them first, so the next job's SpecHash
+                        // or Done only ever reaches an idle worker.
                         break 'grant;
                     }
                     Claim::Busy => break 'grant,
@@ -1104,8 +1259,8 @@ impl Coordinator {
                             })
                             .is_err()
                         {
-                            self.requeue(board, wakeup, &lease, true);
-                            self.requeue_outstanding(board, wakeup, &mut outstanding, true);
+                            self.requeue(job, &lease, true);
+                            self.requeue_outstanding(job, &mut outstanding, true);
                             return Err(DriveExit::Dead(None));
                         }
                         outstanding.push_back(InFlight {
@@ -1130,7 +1285,7 @@ impl Coordinator {
                 }
                 RxWait::Event(RxEvent::Frame(Message::Result { start, end, cells })) => {
                     let range = CellRange::new(start, end);
-                    match self.accept(board, wakeup, worker, range, cells) {
+                    match self.accept(job, worker, range, cells) {
                         Ok(()) => {
                             // A result for a lease that already went
                             // back in the queue (or was re-split) is
@@ -1147,7 +1302,7 @@ impl Coordinator {
                             }
                         }
                         Err(reason) => {
-                            self.requeue_outstanding(board, wakeup, &mut outstanding, true);
+                            self.requeue_outstanding(job, &mut outstanding, true);
                             let _ = tx.send(&Message::Abort {
                                 reason: reason.clone(),
                             });
@@ -1156,7 +1311,7 @@ impl Coordinator {
                     }
                 }
                 RxWait::Event(RxEvent::Frame(Message::Abort { reason })) => {
-                    self.requeue_outstanding(board, wakeup, &mut outstanding, false);
+                    self.requeue_outstanding(job, &mut outstanding, false);
                     return Err(DriveExit::Abort(reason));
                 }
                 RxWait::Event(RxEvent::Frame(other)) => {
@@ -1164,22 +1319,22 @@ impl Coordinator {
                         "unexpected frame with {} lease(s) outstanding: {other:?}",
                         outstanding.len()
                     );
-                    self.requeue_outstanding(board, wakeup, &mut outstanding, true);
+                    self.requeue_outstanding(job, &mut outstanding, true);
                     let _ = tx.send(&Message::Abort {
                         reason: reason.clone(),
                     });
                     return Err(DriveExit::Quarantined(reason));
                 }
                 RxWait::Event(RxEvent::Corrupt(e)) => {
-                    self.requeue_outstanding(board, wakeup, &mut outstanding, true);
+                    self.requeue_outstanding(job, &mut outstanding, true);
                     return Err(DriveExit::Quarantined(format!("corrupt frame: {e}")));
                 }
                 RxWait::Event(RxEvent::Closed) => {
-                    self.requeue_outstanding(board, wakeup, &mut outstanding, true);
+                    self.requeue_outstanding(job, &mut outstanding, true);
                     return Err(DriveExit::Dead(None));
                 }
                 RxWait::Event(RxEvent::Io(e)) => {
-                    self.requeue_outstanding(board, wakeup, &mut outstanding, true);
+                    self.requeue_outstanding(job, &mut outstanding, true);
                     return Err(DriveExit::Dead(Some(format!(
                         "transport error mid-lease: {e}"
                     ))));
@@ -1187,8 +1342,8 @@ impl Coordinator {
                 RxWait::Event(RxEvent::Idle) => {}
                 RxWait::Deadline => {
                     strikes += 1;
-                    board.lock().expect("lease board poisoned").timeouts += 1;
-                    self.requeue_outstanding(board, wakeup, &mut outstanding, true);
+                    job.board.lock().expect("lease board poisoned").timeouts += 1;
+                    self.requeue_outstanding(job, &mut outstanding, true);
                     // A straggler loses its grown grant; if it comes
                     // back it re-earns size one completion at a time.
                     grant = base;
@@ -1212,16 +1367,10 @@ impl Coordinator {
     /// while keeping the entries in the pipeline: a late result for a
     /// requeued range is still accepted under first-write-wins, it just
     /// no longer grows the grant.
-    fn requeue_outstanding(
-        &self,
-        board: &Mutex<Board>,
-        wakeup: &Condvar,
-        outstanding: &mut VecDeque<InFlight>,
-        retry: bool,
-    ) {
+    fn requeue_outstanding(&self, job: &Job, outstanding: &mut VecDeque<InFlight>, retry: bool) {
         for f in outstanding.iter_mut() {
             if !f.requeued {
-                self.requeue(board, wakeup, &f.lease, retry);
+                self.requeue(job, &f.lease, retry);
                 f.requeued = true;
             }
         }
@@ -1233,8 +1382,8 @@ impl Coordinator {
     /// retry (once, however many chunks it splits into) and schedules
     /// the chunks with exponential backoff; `false` (abort paths)
     /// re-queues immediately so the fatal-path bookkeeping stays exact.
-    fn requeue(&self, board: &Mutex<Board>, wakeup: &Condvar, lease: &PendingLease, retry: bool) {
-        let mut b = board.lock().expect("lease board poisoned");
+    fn requeue(&self, job: &Job, lease: &PendingLease, retry: bool) {
+        let mut b = job.board.lock().expect("lease board poisoned");
         let ready_at = retry.then(|| Instant::now() + self.backoff_delay(lease.attempt));
         b.unleased += lease.range.len();
         let mut s = lease.range.start;
@@ -1250,7 +1399,7 @@ impl Coordinator {
         if retry {
             b.retries += 1;
         }
-        wakeup.notify_all();
+        job.wakeup.notify_all();
     }
 
     fn backoff_delay(&self, attempt: u32) -> Duration {
@@ -1271,13 +1420,12 @@ impl Coordinator {
     /// and is recorded as fatal directly.
     fn accept(
         &self,
-        board: &Mutex<Board>,
-        wakeup: &Condvar,
+        job: &Job,
         worker: usize,
         range: CellRange,
         cells: Vec<Wire>,
     ) -> Result<(), String> {
-        let cell_count = self.job.cell_count();
+        let cell_count = job.compiled.dist.cell_count();
         if range.start >= range.end || range.end > cell_count || cells.len() as u64 != range.len() {
             return Err(format!(
                 "malformed lease result: [{}, {}) with {} cells over a {cell_count}-cell grid",
@@ -1287,26 +1435,26 @@ impl Coordinator {
             ));
         }
         for (k, wire) in (range.start..).zip(&cells) {
-            self.job.admit_cell(k, wire).map_err(|e| {
+            job.compiled.dist.admit_cell(k, wire).map_err(|e| {
                 format!(
                     "corrupt cell payload for cell {k} of lease [{}, {}): {e}",
                     range.start, range.end
                 )
             })?;
         }
-        let halted = match self.journal_append(range, &cells) {
+        let halted = match self.journal_append(job, range, &cells) {
             Ok(halted) => halted,
             Err(e) => {
-                let mut b = board.lock().expect("lease board poisoned");
+                let mut b = job.board.lock().expect("lease board poisoned");
                 b.fatal.get_or_insert(e);
-                wakeup.notify_all();
+                job.wakeup.notify_all();
                 return Ok(());
             }
         };
-        let mut b = board.lock().expect("lease board poisoned");
+        let mut b = job.board.lock().expect("lease board poisoned");
         if halted {
             b.fatal.get_or_insert(halt_message(self));
-            wakeup.notify_all();
+            job.wakeup.notify_all();
             return Ok(());
         }
         b.worker_cells[worker] += range.len();
@@ -1317,7 +1465,7 @@ impl Coordinator {
                 b.filled += 1;
             }
         }
-        wakeup.notify_all();
+        job.wakeup.notify_all();
         Ok(())
     }
 }
@@ -1327,6 +1475,58 @@ fn halt_message(c: &Coordinator) -> String {
         "chaos halt: coordinator stopped after {} journal append(s)",
         c.halt_after_appends.unwrap_or(0)
     )
+}
+
+/// One job of a session: its compiled spec, its journal, and the lease
+/// board its workers share.
+struct Job {
+    compiled: Arc<Compiled>,
+    journal: Option<Mutex<Journal>>,
+    board: Mutex<Board>,
+    /// Signalled on every board change a waiting thread may act on.
+    wakeup: Condvar,
+}
+
+impl Job {
+    /// Releases a worker from this job: `Ok` once it has drained its
+    /// leases, else the reason it left the session.
+    fn release(&self, exit: Result<(), DriveExit>) {
+        let mut b = self.board.lock().expect("lease board poisoned");
+        b.live -= 1;
+        match exit {
+            Ok(()) | Err(DriveExit::Dead(None)) => {}
+            Err(DriveExit::Abort(msg)) => {
+                b.fatal.get_or_insert(msg);
+            }
+            Err(DriveExit::Quarantined(msg)) => {
+                b.quarantined += 1;
+                b.faults.push(msg);
+            }
+            Err(DriveExit::Dead(Some(msg))) => b.faults.push(msg),
+        }
+        self.wakeup.notify_all();
+    }
+}
+
+/// The fleet side of a session: one job queue per worker, in transport
+/// order; `None` once the worker has left.
+struct Fleet(Vec<Option<Sender<Arc<Job>>>>);
+
+impl Fleet {
+    /// Queues `job` for every worker still in the session. Each counts
+    /// as live on the job's board until it drains or leaves.
+    fn publish(&mut self, job: &Arc<Job>) {
+        job.board.lock().expect("lease board poisoned").live = self.0.iter().flatten().count();
+        for queue in &mut self.0 {
+            if queue
+                .as_ref()
+                .is_some_and(|q| q.send(Arc::clone(job)).is_err())
+            {
+                *queue = None;
+                job.release(Err(DriveExit::Dead(None)));
+            }
+        }
+    }
 }
 
 /// A distributed adaptive sweep: the full round-loop outcome plus one
@@ -1340,190 +1540,52 @@ pub struct AdaptiveDistRun {
     pub rounds: Vec<DistStats>,
 }
 
-/// Runs an `AdaptivePfd` round loop over worker fleets: each round the
-/// coordinator derives the allocation from the accumulated posteriors
-/// (a pure function of evidence — nothing but the pinned round plan
-/// ever travels), pins it into the spec, and executes it through an
-/// ordinary [`Coordinator`]. Journaling is per round
-/// (`<path>.r<round>`), so a killed loop resumes mid-round: complete
-/// rounds preload entirely from their journals, the interrupted round
-/// finishes from its partial journal, and later rounds run fresh.
-///
-/// Because each round's evidence is a pure function of `(spec, round)`
-/// and each allocation a pure function of the evidence, the reduced
-/// outcome is bit-identical to the in-process driver for any fleet
-/// shape, lease layout, or crash/resume history.
-pub struct AdaptiveCoordinator {
-    scenario: Scenario,
-    lease_cells: Option<u64>,
-    lease_timeout: Option<Duration>,
-    journal: Option<std::path::PathBuf>,
-    resume: bool,
-    halt_after_appends: Option<u64>,
+/// Round `round`'s journal file under the loop's base journal path.
+pub fn round_journal_path(base: &Path, round: u32) -> PathBuf {
+    PathBuf::from(format!("{}.r{round}", base.display()))
 }
 
-/// Round `round`'s journal file under the loop's base journal path.
-pub fn round_journal_path(base: &Path, round: u32) -> std::path::PathBuf {
-    std::path::PathBuf::from(format!("{}.r{round}", base.display()))
-}
+/// An un-pinned `AdaptivePfd` spec on one fleet at the default
+/// settings. [`Coordinator`] runs every spec, this one included; the
+/// adapter is kept only because the scenario benchmark (`perfbench/`)
+/// drives it, and goes with that benchmark's next change.
+pub struct AdaptiveCoordinator(Coordinator);
 
 impl AdaptiveCoordinator {
-    /// Wraps an **un-pinned** `AdaptivePfd` scenario for distributed
-    /// round-loop execution.
+    /// Wraps an **un-pinned** `AdaptivePfd` scenario.
     ///
     /// # Errors
     ///
-    /// Spec validation errors; a non-adaptive spec; a spec already
-    /// pinned to one round (run that through [`Coordinator`] directly).
+    /// Spec validation errors; any other spec, a pinned round included
+    /// (run those through [`Coordinator`]).
     pub fn new(scenario: Scenario) -> ScenarioResult<Self> {
-        scenario.validate()?;
-        match &scenario.experiment {
-            ExperimentSpec::AdaptivePfd { round: None, .. } => {}
-            ExperimentSpec::AdaptivePfd { round: Some(_), .. } => {
-                return Err("AdaptiveCoordinator runs the whole round loop; this spec \
-                     pins one round — run it through Coordinator directly"
-                    .into());
+        let coordinator = Coordinator::new(scenario)?;
+        match coordinator.plan {
+            Plan::Rounds(_) => Ok(AdaptiveCoordinator(coordinator)),
+            Plan::Grid(_) => {
+                Err("AdaptiveCoordinator needs an un-pinned AdaptivePfd scenario".into())
             }
-            _ => return Err("AdaptiveCoordinator needs an AdaptivePfd scenario".into()),
         }
-        Ok(AdaptiveCoordinator {
-            scenario,
-            lease_cells: None,
-            lease_timeout: None,
-            journal: None,
-            resume: false,
-            halt_after_appends: None,
-        })
     }
 
-    /// Base lease granularity of every round's coordinator (see
-    /// [`Coordinator::lease_cells`]).
-    #[must_use]
-    pub fn lease_cells(mut self, cells: u64) -> Self {
-        self.lease_cells = Some(cells);
-        self
-    }
-
-    /// Per-lease deadline of every round's coordinator (see
-    /// [`Coordinator::lease_timeout`]).
-    #[must_use]
-    pub fn lease_timeout(mut self, timeout: Duration) -> Self {
-        self.lease_timeout = Some(timeout);
-        self
-    }
-
-    /// Attaches fresh per-round write-ahead journals: round `r` of the
-    /// loop journals to [`round_journal_path`]`(path, r)`.
-    #[must_use]
-    pub fn journal(mut self, path: &Path) -> Self {
-        self.journal = Some(path.to_path_buf());
-        self.resume = false;
-        self
-    }
-
-    /// Resumes a killed round loop from its per-round journals under
-    /// `path`: rounds whose journal files exist resume them (complete
-    /// rounds preload entirely, partial rounds finish), rounds without
-    /// one journal fresh. The loop re-derives every allocation from the
-    /// replayed evidence, so the resumed run is bit-identical to an
-    /// uninterrupted one.
-    #[must_use]
-    pub fn resume(mut self, path: &Path) -> Self {
-        self.journal = Some(path.to_path_buf());
-        self.resume = true;
-        self
-    }
-
-    /// Chaos knob, applied to every round's coordinator: the first
-    /// round to reach `n` journal appends halts the loop there (see
-    /// [`Coordinator::halt_after_journal_appends`]).
-    #[must_use]
-    pub fn halt_after_journal_appends(mut self, n: u64) -> Self {
-        self.halt_after_appends = Some(n);
-        self
-    }
-
-    /// Runs the round loop to completion. `fleet(round)` supplies the
-    /// worker transports for each round — fleets are per round because
-    /// stdio workers exit on `Done` (persistent TCP workers simply
-    /// reconnect between rounds).
+    /// Runs the round loop as one session on the fleet `fleet(0)`
+    /// supplies; the supplier is called once.
     ///
     /// # Errors
     ///
-    /// Spec/model errors, fleet assembly errors, and everything
-    /// [`Coordinator::run`] reports (including the chaos halt).
+    /// Fleet assembly errors and everything [`Coordinator::run`]
+    /// reports.
     pub fn run<F>(&self, mut fleet: F) -> ScenarioResult<AdaptiveDistRun>
     where
         F: FnMut(u32) -> ScenarioResult<Vec<Box<dyn Transport>>>,
     {
-        let ExperimentSpec::AdaptivePfd {
-            model,
-            cells,
-            refinement,
-            ..
-        } = &self.scenario.experiment
-        else {
-            return Err("AdaptiveCoordinator needs an AdaptivePfd scenario".into());
+        let run = self.0.run(fleet(0)?)?;
+        let ScenarioOutcome::Adaptive(outcome) = run.outcome else {
+            unreachable!("a round loop reduces to an adaptive outcome");
         };
-        let built = Arc::new(model.build()?);
-        let mut round_stats: Vec<DistStats> = Vec::new();
-        let outcome = drive(
-            built,
-            self.scenario.seed.seed,
-            *cells,
-            refinement,
-            AllocationStrategy::PosteriorDriven,
-            |_runtime, round, allocations| {
-                let mut pinned = self.scenario.clone();
-                let ExperimentSpec::AdaptivePfd { round: slot, .. } = &mut pinned.experiment else {
-                    unreachable!("the constructor admitted only AdaptivePfd");
-                };
-                *slot = Some(RoundPlan {
-                    round,
-                    allocations: allocations.to_vec(),
-                });
-                let mut coordinator = Coordinator::new(pinned)?;
-                if let Some(lc) = self.lease_cells {
-                    coordinator = coordinator.lease_cells(lc);
-                }
-                if let Some(lt) = self.lease_timeout {
-                    coordinator = coordinator.lease_timeout(lt);
-                }
-                let mut fully_resumed = false;
-                if let Some(base) = &self.journal {
-                    let path = round_journal_path(base, round);
-                    coordinator = if self.resume && path.exists() {
-                        let c = coordinator.resume(&path)?;
-                        fully_resumed = c.resumed.len() as u64 == c.job.cell_count();
-                        c
-                    } else {
-                        coordinator.journal(&path)?
-                    };
-                }
-                if let Some(n) = self.halt_after_appends {
-                    coordinator = coordinator.halt_after_journal_appends(n);
-                }
-                // A fully-journaled round needs no fleet: every cell
-                // preloads and the run completes without one lease.
-                let workers = if fully_resumed {
-                    Vec::new()
-                } else {
-                    fleet(round)?
-                };
-                let run = coordinator.run(workers)?;
-                round_stats.push(run.stats);
-                match run.outcome {
-                    ScenarioOutcome::AdaptiveRound(r) => Ok(r.evidence),
-                    other => Err(format!(
-                        "adaptive round {round} reduced to a non-round outcome: {other:?}"
-                    )
-                    .into()),
-                }
-            },
-        )?;
         Ok(AdaptiveDistRun {
             outcome,
-            rounds: round_stats,
+            rounds: run.rounds,
         })
     }
 }
@@ -1652,11 +1714,13 @@ struct InFlight {
     requeued: bool,
 }
 
+/// One job's lease board, shared by the threads serving its workers.
+#[derive(Default)]
 struct Board {
     pending: Vec<PendingLease>,
     /// Cells in `pending`, kept in step with every claim and requeue.
     unleased: u64,
-    /// Transports whose drive loop has not exited yet.
+    /// Workers still on this job: neither drained nor gone.
     live: usize,
     worker_cells: Vec<u64>,
     cells: Vec<Option<Wire>>,
@@ -1685,7 +1749,7 @@ pub fn default_worker_threads() -> usize {
 /// Compiled-spec cache shared across a worker's connections, keyed by
 /// spec hash. A persistent worker that reconnects to coordinators
 /// running the same committed spec compiles the [`DistJob`] once and
-/// answers every later v3 [`Message::SpecHash`] offer from cache —
+/// answers every later [`Message::SpecHash`] offer from cache —
 /// skipping both the spec transfer and the model/grid build.
 ///
 /// Cloning is cheap (the map is behind an `Arc`), so one cache can back
@@ -1739,16 +1803,17 @@ impl SpecCache {
     }
 }
 
+/// How long a worker rides out a silent coordinator (retryable
+/// transport read timeouts) before giving up.
+const WORKER_IDLE_TIMEOUT: Duration = Duration::from_secs(600);
+
 /// Worker-side configuration.
 #[derive(Debug, Clone)]
 pub struct Worker {
     threads: usize,
     plan: FaultPlan,
-    heartbeat_cells: Option<u64>,
     heartbeat_interval: Duration,
-    idle_timeout: Duration,
     cache: SpecCache,
-    max_protocol: u64,
     framing: FramingMode,
 }
 
@@ -1766,23 +1831,23 @@ impl Worker {
         Worker {
             threads: default_worker_threads(),
             plan: FaultPlan::new(),
-            heartbeat_cells: None,
             heartbeat_interval: Duration::from_millis(200),
-            idle_timeout: Duration::from_secs(600),
             cache: SpecCache::new(),
-            max_protocol: PROTOCOL_VERSION,
             framing: FramingMode::from_env(),
         }
     }
 
-    /// Worker-side threads per lease (execution hint only).
+    /// Worker-side threads per lease (execution hint only). A lease's
+    /// cells are evaluated in chunks of this many, with a
+    /// [`Message::Progress`] heartbeat due after each.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// Installs a chaos [`FaultPlan`].
+    /// Installs a chaos [`FaultPlan`]. Its lease ordinals count over the
+    /// whole session, across jobs.
     #[must_use]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.plan = plan;
@@ -1799,15 +1864,6 @@ impl Worker {
         self
     }
 
-    /// Cells evaluated between [`Message::Progress`] heartbeats
-    /// (default: the thread count, so multi-cell leases heartbeat about
-    /// once per parallel batch).
-    #[must_use]
-    pub fn heartbeat_cells(mut self, cells: u64) -> Self {
-        self.heartbeat_cells = Some(cells.max(1));
-        self
-    }
-
     /// Wall-clock heartbeat cadence *within* a chunk (default 200 ms):
     /// even when a single cell computes longer than the coordinator's
     /// lease deadline, [`Message::Progress`] frames keep flowing, so a
@@ -1818,36 +1874,16 @@ impl Worker {
         self
     }
 
-    /// How long the worker tolerates a silent coordinator (retryable
-    /// transport read timeouts) before giving up.
-    #[must_use]
-    pub fn idle_timeout(mut self, timeout: Duration) -> Self {
-        self.idle_timeout = timeout.max(Duration::from_millis(1));
-        self
-    }
-
     /// Shares (or replaces) the compiled-spec cache. Reusing one cache
     /// across connections — or across an in-process fleet — is what
-    /// makes reconnect handshakes spec-transfer-free.
+    /// makes a re-run's handshakes spec-transfer-free.
     #[must_use]
     pub fn spec_cache(mut self, cache: SpecCache) -> Self {
         self.cache = cache;
         self
     }
 
-    /// Caps the protocol version this worker announces in its `Join`
-    /// (clamped to `[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`). The
-    /// mixed-fleet knob: a worker capped at v2 forces the full-spec
-    /// handshake and JSON framing on its connection, and the tests use
-    /// it to prove old and new workers produce identical bits side by
-    /// side.
-    #[must_use]
-    pub fn max_protocol(mut self, protocol: u64) -> Self {
-        self.max_protocol = protocol.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-        self
-    }
-
-    /// Overrides the `Result` framing policy (default: the
+    /// Overrides the `Result` framing (default: the
     /// `DIVREL_DIST_FRAMING` environment override, else
     /// [`FramingMode::Auto`]).
     #[must_use]
@@ -1856,10 +1892,10 @@ impl Worker {
         self
     }
 
-    /// Receives a frame, riding out transport read timeouts up to the
-    /// worker's idle deadline.
+    /// Receives a frame, riding out transport read timeouts up to
+    /// [`WORKER_IDLE_TIMEOUT`].
     fn recv_patient<T: Transport + ?Sized>(&self, t: &mut T) -> std::io::Result<Option<Message>> {
-        let deadline = Instant::now() + self.idle_timeout;
+        let deadline = Instant::now() + WORKER_IDLE_TIMEOUT;
         loop {
             match t.recv() {
                 Err(e)
@@ -1870,8 +1906,9 @@ impl Worker {
         }
     }
 
-    /// Serves one coordinator connection to completion: handshake, spec
-    /// verification, lease loop with heartbeats.
+    /// Serves one coordinator session to completion: the `Join`, then
+    /// for each job its spec handshake and its leases, with heartbeats,
+    /// until [`Message::Done`].
     ///
     /// # Errors
     ///
@@ -1880,40 +1917,113 @@ impl Worker {
     /// abort); injected faults.
     pub fn serve<T: Transport + ?Sized>(&self, t: &mut T) -> ScenarioResult<WorkerSummary> {
         t.send(&Message::Join {
-            protocol: self.max_protocol,
+            protocol: PROTOCOL_VERSION,
         })?;
-        let (hash, job, protocol, cached) = match self.recv_patient(t)? {
-            // v2 coordinator: the full spec arrives up front.
-            Some(Message::Spec { hash, text }) => {
-                let job = self.compile(t, &hash, &text)?;
-                (hash, job, MIN_PROTOCOL_VERSION, false)
+        let use_binary = self.framing.use_binary(PROTOCOL_VERSION);
+        let mut summary = WorkerSummary::default();
+        let mut job: Option<Arc<DistJob>> = None;
+        let mut leases_seen: u64 = 0;
+        loop {
+            let (start, end) = match self.recv_patient(t)? {
+                Some(Message::SpecHash { hash }) => {
+                    job = Some(self.ready(t, hash, &mut summary)?);
+                    continue;
+                }
+                Some(Message::Lease { start, end }) => (start, end),
+                Some(Message::Done) | None => return Ok(summary),
+                Some(Message::Abort { reason }) => {
+                    return Err(format!("coordinator aborted: {reason}").into())
+                }
+                other => return Err(format!("unexpected frame: {other:?}").into()),
+            };
+            let Some(job) = &job else {
+                return Err(format!("lease [{start}, {end}) arrived before any spec").into());
+            };
+            let ordinal = leases_seen;
+            leases_seen += 1;
+            let mut slow_ms = None;
+            match self.plan.fault_at(ordinal) {
+                Some(Fault::Die) => {
+                    // Simulated crash: vanish mid-lease, no reply.
+                    return Err(format!(
+                        "worker fault injection: dropped connection holding lease \
+                         [{start}, {end})"
+                    )
+                    .into());
+                }
+                Some(Fault::Stall) => {
+                    // Go silent holding the lease, then die — the
+                    // coordinator's deadline must fire. Unlike Slow, the
+                    // stall happens *outside* the heartbeat pump: a
+                    // stalled worker must stay silent.
+                    std::thread::sleep(self.plan.stall_hold_duration());
+                    return Err(format!(
+                        "worker fault injection: stalled holding lease [{start}, {end})"
+                    )
+                    .into());
+                }
+                Some(Fault::CorruptWire) => {
+                    let n = CellRange::new(start, end).len() as usize;
+                    t.send(&Message::Result {
+                        start,
+                        end,
+                        cells: vec![Wire::Text("chaos: corrupt cell".into()); n],
+                    })?;
+                    continue;
+                }
+                Some(Fault::Slow { millis }) => {
+                    // Handled inside the evaluation thread so the
+                    // heartbeat pump covers it — a slow worker is alive,
+                    // and must look alive.
+                    slow_ms = Some(*millis);
+                }
+                Some(Fault::WrongHash) | None => {}
             }
-            // v3 coordinator: just the hash. Compile from cache if we
-            // have served this spec before, else ask for the text.
-            Some(Message::SpecHash { hash, protocol }) => {
-                let protocol = protocol.min(self.max_protocol);
-                if let Some(job) = self.cache.get(&hash) {
-                    (hash, job, protocol, true)
-                } else {
-                    t.send(&Message::NeedSpec { hash: hash.clone() })?;
-                    match self.recv_patient(t)? {
-                        Some(Message::Spec { hash: echoed, text }) if echoed == hash => {
-                            let job = self.compile(t, &hash, &text)?;
-                            (hash, job, protocol, false)
-                        }
-                        Some(Message::Abort { reason }) => {
-                            return Err(format!("coordinator aborted: {reason}").into())
-                        }
-                        other => {
-                            return Err(format!("expected Spec for {hash}, got {other:?}").into())
-                        }
+            let cells = match self.evaluate(t, job, CellRange::new(start, end), slow_ms)? {
+                Ok(cells) => cells,
+                Err(e) => {
+                    let reason = format!("cells [{start}, {end}) failed: {e}");
+                    let _ = t.send(&Message::Abort {
+                        reason: reason.clone(),
+                    });
+                    return Err(reason.into());
+                }
+            };
+            summary.leases_served += 1;
+            summary.cells_run += cells.len() as u64;
+            let msg = Message::Result { start, end, cells };
+            if use_binary {
+                t.send_binary(&msg)?;
+            } else {
+                t.send(&msg)?;
+            }
+        }
+    }
+
+    /// Answers a job's [`Message::SpecHash`] offer with `Ready`: the
+    /// compiled job comes from the cache, or from the spec text the
+    /// worker asks for.
+    fn ready<T: Transport + ?Sized>(
+        &self,
+        t: &mut T,
+        hash: String,
+        summary: &mut WorkerSummary,
+    ) -> ScenarioResult<Arc<DistJob>> {
+        let cached = self.cache.get(&hash);
+        let job = match &cached {
+            Some(job) => Arc::clone(job),
+            None => {
+                t.send(&Message::NeedSpec { hash: hash.clone() })?;
+                match self.recv_patient(t)? {
+                    Some(Message::Spec { hash: echoed, text }) if echoed == hash => {
+                        self.compile(t, &hash, &text)?
                     }
+                    Some(Message::Abort { reason }) => {
+                        return Err(format!("coordinator aborted: {reason}").into())
+                    }
+                    other => return Err(format!("expected Spec for {hash}, got {other:?}").into()),
                 }
             }
-            Some(Message::Abort { reason }) => {
-                return Err(format!("coordinator aborted: {reason}").into())
-            }
-            other => return Err(format!("expected Spec or SpecHash frame, got {other:?}").into()),
         };
         if self.plan.wrong_hash() {
             // Chaos: echo a wrong hash and wait for the coordinator to
@@ -1939,151 +2049,81 @@ impl Worker {
             }
         }
         t.send(&Message::Ready { hash: hash.clone() })?;
-        let use_binary = self.framing.use_binary(protocol);
-        let mut summary = WorkerSummary {
-            spec_hash: hash,
-            protocol,
-            spec_was_cached: cached,
-            leases_served: 0,
-            cells_run: 0,
-        };
-        let mut leases_seen: u64 = 0;
-        loop {
-            match self.recv_patient(t)? {
-                Some(Message::Lease { start, end }) => {
-                    let ordinal = leases_seen;
-                    leases_seen += 1;
-                    let mut slow_ms = None;
-                    match self.plan.fault_at(ordinal) {
-                        Some(Fault::Die) => {
-                            // Simulated crash: vanish mid-lease, no
-                            // reply.
-                            return Err(format!(
-                                "worker fault injection: dropped connection holding lease \
-                                 [{start}, {end})"
-                            )
-                            .into());
-                        }
-                        Some(Fault::Stall) => {
-                            // Go silent holding the lease, then die —
-                            // the coordinator's deadline must fire.
-                            // Unlike Slow, the stall happens *outside*
-                            // the heartbeat pump: a stalled worker must
-                            // stay silent.
-                            std::thread::sleep(self.plan.stall_hold_duration());
-                            return Err(format!(
-                                "worker fault injection: stalled holding lease [{start}, {end})"
-                            )
-                            .into());
-                        }
-                        Some(Fault::CorruptWire) => {
-                            let n = CellRange::new(start, end).len() as usize;
-                            t.send(&Message::Result {
-                                start,
-                                end,
-                                cells: vec![Wire::Text("chaos: corrupt cell".into()); n],
-                            })?;
-                            continue;
-                        }
-                        Some(Fault::Slow { millis }) => {
-                            // Handled inside the evaluation thread so
-                            // the heartbeat pump covers it — a slow
-                            // worker is alive, and must look alive.
-                            slow_ms = Some(*millis);
-                        }
-                        Some(Fault::WrongHash) | None => {}
+        summary.jobs += 1;
+        summary.cached_jobs += u64::from(cached.is_some());
+        summary.spec_hash = hash;
+        Ok(job)
+    }
+
+    /// Evaluates a lease's cells on a scoped thread while this thread
+    /// pumps [`Message::Progress`] heartbeats on a wall-clock cadence:
+    /// a single cell that computes longer than the lease deadline still
+    /// heartbeats, so it is never spuriously re-leased or quarantined.
+    /// The outer error is the transport's; the inner one a cell's.
+    fn evaluate<T: Transport + ?Sized>(
+        &self,
+        t: &mut T,
+        job: &DistJob,
+        range: CellRange,
+        slow_ms: Option<u64>,
+    ) -> std::io::Result<Result<Vec<Wire>, String>> {
+        let chunk = self.threads as u64;
+        let done = AtomicU64::new(0);
+        let (tick_tx, tick_rx) = std::sync::mpsc::channel::<()>();
+        let done_ref = &done;
+        let (evaled, io_err) = std::thread::scope(|s| {
+            let eval = s.spawn(move || {
+                if let Some(ms) = slow_ms {
+                    std::thread::sleep(Duration::from_millis(ms));
+                }
+                let mut cells = Vec::with_capacity(range.len() as usize);
+                let mut at = range.start;
+                while at < range.end {
+                    let sub_end = (at + chunk).min(range.end);
+                    match job.run_range(CellRange::new(at, sub_end)) {
+                        Ok(sub) => cells.extend(sub),
+                        // Box<dyn Error> is not Send; carry the message
+                        // across the join.
+                        Err(e) => return Err(e.to_string()),
                     }
-                    let range = CellRange::new(start, end);
-                    let chunk = self.heartbeat_cells.unwrap_or(self.threads as u64).max(1);
-                    // Evaluate on a scoped thread while this thread
-                    // pumps Progress heartbeats on a wall-clock cadence:
-                    // a single cell that computes longer than the lease
-                    // deadline still heartbeats, so it is never
-                    // spuriously re-leased or quarantined.
-                    let done = AtomicU64::new(0);
-                    let (tick_tx, tick_rx) = std::sync::mpsc::channel::<()>();
-                    let job_ref = &job;
-                    let done_ref = &done;
-                    let (evaled, io_err) = std::thread::scope(|s| {
-                        let eval = s.spawn(move || {
-                            if let Some(ms) = slow_ms {
-                                std::thread::sleep(Duration::from_millis(ms));
-                            }
-                            let mut cells = Vec::with_capacity(range.len() as usize);
-                            let mut at = range.start;
-                            while at < range.end {
-                                let sub_end = (at + chunk).min(range.end);
-                                match job_ref.run_range(CellRange::new(at, sub_end)) {
-                                    Ok(sub) => cells.extend(sub),
-                                    // Box<dyn Error> is not Send; carry
-                                    // the message across the join.
-                                    Err(e) => return Err(e.to_string()),
-                                }
-                                at = sub_end;
-                                done_ref.store(at - range.start, Ordering::Relaxed);
-                                if at < range.end {
-                                    let _ = tick_tx.send(());
-                                }
-                            }
-                            Ok(cells)
-                        });
-                        let mut io_err: Option<std::io::Error> = None;
-                        let mut last_beat = Instant::now();
-                        while let Ok(()) | Err(RecvTimeoutError::Timeout) =
-                            tick_rx.recv_timeout(self.heartbeat_interval)
-                        {
-                            // Ticks arrive per chunk — much faster than
-                            // the heartbeat cadence on healthy leases —
-                            // so rate-limit the actual frames to one
-                            // per interval; the timeout arm keeps a
-                            // slow single cell heartbeating.
-                            if last_beat.elapsed() < self.heartbeat_interval {
-                                continue;
-                            }
-                            last_beat = Instant::now();
-                            if io_err.is_none() {
-                                if let Err(e) = t.send(&Message::Progress {
-                                    start,
-                                    end,
-                                    done: done.load(Ordering::Relaxed),
-                                }) {
-                                    // Keep pumping the channel dry so
-                                    // the eval thread is joined either
-                                    // way.
-                                    io_err = Some(e);
-                                }
-                            }
-                        }
-                        (eval.join().expect("evaluation thread panicked"), io_err)
-                    });
-                    if let Some(e) = io_err {
-                        return Err(e.into());
-                    }
-                    let cells = match evaled {
-                        Ok(cells) => cells,
-                        Err(e) => {
-                            let reason = format!("cells [{start}, {end}) failed: {e}");
-                            let _ = t.send(&Message::Abort {
-                                reason: reason.clone(),
-                            });
-                            return Err(reason.into());
-                        }
-                    };
-                    summary.leases_served += 1;
-                    summary.cells_run += cells.len() as u64;
-                    let msg = Message::Result { start, end, cells };
-                    if use_binary {
-                        t.send_binary(&msg)?;
-                    } else {
-                        t.send(&msg)?;
+                    at = sub_end;
+                    done_ref.store(at - range.start, Ordering::Relaxed);
+                    if at < range.end {
+                        let _ = tick_tx.send(());
                     }
                 }
-                Some(Message::Done) | None => return Ok(summary),
-                Some(Message::Abort { reason }) => {
-                    return Err(format!("coordinator aborted: {reason}").into())
+                Ok(cells)
+            });
+            let mut io_err: Option<std::io::Error> = None;
+            let mut last_beat = Instant::now();
+            while let Ok(()) | Err(RecvTimeoutError::Timeout) =
+                tick_rx.recv_timeout(self.heartbeat_interval)
+            {
+                // Ticks arrive per chunk — much faster than the
+                // heartbeat cadence on healthy leases — so rate-limit
+                // the actual frames to one per interval; the timeout
+                // arm keeps a slow single cell heartbeating.
+                if last_beat.elapsed() < self.heartbeat_interval {
+                    continue;
                 }
-                other => return Err(format!("unexpected frame: {other:?}").into()),
+                last_beat = Instant::now();
+                if io_err.is_none() {
+                    if let Err(e) = t.send(&Message::Progress {
+                        start: range.start,
+                        end: range.end,
+                        done: done.load(Ordering::Relaxed),
+                    }) {
+                        // Keep pumping the channel dry so the eval
+                        // thread is joined either way.
+                        io_err = Some(e);
+                    }
+                }
             }
+            (eval.join().expect("evaluation thread panicked"), io_err)
+        });
+        match io_err {
+            Some(e) => Err(e),
+            None => Ok(evaled),
         }
     }
 
@@ -2178,16 +2218,18 @@ pub fn spawn_stdio_fleet(
     Ok(fleet)
 }
 
-/// What a worker did for one coordinator.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What a worker did for one coordinator session.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerSummary {
-    /// The verified spec fingerprint.
+    /// The last job's verified spec fingerprint (empty if it served
+    /// none).
     pub spec_hash: String,
-    /// The negotiated protocol version for this connection.
-    pub protocol: u64,
-    /// Whether the spec came from the worker's [`SpecCache`] (a v3
-    /// hash-only handshake against a previously compiled spec).
-    pub spec_was_cached: bool,
+    /// Jobs served: one for a grid spec, one per round of an adaptive
+    /// loop.
+    pub jobs: u64,
+    /// Jobs whose compiled spec came from the worker's [`SpecCache`]
+    /// (a hash-only handshake against a previously compiled spec).
+    pub cached_jobs: u64,
     /// Leases evaluated and returned.
     pub leases_served: u64,
     /// Cells evaluated across all leases.
@@ -2219,7 +2261,6 @@ mod tests {
             },
             Message::SpecHash {
                 hash: "fnv1a:00".into(),
-                protocol: BINARY_PROTOCOL_VERSION,
             },
             Message::NeedSpec {
                 hash: "fnv1a:00".into(),
@@ -2396,23 +2437,22 @@ mod tests {
         let ctx = Context::smoke();
         let scenario = presets::mc(&ctx);
         let direct = scenario.run(1).unwrap();
+        let cell_count = DistJob::new(scenario.clone(), 1).unwrap().cell_count();
         let coordinator = Coordinator::new(scenario).unwrap().lease_cells(1);
-        let (mut worker_ends, coord_ends) = duplex_pairs(2);
-        let handle = std::thread::spawn(move || {
-            worker_ends
-                .iter_mut()
-                .map(|t| {
+        let (worker_ends, coord_ends) = duplex_pairs(2);
+        let handles: Vec<_> = worker_ends
+            .into_iter()
+            .map(|mut t| {
+                std::thread::spawn(move || {
                     Worker::new()
                         .threads(1)
-                        .serve(t)
-                        .map(|s| s.leases_served)
+                        .serve(&mut t)
                         .map_err(|e| e.to_string())
                 })
-                .collect::<Vec<_>>()
-        });
-        let cell_count = coordinator.job().cell_count();
+            })
+            .collect();
         let run = coordinator.run(coord_ends).unwrap();
-        let served = handle.join().unwrap();
+        let served: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(format!("{:?}", run.outcome), format!("{direct:?}"));
         assert_eq!(run.stats.workers, 2);
         assert_eq!(run.stats.retries, 0);
@@ -2423,8 +2463,14 @@ mod tests {
         assert_eq!(run.stats.worker_cells.iter().sum::<u64>(), cell_count);
         assert!(!run.stats.resumed_from_journal);
         assert_eq!(run.stats.recovered_in_process, 0);
-        // Sequential workers: the second drains after the first's Done.
-        assert!(served.iter().all(|s| s.is_ok()));
+        assert!(run.rounds.is_empty(), "a grid spec is one job");
+        // One job each, and every issued lease was served.
+        let served: Vec<WorkerSummary> = served.into_iter().map(Result::unwrap).collect();
+        assert!(served.iter().all(|s| s.jobs == 1), "{served:?}");
+        assert_eq!(
+            served.iter().map(|s| s.leases_served).sum::<u64>(),
+            run.stats.leases
+        );
     }
 
     #[test]
@@ -2530,7 +2576,7 @@ mod tests {
         let scenario = presets::mc(&ctx);
         let direct = scenario.run(1).unwrap();
         let worker = Worker::new().threads(1);
-        for (round, want_cached) in [(1, false), (2, true)] {
+        for (round, want_cached) in [(1, 0), (2, 1)] {
             let coordinator = Coordinator::new(scenario.clone()).unwrap();
             let (mut worker_ends, coord_ends) = duplex_pairs(1);
             // Clones share the spec cache, so the second connection
@@ -2540,42 +2586,76 @@ mod tests {
                 std::thread::spawn(move || w.serve(&mut worker_ends[0]).map_err(|e| e.to_string()));
             let run = coordinator.run(coord_ends).unwrap();
             let summary = handle.join().unwrap().expect("worker completes");
-            assert_eq!(summary.spec_was_cached, want_cached, "connection {round}");
-            assert_eq!(summary.protocol, PROTOCOL_VERSION);
+            assert_eq!(summary.jobs, 1, "connection {round}");
+            assert_eq!(summary.cached_jobs, want_cached, "connection {round}");
             assert_eq!(format!("{:?}", run.outcome), format!("{direct:?}"));
         }
     }
 
     #[test]
-    fn mixed_version_fleet_negotiates_down_and_stays_bit_identical() {
+    fn json_and_binary_workers_share_a_fleet_bit_identically() {
+        let ctx = Context::smoke();
+        let scenario = presets::mc(&ctx);
+        let direct = scenario.run(1).unwrap();
+        let coordinator = Coordinator::new(scenario).unwrap().lease_cells(2);
+        let (worker_ends, coord_ends) = duplex_pairs(2);
+        // A worker sending JSON results next to one sending binary.
+        let handles: Vec<_> = worker_ends
+            .into_iter()
+            .zip([FramingMode::Json, FramingMode::Binary])
+            .map(|(mut t, framing)| {
+                std::thread::spawn(move || {
+                    Worker::new()
+                        .threads(1)
+                        .framing(framing)
+                        .serve(&mut t)
+                        .map_err(|e| e.to_string())
+                })
+            })
+            .collect();
+        let run = coordinator.run(coord_ends).unwrap();
+        for h in handles {
+            h.join().unwrap().expect("worker completes");
+        }
+        assert_eq!(run.stats.quarantined_workers, 0, "stats: {:?}", run.stats);
+        assert_eq!(format!("{:?}", run.outcome), format!("{direct:?}"));
+    }
+
+    /// There is no protocol negotiation: a worker announcing any other
+    /// revision is told both versions and quarantined, and the run
+    /// completes on the rest of the fleet.
+    #[test]
+    fn a_worker_of_another_protocol_is_refused_and_quarantined() {
         let ctx = Context::smoke();
         let scenario = presets::mc(&ctx);
         let direct = scenario.run(1).unwrap();
         let coordinator = Coordinator::new(scenario).unwrap().lease_cells(2);
         let (mut worker_ends, coord_ends) = duplex_pairs(2);
-        let handle = std::thread::spawn(move || {
-            // A legacy v2 worker (full-spec handshake, JSON results)
-            // next to a v3 worker forced onto binary framing.
-            let legacy = Worker::new()
+        let mut current = worker_ends.pop().expect("two pairs");
+        let mut old = worker_ends.pop().expect("two pairs");
+        let old_peer = std::thread::spawn(move || {
+            Transport::send(&mut old, &Message::Join { protocol: 3 }).unwrap();
+            Transport::recv(&mut old).unwrap()
+        });
+        let healthy = std::thread::spawn(move || {
+            Worker::new()
                 .threads(1)
-                .max_protocol(MIN_PROTOCOL_VERSION)
-                .serve(&mut worker_ends[0])
-                .map_err(|e| e.to_string());
-            let modern = Worker::new()
-                .threads(1)
-                .framing(FramingMode::Binary)
-                .serve(&mut worker_ends[1])
-                .map_err(|e| e.to_string());
-            (legacy, modern)
+                .serve(&mut current)
+                .map_err(|e| e.to_string())
         });
         let run = coordinator.run(coord_ends).unwrap();
-        let (legacy, modern) = handle.join().unwrap();
-        let legacy = legacy.expect("legacy worker completes");
-        let modern = modern.expect("modern worker completes");
-        assert_eq!(legacy.protocol, MIN_PROTOCOL_VERSION);
-        assert!(!legacy.spec_was_cached);
-        assert_eq!(modern.protocol, PROTOCOL_VERSION);
-        assert_eq!(run.stats.quarantined_workers, 0, "stats: {:?}", run.stats);
+        let reply = old_peer.join().unwrap();
+        healthy
+            .join()
+            .unwrap()
+            .expect("the current worker completes");
+        let Some(Message::Abort { reason }) = reply else {
+            panic!("the old worker got {reply:?}, not an Abort");
+        };
+        assert!(reason.contains("v3") && reason.contains("v4"), "{reason}");
+        assert_eq!(run.stats.quarantined_workers, 1, "stats: {:?}", run.stats);
+        assert_eq!(run.stats.worker_faults, vec![reason]);
+        assert_eq!(run.stats.worker_cells[0], 0);
         assert_eq!(format!("{:?}", run.outcome), format!("{direct:?}"));
     }
 
@@ -2728,8 +2808,8 @@ mod tests {
         let err = Coordinator::new(scenario)
             .unwrap()
             .resume(&path)
-            .err()
-            .expect("forged journal evidence must not resume");
+            .run(Vec::new())
+            .expect_err("forged journal evidence must not resume");
         let _ = std::fs::remove_file(&path);
         let err = err.to_string();
         assert!(err.contains("journal cell 3"), "{err}");

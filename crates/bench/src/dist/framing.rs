@@ -3,8 +3,9 @@
 //! JSON-lines frames are self-describing and debuggable, but a
 //! [`Message::Result`] carrying hex-encoded `f64` bit patterns and
 //! decimal `u64` counters inflates every accumulator several-fold and
-//! dominates coordinator/worker traffic at small lease sizes. Protocol
-//! v3 negotiates this module's binary form for `Result` frames:
+//! dominates coordinator/worker traffic at small lease sizes. Since
+//! protocol v3 a worker sends its `Result` frames in this module's
+//! binary form:
 //!
 //! ```text
 //! 0x00  varint(payload_len)  payload
@@ -24,7 +25,7 @@
 //! Both forms carry the same exact bits (`tests/dist_equivalence.rs`
 //! proves round-trip equivalence over every `WireForm` accumulator), so
 //! framing is pure transport policy: the coordinator always accepts
-//! both, workers choose per [`FramingMode`].
+//! both, workers choose per [`FramingMode`] (binary unless overridden).
 
 use super::Message;
 use divrel_numerics::wire::{read_varint, write_varint, Wire, WireError};
@@ -42,15 +43,13 @@ pub const MAX_BINARY_PAYLOAD: u64 = 64 << 20;
 /// How a worker frames its `Result` messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FramingMode {
-    /// Binary when the negotiated protocol supports it (v3+), JSON
-    /// otherwise — the default.
+    /// Binary — the default on every connection.
     Auto,
-    /// Always JSON lines (the `DIVREL_DIST_FRAMING=json` override, and
-    /// the safe choice when capturing traffic for debugging).
+    /// Always JSON lines (the `DIVREL_DIST_FRAMING=json` override): a
+    /// debugging aid for capturing readable traffic.
     Json,
-    /// Always binary, regardless of negotiation (the
-    /// `DIVREL_DIST_FRAMING=binary` override; CI's chaos job forces
-    /// this to exercise the binary path under fault injection).
+    /// Always binary (the `DIVREL_DIST_FRAMING=binary` override), the
+    /// same as the default.
     Binary,
 }
 
@@ -66,15 +65,13 @@ impl FramingMode {
         }
     }
 
-    /// Whether a worker holding this mode sends binary `Result` frames
-    /// on a connection negotiated at `protocol`.
+    /// Whether a worker holding this mode sends binary `Result`
+    /// frames. `protocol` does not change the answer, since every
+    /// connection speaks [`super::PROTOCOL_VERSION`]; the scenario
+    /// benchmark passes it.
     #[must_use]
-    pub fn use_binary(self, protocol: u64) -> bool {
-        match self {
-            FramingMode::Auto => protocol >= super::BINARY_PROTOCOL_VERSION,
-            FramingMode::Json => false,
-            FramingMode::Binary => true,
-        }
+    pub fn use_binary(self, _protocol: u64) -> bool {
+        self != FramingMode::Json
     }
 }
 
@@ -255,9 +252,9 @@ mod tests {
 
     #[test]
     fn framing_mode_policy() {
-        assert!(FramingMode::Auto.use_binary(3));
-        assert!(!FramingMode::Auto.use_binary(2));
-        assert!(!FramingMode::Json.use_binary(3));
-        assert!(FramingMode::Binary.use_binary(2));
+        let v4 = super::super::PROTOCOL_VERSION;
+        assert!(FramingMode::Auto.use_binary(v4));
+        assert!(!FramingMode::Json.use_binary(v4));
+        assert!(FramingMode::Binary.use_binary(v4));
     }
 }

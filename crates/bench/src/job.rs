@@ -327,8 +327,9 @@ pub(crate) fn compile(scenario: &Scenario) -> ScenarioResult<Box<dyn AnyJob>> {
             ..
         } => {
             let plan = round.as_ref().ok_or(
-                "AdaptivePfd distributes one pinned round at a time; this spec \
-                 has no round plan — run the round loop through AdaptiveCoordinator",
+                "AdaptivePfd compiles one pinned round at a time; this spec \
+                 has no round plan — run the round loop through Scenario::run or \
+                 a dist::Coordinator, which pin each round they derive",
             )?;
             Box::new(AdaptiveRound {
                 runtime: AdaptivePfdRuntime::new(Arc::new(model.build()?), seed, *cells)?,

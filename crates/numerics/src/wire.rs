@@ -286,8 +286,8 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, WireError> {
 }
 
 impl Wire {
-    /// Encodes the tree in the compact tag-byte binary form negotiated
-    /// as protocol v3 by the distributed runtime: `u64` as a varint,
+    /// Encodes the tree in the compact tag-byte binary form the
+    /// distributed runtime sends `Result` frames in: `u64` as a varint,
     /// `f64` as its raw little-endian bit pattern, strings and
     /// containers length-prefixed with varints. Carries the same exact
     /// bits as the JSON form — [`Wire::from_bytes`] of the result is

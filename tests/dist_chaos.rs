@@ -14,8 +14,8 @@
 //! by the stall).
 
 use divrel_bench::dist::{
-    round_journal_path, AdaptiveCoordinator, AdaptiveDistRun, Coordinator, DistRun, Fault,
-    FaultPlan, JsonLines, Transport, Worker,
+    round_journal_path, Coordinator, DistRun, Fault, FaultPlan, JsonLines, Transport, Worker,
+    WorkerSummary,
 };
 use divrel_bench::scenario::{Scenario, ScenarioOutcome};
 use divrel_bench::Context;
@@ -221,7 +221,6 @@ fn forced_coordinator_kill_and_resume_are_bit_identical() {
     // third append — the mid-run kill.
     let first = chaos_coordinator(scenario())
         .journal(&path)
-        .expect("journal creates")
         .halt_after_journal_appends(3);
     let (run, _) = try_run_fleet(
         &first,
@@ -232,9 +231,7 @@ fn forced_coordinator_kill_and_resume_are_bit_identical() {
 
     // Second incarnation: resumes the journal, re-leases only what is
     // missing, folds the exact single-process bits.
-    let second = chaos_coordinator(scenario())
-        .resume(&path)
-        .expect("journal resumes");
+    let second = chaos_coordinator(scenario()).resume(&path);
     let (run, exits) = run_fleet(
         &second,
         vec![Worker::new().threads(2), Worker::new().threads(2)],
@@ -250,30 +247,40 @@ fn forced_coordinator_kill_and_resume_are_bit_identical() {
     std::fs::remove_file(&path).expect("journal cleans up");
 }
 
-/// Drives an adaptive round loop against a fresh pipe fleet per round;
-/// on a chaos halt the fleet threads wake on pipe EOF and are reaped.
-fn try_adaptive_fleet(
-    coordinator: &AdaptiveCoordinator,
-    workers: usize,
-) -> Result<AdaptiveDistRun, String> {
+/// Drives an adaptive round loop as one session on one pipe fleet for
+/// the whole loop, and checks that every worker's single `serve`
+/// returns `Ok` after the last round — on a chaos halt too, when the
+/// coordinator ends the session — and, for a completed loop, that the
+/// leases the workers served add up to the rounds' leases.
+fn try_adaptive_fleet(coordinator: &Coordinator, workers: usize) -> Result<DistRun, String> {
+    let mut coord_ends: Vec<Box<dyn Transport>> = Vec::new();
     let mut handles = Vec::new();
-    let run = coordinator
-        .run(|_round| {
-            let mut coord_ends: Vec<Box<dyn Transport>> = Vec::new();
-            for _ in 0..workers {
-                let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
-                let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
-                coord_ends.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
-                handles.push(std::thread::spawn(move || {
-                    let mut transport = JsonLines::new(c2w_r, w2c_w);
-                    let _ = Worker::new().threads(2).serve(&mut transport);
-                }));
-            }
-            Ok(coord_ends)
+    for _ in 0..workers {
+        let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
+        let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
+        coord_ends.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
+        handles.push(std::thread::spawn(move || {
+            let mut transport = JsonLines::new(c2w_r, w2c_w);
+            Worker::new()
+                .threads(2)
+                .serve(&mut transport)
+                .map_err(|e| e.to_string())
+        }));
+    }
+    let run = coordinator.run(coord_ends).map_err(|e| e.to_string());
+    let served: Vec<WorkerSummary> = handles
+        .into_iter()
+        .map(|h| {
+            h.join()
+                .expect("worker thread joins")
+                .expect("a worker serves the whole session")
         })
-        .map_err(|e| e.to_string());
-    for h in handles {
-        h.join().expect("worker thread joins");
+        .collect();
+    if let Ok(run) = &run {
+        assert_eq!(
+            served.iter().map(|s| s.leases_served).sum::<u64>(),
+            run.rounds.iter().map(|r| r.leases).sum::<u64>()
+        );
     }
     run
 }
@@ -297,7 +304,7 @@ fn adaptive_mid_round_kill_and_resume_are_bit_identical() {
     // First incarnation: journals every lease into per-round journals,
     // halts dead after the second append — a mid-round-0 kill (round 0
     // spans five 5-cell leases over the 24 cells).
-    let first = AdaptiveCoordinator::new(scenario.clone())
+    let first = Coordinator::new(scenario.clone())
         .expect("adaptive spec")
         .lease_cells(5)
         .lease_timeout(Duration::from_millis(500))
@@ -312,14 +319,17 @@ fn adaptive_mid_round_kill_and_resume_are_bit_identical() {
 
     // Second incarnation: resumes the partial round-0 journal and runs
     // the loop to convergence.
-    let second = AdaptiveCoordinator::new(scenario)
+    let second = Coordinator::new(scenario)
         .expect("adaptive spec")
         .lease_cells(5)
         .lease_timeout(Duration::from_millis(500))
         .resume(&base);
     let run = try_adaptive_fleet(&second, 2).expect("resumed round loop completes");
-    let AdaptiveDistRun { outcome, rounds } = run;
-    let distributed = ScenarioOutcome::Adaptive(outcome);
+    let DistRun {
+        outcome: distributed,
+        rounds,
+        ..
+    } = run;
     assert_eq!(
         distributed, single,
         "kill + resume diverged structurally from the in-process loop"
@@ -349,7 +359,6 @@ fn resume_of_a_journal_for_a_different_spec_is_rejected() {
     let path = temp_journal("wrong-spec");
     let e16 = chaos_coordinator(scenario())
         .journal(&path)
-        .expect("journal creates")
         .halt_after_journal_appends(1);
     let (run, _) = try_run_fleet(&e16, vec![Worker::new().threads(2)]);
     run.expect_err("halted");
@@ -358,8 +367,8 @@ fn resume_of_a_journal_for_a_different_spec_is_rejected() {
     let err = Coordinator::new(other)
         .expect("compiles")
         .resume(&path)
-        .err()
-        .expect("a journal for another spec must be refused")
+        .run(Vec::new())
+        .expect_err("a journal for another spec must be refused")
         .to_string();
     assert!(
         err.contains("written for spec"),

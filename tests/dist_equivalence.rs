@@ -8,9 +8,11 @@
 //! failure/retry history — reduces to the **exact bits** of the
 //! single-process [`Scenario::run`]. The suite drives real [`Worker`]s
 //! over in-memory OS pipes (the same `JsonLines` framing the stdio and
-//! TCP fleets use), kills one mid-lease to force a re-issue, and
-//! additionally holds every wire-format accumulator to the
-//! `from_wire(to_wire(x)) == x` bit-identity contract with proptests.
+//! TCP fleets use), kills one mid-lease to force a re-issue, holds an
+//! adaptive round loop to one session on one fleet, and additionally
+//! holds every wire-format accumulator to the
+//! `from_wire(to_wire(x)) == x` bit-identity contract with proptests,
+//! and the frame reader to hostile bytes.
 
 use divrel::devsim::adaptive::CellEvidence;
 use divrel::devsim::experiment::{run_cell, McAccumulator, MonteCarloExperiment};
@@ -20,14 +22,67 @@ use divrel::numerics::descriptive::Moments;
 use divrel::numerics::sweep::SweepReduce;
 use divrel::numerics::wire::{Wire, WireForm};
 use divrel::protection::OperationLog;
+use divrel_bench::dist::framing::{try_extract, Extracted, BINARY_FRAME_MARKER};
 use divrel_bench::dist::{
-    AdaptiveCoordinator, AdaptiveDistRun, Coordinator, DistRun, JsonLines, Transport, Worker,
-    WorkerSummary,
+    AdaptiveCoordinator, Coordinator, DistRun, DistStats, Fault, FaultPlan, JsonLines, Message,
+    Transport, Worker, WorkerSummary, PROTOCOL_VERSION,
 };
 use divrel_bench::scenario::{ExperimentSpec, Scenario, ScenarioOutcome};
 use divrel_bench::sweep::{ForcedSweepStats, KlSweepStats};
 use divrel_bench::Context;
 use proptest::prelude::*;
+
+/// Real workers over in-memory pipes, each serving one session on its
+/// own thread.
+#[derive(Default)]
+struct PipeFleet {
+    /// Fleets handed out.
+    supplied: usize,
+    handles: Vec<std::thread::JoinHandle<Result<WorkerSummary, String>>>,
+}
+
+impl PipeFleet {
+    /// Starts `workers` and returns the coordinator's ends.
+    fn supply(&mut self, workers: Vec<Worker>) -> Vec<Box<dyn Transport>> {
+        self.supplied += 1;
+        let mut coord_ends: Vec<Box<dyn Transport>> = Vec::new();
+        for worker in workers {
+            let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
+            let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
+            coord_ends.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
+            self.handles.push(std::thread::spawn(move || {
+                let mut transport = JsonLines::new(c2w_r, w2c_w);
+                worker.serve(&mut transport).map_err(|e| e.to_string())
+            }));
+        }
+        coord_ends
+    }
+
+    /// Each worker's summary (`Err` for injected crashes).
+    fn join(self) -> Vec<Result<WorkerSummary, String>> {
+        self.handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread joins"))
+            .collect()
+    }
+
+    /// Joins an adaptive run's fleet and checks that it served one
+    /// session: the fleet was supplied once, each worker's single
+    /// `serve` returned `Ok` after the last round, and the leases the
+    /// workers served add up to the rounds' leases.
+    fn check_session(self, rounds: &[DistStats]) {
+        assert_eq!(self.supplied, 1, "one fleet per run, not one per round");
+        let served: u64 = self
+            .join()
+            .into_iter()
+            .map(|exit| {
+                exit.expect("a worker serves the whole session")
+                    .leases_served
+            })
+            .sum();
+        assert_eq!(served, rounds.iter().map(|r| r.leases).sum::<u64>());
+    }
+}
 
 /// Drives `coordinator` against real workers over in-memory pipes; each
 /// worker serves on its own thread. Returns the distributed run plus
@@ -36,23 +91,11 @@ fn run_fleet(
     coordinator: &Coordinator,
     workers: Vec<Worker>,
 ) -> (DistRun, Vec<Result<WorkerSummary, String>>) {
-    let mut coord_ends: Vec<Box<dyn Transport>> = Vec::new();
-    let mut handles = Vec::new();
-    for worker in workers {
-        let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
-        let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
-        coord_ends.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
-        handles.push(std::thread::spawn(move || {
-            let mut transport = JsonLines::new(c2w_r, w2c_w);
-            worker.serve(&mut transport).map_err(|e| e.to_string())
-        }));
-    }
-    let run = coordinator.run(coord_ends).expect("fleet completes");
-    let exits = handles
-        .into_iter()
-        .map(|h| h.join().expect("worker thread joins"))
-        .collect();
-    (run, exits)
+    let mut fleet = PipeFleet::default();
+    let run = coordinator
+        .run(fleet.supply(workers))
+        .expect("fleet completes");
+    (run, fleet.join())
 }
 
 /// Asserts two outcomes are bit-identical: structural equality plus a
@@ -94,35 +137,23 @@ fn committed_specs() -> Vec<(String, Scenario)> {
     out
 }
 
-/// Drives an adaptive round loop against a fresh fleet of `workers`
-/// real workers per round, over in-memory pipes. Every worker must
-/// exit cleanly.
-fn run_adaptive_fleet(coordinator: &AdaptiveCoordinator, workers: usize) -> AdaptiveDistRun {
-    let mut handles = Vec::new();
+/// Drives an adaptive round loop as one session on `workers` real
+/// workers over in-memory pipes, and checks the session
+/// ([`PipeFleet::check_session`]).
+fn run_adaptive_fleet(coordinator: &Coordinator, workers: usize) -> DistRun {
+    let mut fleet = PipeFleet::default();
     let run = coordinator
-        .run(|_round| {
-            let mut coord_ends: Vec<Box<dyn Transport>> = Vec::new();
-            for _ in 0..workers {
-                let (c2w_r, c2w_w) = std::io::pipe().expect("pipe");
-                let (w2c_r, w2c_w) = std::io::pipe().expect("pipe");
-                coord_ends.push(Box::new(JsonLines::new(w2c_r, c2w_w)));
-                handles.push(std::thread::spawn(move || {
-                    let mut transport = JsonLines::new(c2w_r, w2c_w);
-                    Worker::new()
-                        .threads(2)
-                        .serve(&mut transport)
-                        .map_err(|e| e.to_string())
-                }));
-            }
-            Ok(coord_ends)
-        })
+        .run(fleet.supply((0..workers).map(|_| Worker::new().threads(2)).collect()))
         .expect("adaptive fleet completes");
-    for h in handles {
-        h.join()
-            .expect("worker thread joins")
-            .expect("worker exits cleanly");
-    }
+    fleet.check_session(&run.rounds);
     run
+}
+
+fn committed_adaptive_spec() -> (String, Scenario) {
+    committed_specs()
+        .into_iter()
+        .find(|(n, _)| n == "adaptive_confidence.toml")
+        .expect("adaptive_confidence.toml is committed")
 }
 
 #[test]
@@ -134,18 +165,17 @@ fn every_committed_spec_is_bit_identical_across_fleet_layouts() {
         // coarse leases, and a 2-worker fleet at the finest possible
         // lease granularity (maximum interleaving).
         for (workers, lease_cells) in [(1usize, 7u64), (2, 1)] {
+            let coordinator = Coordinator::new(scenario.clone())
+                .expect("compiles")
+                .lease_cells(lease_cells);
             // An un-pinned adaptive spec is a round loop, not one grid:
-            // it distributes through its own coordinator, same fleet
-            // shapes.
+            // one session whose rounds are jobs, same fleet shapes.
             if matches!(scenario.experiment, ExperimentSpec::AdaptivePfd { .. }) {
                 adaptive_specs += 1;
-                let coordinator = AdaptiveCoordinator::new(scenario.clone())
-                    .expect("compiles")
-                    .lease_cells(lease_cells);
                 let run = run_adaptive_fleet(&coordinator, workers);
                 assert_bit_identical(
                     &format!("{name} ({workers} workers, lease {lease_cells})"),
-                    &ScenarioOutcome::Adaptive(run.outcome),
+                    &run.outcome,
                     &single,
                 );
                 for stats in &run.rounds {
@@ -154,9 +184,6 @@ fn every_committed_spec_is_bit_identical_across_fleet_layouts() {
                 }
                 continue;
             }
-            let coordinator = Coordinator::new(scenario.clone())
-                .expect("compiles")
-                .lease_cells(lease_cells);
             let fleet = (0..workers).map(|_| Worker::new().threads(2)).collect();
             let (run, exits) = run_fleet(&coordinator, fleet);
             assert_bit_identical(
@@ -181,6 +208,60 @@ fn every_committed_spec_is_bit_identical_across_fleet_layouts() {
         adaptive_specs >= 2,
         "the committed adaptive spec was not exercised"
     );
+}
+
+/// The adapter the scenario benchmark drives: its fleet supplier runs
+/// once per run, not once per round.
+#[test]
+fn the_adaptive_adapter_asks_for_one_fleet_per_run() {
+    let (name, scenario) = committed_adaptive_spec();
+    let single = scenario.run(2).expect("in-process run");
+    let mut fleet = PipeFleet::default();
+    let run = AdaptiveCoordinator::new(scenario)
+        .expect("an un-pinned adaptive spec")
+        .run(|_round| Ok(fleet.supply((0..2).map(|_| Worker::new().threads(2)).collect())))
+        .expect("adaptive fleet completes");
+    fleet.check_session(&run.rounds);
+    assert!(run.rounds.len() > 1, "{name}: the loop ran one round");
+    assert_bit_identical(&name, &ScenarioOutcome::Adaptive(run.outcome), &single);
+}
+
+/// A worker lost in round 0 stays out of every later round: the rest of
+/// the loop runs on the survivor and folds the same bits.
+#[test]
+fn a_worker_lost_in_round_zero_stays_out_of_later_rounds() {
+    let (name, scenario) = committed_adaptive_spec();
+    let single = scenario.run(2).expect("in-process run");
+    let coordinator = Coordinator::new(scenario).expect("compiles").lease_cells(2);
+    // The survivor's first lease is slow, so the doomed worker gets
+    // round-0 leases however the threads are scheduled: it serves one
+    // and drops the connection holding the next.
+    let survivor = Worker::new()
+        .threads(2)
+        .fault_plan(FaultPlan::new().inject(0, Fault::Slow { millis: 200 }));
+    let doomed = Worker::new().threads(2).fail_after_leases(1);
+    let (run, exits) = run_fleet(&coordinator, vec![doomed, survivor]);
+    assert_bit_identical(
+        &format!("{name} after a round-0 loss"),
+        &run.outcome,
+        &single,
+    );
+    assert!(
+        exits[0]
+            .as_ref()
+            .is_err_and(|e| e.contains("fault injection")),
+        "{exits:?}"
+    );
+    let survivor = exits[1].as_ref().expect("the survivor serves every round");
+    assert_eq!(survivor.jobs, run.rounds.len() as u64);
+    let (first, later) = run.rounds.split_first().expect("rounds ran");
+    assert_eq!(first.workers, 2, "round 0: {first:?}");
+    assert!(first.retries >= 1, "round 0: {first:?}");
+    assert!(!later.is_empty(), "{name}: the loop ended in round 0");
+    for (r, stats) in later.iter().enumerate() {
+        assert_eq!(stats.workers, 1, "round {}: {stats:?}", r + 1);
+        assert_eq!(stats.worker_cells[0], 0, "round {}: {stats:?}", r + 1);
+    }
 }
 
 #[test]
@@ -301,13 +382,14 @@ fn whole_fleet_loss_degrades_to_in_process_execution() {
 // wire must reconstruct bit-identically, f64 payloads included.
 // ---------------------------------------------------------------------
 
-/// JSON round trip of a wire tree (a v2 connection's `Result` frames).
+/// JSON round trip of a wire tree (`Result` frames under the
+/// `DIVREL_DIST_FRAMING=json` override).
 fn through_json(w: &Wire) -> Wire {
     let text = serde_json::to_string(w).expect("wire serialises");
     serde_json::from_str(&text).expect("wire parses")
 }
 
-/// Binary round trip of a wire tree (a v3 connection's `Result`
+/// Binary round trip of a wire tree (the default framing of `Result`
 /// frames): both framings must carry the exact same bits.
 fn through_binary(w: &Wire) -> Wire {
     Wire::from_bytes(&w.to_bytes()).expect("binary wire decodes")
@@ -461,5 +543,124 @@ proptest! {
                 .expect("decodes"),
         );
         assert_eq!(format!("{binary:?}"), format!("{direct:?}"));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile bytes on the frame reader. No input is known to panic it;
+// these proptests guard that, they do not fix anything.
+// ---------------------------------------------------------------------
+
+/// Reads `bytes` as one protocol stream until it ends or fails. Every
+/// call must yield a frame, a clean end, or `InvalidData`.
+fn read_hostile_stream(bytes: Vec<u8>) -> Result<(), String> {
+    let mut t = JsonLines::new(std::io::Cursor::new(bytes), std::io::sink());
+    loop {
+        match Transport::recv(&mut t) {
+            Ok(Some(_)) => {}
+            Ok(None) => return Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => return Ok(()),
+            Err(e) => return Err(format!("unexpected {:?} error: {e}", e.kind())),
+        }
+    }
+}
+
+/// A valid v4 stream with both directions' frames: JSON control frames
+/// interleaved with binary and JSON `Result` frames.
+fn valid_v4_stream() -> Vec<u8> {
+    let cells = vec![
+        CellEvidence {
+            failures: 3,
+            demands: 400,
+        }
+        .to_wire(),
+        Wire::record([("n", Wire::U64(u64::MAX)), ("mean", Wire::F64(1.0 / 3.0))]),
+    ];
+    let result = Message::Result {
+        start: 4,
+        end: 6,
+        cells,
+    };
+    let mut out = JsonLines::new(std::io::empty(), Vec::new());
+    for msg in [
+        Message::Join {
+            protocol: PROTOCOL_VERSION,
+        },
+        Message::SpecHash {
+            hash: "fnv1a:00".into(),
+        },
+        Message::NeedSpec {
+            hash: "fnv1a:00".into(),
+        },
+        Message::Spec {
+            hash: "fnv1a:00".into(),
+            text: "name = \"x\"\n[seed]\nseed = 7\n".into(),
+        },
+        Message::Ready {
+            hash: "fnv1a:00".into(),
+        },
+        Message::Lease { start: 4, end: 6 },
+        Message::Progress {
+            start: 4,
+            end: 6,
+            done: 1,
+        },
+    ] {
+        Transport::send(&mut out, &msg).expect("in-memory send");
+    }
+    Transport::send_binary(&mut out, &result).expect("in-memory send");
+    Transport::send(&mut out, &result).expect("in-memory send");
+    Transport::send_binary(&mut out, &result).expect("in-memory send");
+    Transport::send(&mut out, &Message::Done).expect("in-memory send");
+    out.into_writer()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_frame_reader(
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+    ) {
+        read_hostile_stream(bytes)?;
+    }
+
+    #[test]
+    fn mutated_v4_streams_never_panic_the_frame_reader(
+        edits in proptest::collection::vec((0u8..4, 0usize..1 << 16, 1u8..=255), 1..6),
+    ) {
+        let mut bytes = valid_v4_stream();
+        for (kind, at, byte) in edits {
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] ^= byte,
+                1 => bytes.insert(at, byte),
+                2 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                3 => bytes.truncate(at),
+                _ => {}
+            }
+        }
+        read_hostile_stream(bytes)?;
+    }
+
+    #[test]
+    fn arbitrary_bytes_after_the_binary_marker_never_panic_try_extract(
+        payload in proptest::collection::vec(0u8..=255, 0..256),
+        length_prefixed in proptest::bool::ANY,
+    ) {
+        // With a true length prefix, the payload decoder itself reads
+        // the arbitrary bytes.
+        let mut bytes = vec![BINARY_FRAME_MARKER];
+        if length_prefixed {
+            divrel::numerics::wire::write_varint(&mut bytes, payload.len() as u64);
+        }
+        bytes.extend(payload);
+        match try_extract(&bytes) {
+            Ok(Extracted::Frame(_, used)) => prop_assert!(used <= bytes.len()),
+            Ok(Extracted::Incomplete) => {}
+            Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+        }
     }
 }
