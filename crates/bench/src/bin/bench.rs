@@ -895,7 +895,7 @@ fn rare_event_rows(bench: &mut Bench) {
     let naive_needed = (sigma / (0.1 * mu)).powi(2);
     for (label, est) in [
         ("tilt", RareEstimator::ImportanceTilt { theta: 4.0 }),
-        ("stratified", RareEstimator::StratifyByCount { rounds: 3 }),
+        ("stratified", RareEstimator::StratifyByCount),
     ] {
         let out = RareEventExperiment::from_shared(&shared, 3, 2, est)
             .expect("valid config")

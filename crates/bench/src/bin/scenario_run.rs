@@ -57,8 +57,7 @@
 
 use divrel_bench::context::default_sweep_threads;
 use divrel_bench::dist::{
-    default_worker_threads, spawn_stdio_fleet, Coordinator, DistStats, FaultPlan, JsonLines,
-    StdioFleet, Transport, Worker,
+    spawn_stdio_fleet, Coordinator, DistStats, FaultPlan, JsonLines, StdioFleet, Transport, Worker,
 };
 use divrel_bench::{Context, Scenario};
 use divrel_report::{ArtifactSink, ScenarioCard};
@@ -543,7 +542,7 @@ fn run_coordinator(args: &Args, scenario: Scenario, workers: usize) -> Result<()
         scenario.seed.seed,
         coordinator.spec_hash(),
     ));
-    let fleet_threads = args.threads.unwrap_or_else(default_worker_threads);
+    let fleet_threads = args.threads.unwrap_or_else(default_sweep_threads);
     let (mut children, transports) = match &args.bind {
         Some(addr) => (Vec::new(), accept_tcp_workers(addr, workers)?),
         None => {
@@ -644,14 +643,14 @@ fn run(args: Args) -> Result<(), String> {
     if args.worker_stdio {
         // Protocol rides stdout: nothing else may print there.
         let worker = build_worker(
-            args.threads.unwrap_or_else(default_worker_threads),
+            args.threads.unwrap_or_else(default_sweep_threads),
             &args.fault,
         )?;
         return serve_connection(&worker, JsonLines::new(std::io::stdin(), std::io::stdout()));
     }
     if let Some(addr) = &args.worker {
         let worker = build_worker(
-            args.threads.unwrap_or_else(default_worker_threads),
+            args.threads.unwrap_or_else(default_sweep_threads),
             &args.fault,
         )?;
         let mut connections = 0u64;

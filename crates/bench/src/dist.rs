@@ -72,7 +72,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex};
@@ -162,16 +161,13 @@ pub enum Message {
         /// One past the last cell index.
         end: u64,
     },
-    /// Worker → coordinator: heartbeat while a lease runs — `done` of
-    /// the lease's cells are evaluated so far. Resets the lease
-    /// deadline; carries no data.
+    /// Worker → coordinator: heartbeat while a lease runs. Resets the
+    /// lease deadline; carries no data.
     Progress {
         /// Echo of the lease start.
         start: u64,
         /// Echo of the lease end.
         end: u64,
-        /// Cells of the lease evaluated so far.
-        done: u64,
     },
     /// Worker → coordinator: the lease's per-cell accumulators, in
     /// ascending cell order, wire-encoded.
@@ -1021,16 +1017,23 @@ impl Coordinator {
     }
 
     /// Appends a completed lease to the job's journal (if one is
-    /// attached). Returns `true` when the chaos halt point is reached.
+    /// attached). Returns `true` when the chaos halt point is reached:
+    /// the append that reaches it is written, and every later one is
+    /// refused under the same lock, so a halted journal holds exactly
+    /// that many records however many results drain in after the halt.
     fn journal_append(&self, job: &Job, range: CellRange, cells: &[Wire]) -> Result<bool, String> {
         let Some(journal) = &job.journal else {
             return Ok(false);
         };
+        let halted = |appends: u64| self.halt_after_appends.is_some_and(|n| appends >= n);
         let mut j = journal.lock().expect("journal poisoned");
+        if halted(j.appends()) {
+            return Ok(true);
+        }
         let appends = j
             .append(range, cells)
             .map_err(|e| format!("journal write failed: {e}"))?;
-        Ok(self.halt_after_appends.is_some_and(|n| appends >= n))
+        Ok(halted(appends))
     }
 
     /// Serves one worker for the whole session: its `Join` with its
@@ -1275,7 +1278,7 @@ impl Coordinator {
             // an idle worker, and strikes only accrue with work in
             // flight.
             match wait_frame(events, self.lease_timeout) {
-                RxWait::Event(RxEvent::Frame(Message::Progress { start, end, .. })) => {
+                RxWait::Event(RxEvent::Frame(Message::Progress { start, end })) => {
                     if outstanding
                         .iter()
                         .any(|f| start == f.lease.range.start && end == f.lease.range.end)
@@ -1734,18 +1737,6 @@ struct Board {
     fatal: Option<String>,
 }
 
-/// Default worker-side parallelism: `DIVREL_WORKER_THREADS` if set to a
-/// positive integer, else the sweep engine's default (available
-/// parallelism capped at 8).
-#[must_use]
-pub fn default_worker_threads() -> usize {
-    std::env::var("DIVREL_WORKER_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(crate::context::default_sweep_threads)
-}
-
 /// Compiled-spec cache shared across a worker's connections, keyed by
 /// spec hash. A persistent worker that reconnects to coordinators
 /// running the same committed spec compiles the [`DistJob`] once and
@@ -1825,11 +1816,12 @@ impl Default for Worker {
 
 impl Worker {
     /// A healthy worker evaluating leases with
-    /// [`default_worker_threads`] threads.
+    /// [`default_sweep_threads`](crate::context::default_sweep_threads)
+    /// threads.
     #[must_use]
     pub fn new() -> Self {
         Worker {
-            threads: default_worker_threads(),
+            threads: crate::context::default_sweep_threads(),
             plan: FaultPlan::new(),
             heartbeat_interval: Duration::from_millis(200),
             cache: SpecCache::new(),
@@ -1837,9 +1829,7 @@ impl Worker {
         }
     }
 
-    /// Worker-side threads per lease (execution hint only). A lease's
-    /// cells are evaluated in chunks of this many, with a
-    /// [`Message::Progress`] heartbeat due after each.
+    /// Worker-side threads per lease (execution hint only).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -1864,10 +1854,11 @@ impl Worker {
         self
     }
 
-    /// Wall-clock heartbeat cadence *within* a chunk (default 200 ms):
-    /// even when a single cell computes longer than the coordinator's
-    /// lease deadline, [`Message::Progress`] frames keep flowing, so a
-    /// slow-but-alive worker is never mistaken for a dead one.
+    /// Wall-clock heartbeat cadence while a lease runs (default
+    /// 200 ms): even when a lease computes longer than the
+    /// coordinator's lease deadline, [`Message::Progress`] frames keep
+    /// flowing, so a slow-but-alive worker is never mistaken for a dead
+    /// one.
     #[must_use]
     pub fn heartbeat_interval(mut self, interval: Duration) -> Self {
         self.heartbeat_interval = interval.max(Duration::from_millis(1));
@@ -2055,11 +2046,13 @@ impl Worker {
         Ok(job)
     }
 
-    /// Evaluates a lease's cells on a scoped thread while this thread
-    /// pumps [`Message::Progress`] heartbeats on a wall-clock cadence:
-    /// a single cell that computes longer than the lease deadline still
-    /// heartbeats, so it is never spuriously re-leased or quarantined.
-    /// The outer error is the transport's; the inner one a cell's.
+    /// Evaluates a lease's cells with one [`DistJob::run_range`] call
+    /// on a scoped thread while this thread sends a
+    /// [`Message::Progress`] heartbeat every `heartbeat_interval` until
+    /// it returns: a lease that computes longer than the lease deadline
+    /// still heartbeats, so it is never spuriously re-leased or
+    /// quarantined. The outer error is the transport's; the inner one a
+    /// cell's.
     fn evaluate<T: Transport + ?Sized>(
         &self,
         t: &mut T,
@@ -2067,54 +2060,29 @@ impl Worker {
         range: CellRange,
         slow_ms: Option<u64>,
     ) -> std::io::Result<Result<Vec<Wire>, String>> {
-        let chunk = self.threads as u64;
-        let done = AtomicU64::new(0);
-        let (tick_tx, tick_rx) = std::sync::mpsc::channel::<()>();
-        let done_ref = &done;
+        // The evaluation thread holds the sender; its drop on return
+        // ends the heartbeat loop.
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
         let (evaled, io_err) = std::thread::scope(|s| {
             let eval = s.spawn(move || {
+                let _done = done_tx;
                 if let Some(ms) = slow_ms {
                     std::thread::sleep(Duration::from_millis(ms));
                 }
-                let mut cells = Vec::with_capacity(range.len() as usize);
-                let mut at = range.start;
-                while at < range.end {
-                    let sub_end = (at + chunk).min(range.end);
-                    match job.run_range(CellRange::new(at, sub_end)) {
-                        Ok(sub) => cells.extend(sub),
-                        // Box<dyn Error> is not Send; carry the message
-                        // across the join.
-                        Err(e) => return Err(e.to_string()),
-                    }
-                    at = sub_end;
-                    done_ref.store(at - range.start, Ordering::Relaxed);
-                    if at < range.end {
-                        let _ = tick_tx.send(());
-                    }
-                }
-                Ok(cells)
+                // Box<dyn Error> is not Send; carry the message across
+                // the join.
+                job.run_range(range).map_err(|e| e.to_string())
             });
             let mut io_err: Option<std::io::Error> = None;
-            let mut last_beat = Instant::now();
-            while let Ok(()) | Err(RecvTimeoutError::Timeout) =
-                tick_rx.recv_timeout(self.heartbeat_interval)
+            while let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(self.heartbeat_interval)
             {
-                // Ticks arrive per chunk — much faster than the
-                // heartbeat cadence on healthy leases — so rate-limit
-                // the actual frames to one per interval; the timeout
-                // arm keeps a slow single cell heartbeating.
-                if last_beat.elapsed() < self.heartbeat_interval {
-                    continue;
-                }
-                last_beat = Instant::now();
                 if io_err.is_none() {
                     if let Err(e) = t.send(&Message::Progress {
                         start: range.start,
                         end: range.end,
-                        done: done.load(Ordering::Relaxed),
                     }) {
-                        // Keep pumping the channel dry so the eval
-                        // thread is joined either way.
+                        // Keep waiting, so the eval thread is joined
+                        // either way.
                         io_err = Some(e);
                     }
                 }
@@ -2243,6 +2211,7 @@ mod tests {
     use crate::Context;
     use divrel_devsim::adaptive::CellEvidence;
     use divrel_numerics::wire::WireForm;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn spec_hash_is_stable_and_sensitive() {
@@ -2273,11 +2242,7 @@ mod tests {
                 hash: "fnv1a:00".into(),
             },
             Message::Lease { start: 3, end: 9 },
-            Message::Progress {
-                start: 3,
-                end: 9,
-                done: 4,
-            },
+            Message::Progress { start: 3, end: 9 },
             Message::Result {
                 start: 3,
                 end: 4,
@@ -2333,11 +2298,7 @@ mod tests {
     fn frame_reader_preserves_partial_frames_across_read_timeouts() {
         let msgs = [
             Message::Lease { start: 0, end: 100 },
-            Message::Progress {
-                start: 0,
-                end: 100,
-                done: 42,
-            },
+            Message::Progress { start: 0, end: 100 },
         ];
         let data = {
             let mut out = JsonLines::new(std::io::empty(), Vec::new());

@@ -35,8 +35,11 @@ use std::path::{Path, PathBuf};
 /// Journal format revision. v2: adaptive cells draw their failures as
 /// geometric gaps, so a v1 journal's evidence comes from another random
 /// stream; resuming it would splice two streams into one run, and the
-/// spec hash cannot tell them apart.
-pub const JOURNAL_VERSION: u64 = 2;
+/// spec hash cannot tell them apart. v3: a rare-event cell is a bare
+/// weighted mean, without the empty `strata` field v2 carried, so a v2
+/// rare journal is refused by its version rather than reported as a
+/// corrupt cell.
+pub const JOURNAL_VERSION: u64 = 3;
 
 /// A journal failure: I/O, a malformed non-trailing record, or a
 /// header that does not match the campaign being resumed.

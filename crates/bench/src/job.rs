@@ -17,7 +17,7 @@
 //! | `ForcedDiversity` | ≤ 250 process pairs | [`ForcedSweepStats`] |
 //! | `MonteCarlo` | ≤ 2048 sampled pairs | [`McAccumulator`] |
 //! | `Protection` | one campaign shard of one system | [`OperationLog`](divrel_protection::OperationLog) |
-//! | `RareEvent` | ≤ 4096 weighted/stratified draws | [`RareAccumulator`] |
+//! | `RareEvent` | ≤ 4096 weighted draws | [`WeightedMean`] |
 //! | `AdaptivePfd` (one round) | one cell's round demands | [`CellEvidence`] |
 //!
 //! An un-pinned `AdaptivePfd` spec is a loop of rounds, not one grid:
@@ -29,9 +29,10 @@ use crate::sweep::{forced_cell, forced_grid, kl_cell, kl_grid, ForcedSweepStats,
 use divrel_devsim::adaptive::{AdaptivePfdRuntime, CellEvidence};
 use divrel_devsim::experiment::{run_cell as mc_cell, McAccumulator, MonteCarloExperiment};
 use divrel_devsim::factory::VersionFactory;
-use divrel_devsim::rare::{RareAccumulator, RareEventExperiment};
+use divrel_devsim::rare::RareEventExperiment;
 use divrel_devsim::sweep::{run_cells, CellRange, SweepCell, SweepGrid};
 use divrel_model::FaultModel;
+use divrel_numerics::estimator::WeightedMean;
 use divrel_numerics::sweep::SweepReduce;
 use divrel_numerics::wire::{Wire, WireError, WireForm};
 use std::borrow::Borrow;
@@ -144,7 +145,8 @@ impl CellJob for McJob {
     }
 }
 
-/// The rare-event engine's grid of weighted or stratified draws.
+/// The rare-event engine's grid of weighted draws (naive, tilted or
+/// stratified).
 struct RareJob {
     exp: RareEventExperiment,
     grid: SweepGrid<usize>,
@@ -152,18 +154,18 @@ struct RareJob {
 
 impl CellJob for RareJob {
     const KIND: &'static str = "rare";
-    type Acc = RareAccumulator;
+    type Acc = WeightedMean;
 
     fn cells(&self) -> u64 {
         self.grid.len() as u64
     }
 
-    fn run_cell(&self, k: u64) -> Result<RareAccumulator, String> {
+    fn run_cell(&self, k: u64) -> Result<WeightedMean, String> {
         let cell = &self.grid.cells()[k as usize];
         Ok(self.exp.run_cell(cell.config, cell.seed))
     }
 
-    fn finish(&self, accs: Vec<RareAccumulator>) -> ScenarioResult<ScenarioOutcome> {
+    fn finish(&self, accs: Vec<WeightedMean>) -> ScenarioResult<ScenarioOutcome> {
         let acc = fold(accs).ok_or("rare-event grid reduced to nothing")?;
         Ok(ScenarioOutcome::RareEvent(self.exp.finish(acc)?))
     }
@@ -311,7 +313,7 @@ pub(crate) fn compile(scenario: &Scenario) -> ScenarioResult<Box<dyn AnyJob>> {
                 &model.build_shared()?,
                 *channels,
                 *k,
-                estimator.to_estimator(),
+                *estimator,
             )?
             .samples(*samples)
             .seed(seed);

@@ -10,6 +10,8 @@
 //!   model;
 //! * [`FaultIntroduction`] (`divrel_devsim::process`) — how faults are
 //!   introduced;
+//! * [`RareEstimator`] (`divrel_devsim::rare`) — the rare-event
+//!   estimator;
 //! * [`CampaignSpec`]/[`PlantSpec`]/`ProfileSpec`/`SystemSpec`
 //!   (`divrel_protection::spec`) — protection campaigns;
 //! * [`SeedSpec`] (`divrel_numerics::sweep`) — the random-stream layout;
@@ -135,7 +137,7 @@ pub enum ExperimentSpec {
         /// Total sample budget.
         samples: usize,
         /// Which estimator to run.
-        estimator: EstimatorSpec,
+        estimator: RareEstimator,
     },
     /// The posterior-driven adaptive sweep: a grid of sampled versions
     /// assessed by rounds of demand trials, each round's budget leased
@@ -154,46 +156,6 @@ pub enum ExperimentSpec {
         /// derives each plan from the accumulated evidence).
         round: Option<RoundPlan>,
     },
-}
-
-/// The declarative estimator choices of a [`ExperimentSpec::RareEvent`]
-/// scenario — the serialisable face of
-/// [`divrel_devsim::rare::RareEstimator`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum EstimatorSpec {
-    /// Plain Monte Carlo (the unbiased baseline).
-    Naive,
-    /// Exponential importance tilt with exact per-sample
-    /// likelihood-ratio reweighting.
-    ImportanceTilt {
-        /// Tilt strength `θ ≥ 0` (`0` reduces exactly to `Naive`).
-        theta: f64,
-    },
-    /// Stratification by exact fault count with Neyman reallocation.
-    StratifyByCount {
-        /// Allocation rounds per sweep cell (≥ 1).
-        rounds: u32,
-    },
-}
-
-impl EstimatorSpec {
-    /// The runtime estimator this spec declares.
-    pub fn to_estimator(self) -> RareEstimator {
-        match self {
-            EstimatorSpec::Naive => RareEstimator::Naive,
-            EstimatorSpec::ImportanceTilt { theta } => RareEstimator::ImportanceTilt { theta },
-            EstimatorSpec::StratifyByCount { rounds } => RareEstimator::StratifyByCount { rounds },
-        }
-    }
-
-    /// A short human-readable label for cards and bench rows.
-    pub fn label(self) -> String {
-        match self {
-            EstimatorSpec::Naive => "naive".into(),
-            EstimatorSpec::ImportanceTilt { theta } => format!("tilt(θ={theta})"),
-            EstimatorSpec::StratifyByCount { rounds } => format!("stratified({rounds} rounds)"),
-        }
-    }
 }
 
 impl Scenario {
@@ -267,7 +229,7 @@ impl Scenario {
                 // stratified-universe bound) — run it on the built
                 // model so a bad spec file fails here, not mid-run.
                 let shared = model.build_shared()?;
-                RareEventExperiment::from_shared(&shared, *channels, *k, estimator.to_estimator())?;
+                RareEventExperiment::from_shared(&shared, *channels, *k, *estimator)?;
             }
             ExperimentSpec::AdaptivePfd {
                 model,
@@ -1056,7 +1018,7 @@ mod tests {
         assert!(s.run(1).is_err());
     }
 
-    fn tiny_rare(estimator: EstimatorSpec) -> Scenario {
+    fn tiny_rare(estimator: RareEstimator) -> Scenario {
         Scenario {
             name: "tiny-rare".into(),
             seed: SeedSpec::new(13),
@@ -1080,9 +1042,9 @@ mod tests {
     #[test]
     fn rare_event_scenarios_run_and_round_trip() {
         for est in [
-            EstimatorSpec::Naive,
-            EstimatorSpec::ImportanceTilt { theta: 3.0 },
-            EstimatorSpec::StratifyByCount { rounds: 2 },
+            RareEstimator::Naive,
+            RareEstimator::ImportanceTilt { theta: 3.0 },
+            RareEstimator::StratifyByCount,
         ] {
             let s = tiny_rare(est);
             s.validate().unwrap();
@@ -1108,12 +1070,12 @@ mod tests {
 
     #[test]
     fn rare_event_validation_rejects_bad_specs() {
-        let mut s = tiny_rare(EstimatorSpec::Naive);
+        let mut s = tiny_rare(RareEstimator::Naive);
         if let ExperimentSpec::RareEvent { k, .. } = &mut s.experiment {
             *k = 5; // > channels
         }
         assert!(s.validate().is_err());
-        let mut s = tiny_rare(EstimatorSpec::ImportanceTilt { theta: -2.0 });
+        let mut s = tiny_rare(RareEstimator::ImportanceTilt { theta: -2.0 });
         assert!(s.validate().is_err());
         if let ExperimentSpec::RareEvent {
             estimator,
@@ -1123,7 +1085,7 @@ mod tests {
         } = &mut s.experiment
         {
             // 5 faults x (1 + 15 channels) = 80 bits > 64.
-            *estimator = EstimatorSpec::StratifyByCount { rounds: 2 };
+            *estimator = RareEstimator::StratifyByCount;
             *channels = 15;
             *k = 1;
         }

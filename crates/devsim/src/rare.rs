@@ -20,17 +20,19 @@
 //! * **Fault-count stratification**
 //!   ([`RareEstimator::StratifyByCount`]): the concatenated
 //!   common+residual Bernoulli universe is partitioned by its exact
-//!   Poisson-binomial bit count ([`CountConditionedSampler`]); each
-//!   sweep cell spends its budget across count strata with
-//!   Neyman-style reallocation between rounds, so the all-absent
-//!   stratum — which carries nearly all the probability and exactly
-//!   zero payoff — costs almost nothing.
+//!   Poisson-binomial bit count ([`CountConditionedSampler`]). Each
+//!   draw picks a count stratum `h` from a fixed mixture `π` — uniform
+//!   over the strata `h ≥ 1` of positive probability — draws a word
+//!   conditional on `h`, and carries the exact log weight
+//!   `ln(Wₕ/πₕ)`, `Wₕ` being the stratum's probability. The all-absent
+//!   stratum carries nearly all the probability and pays exactly zero,
+//!   so the mixture skips it without biasing the estimate.
 //!
-//! Both estimators run on the deterministic sweep engine: cells are
-//! pure functions of `(spec, cell index)`, accumulators implement
-//! [`SweepReduce`] + [`WireForm`], and so thread-invariance,
-//! journaling and fleet distribution hold bit-for-bit, exactly as for
-//! the plain Monte-Carlo path.
+//! Every estimator is therefore a proposal whose draws fold into one
+//! [`WeightedMean`], on the deterministic sweep engine: cells are pure
+//! functions of `(spec, cell index)`, and thread-invariance, journaling
+//! and fleet distribution hold bit-for-bit, exactly as for the plain
+//! Monte-Carlo path.
 //!
 //! Because the per-fault layers stay independent of each other, the
 //! engine also knows the **exact answer** ([`RareEventExperiment::true_pfd`])
@@ -42,12 +44,10 @@ use crate::error::DevSimError;
 use crate::sampler::{BiasedBitSampler, CountConditionedSampler};
 use crate::sweep::{run_sweep, GridSpec};
 use divrel_model::shared::SharedCauseModel;
-use divrel_numerics::estimator::{StratumMoments, WeightedMean};
+use divrel_numerics::estimator::WeightedMean;
 use divrel_numerics::special::ln_binomial;
-use divrel_numerics::sweep::SweepReduce;
-use divrel_numerics::wire::{Wire, WireError, WireForm};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Samples per sweep cell: coarser than the plain Monte-Carlo grid
 /// (2048) because rare-event cells do less work per observation on
@@ -62,7 +62,7 @@ pub const RARE_CELL_SAMPLES: usize = 4096;
 pub const STRATA: usize = 8;
 
 /// Which rare-event estimator a run uses.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum RareEstimator {
     /// Plain Monte Carlo over the two-layer model (the unbiased
     /// baseline every variance-reduced estimator is tested against).
@@ -74,63 +74,10 @@ pub enum RareEstimator {
         theta: f64,
     },
     /// Stratification by the exact count of set bits in the
-    /// concatenated common+residual universe, with `rounds` Neyman
-    /// reallocation rounds per sweep cell.
-    StratifyByCount {
-        /// Allocation rounds per cell (≥ 1; round 1 splits evenly,
-        /// later rounds follow `Wₕ·σ̂ₕ`).
-        rounds: u32,
-    },
-}
-
-/// Per-cell accumulator of a rare-event run: the weighted estimator
-/// state for the naive/tilted paths and the per-stratum moments for
-/// the stratified path (whichever the estimator does not use stays
-/// empty and merges as the identity).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RareAccumulator {
-    weighted: WeightedMean,
-    strata: StratumMoments,
-}
-
-impl RareAccumulator {
-    /// The weighted-mean state (naive and tilted estimators).
-    pub fn weighted(&self) -> &WeightedMean {
-        &self.weighted
-    }
-
-    /// The per-stratum moments (stratified estimator).
-    pub fn strata(&self) -> &StratumMoments {
-        &self.strata
-    }
-
-    /// Total observations in the accumulator.
-    pub fn count(&self) -> u64 {
-        self.weighted.count() + self.strata.count()
-    }
-}
-
-impl SweepReduce for RareAccumulator {
-    fn absorb(&mut self, other: Self) {
-        self.weighted.absorb(other.weighted);
-        self.strata.absorb(other.strata);
-    }
-}
-
-impl WireForm for RareAccumulator {
-    fn to_wire(&self) -> Wire {
-        Wire::record([
-            ("weighted", self.weighted.to_wire()),
-            ("strata", self.strata.to_wire()),
-        ])
-    }
-
-    fn from_wire(wire: &Wire) -> Result<Self, WireError> {
-        Ok(RareAccumulator {
-            weighted: WeightedMean::from_wire(wire.field("weighted")?)?,
-            strata: StratumMoments::from_wire(wire.field("strata")?)?,
-        })
-    }
+    /// concatenated common+residual universe: each draw picks its
+    /// stratum from a fixed mixture and carries the stratum's exact
+    /// likelihood ratio.
+    StratifyByCount,
 }
 
 /// The reduced outcome of a rare-event run.
@@ -143,8 +90,8 @@ pub struct RareOutcome {
     /// `std_error / estimate` (`+∞` when the estimate is zero — the
     /// naive estimator at budgets that never saw a failure).
     pub relative_error: f64,
-    /// Effective sample size: Kish `(Σw)²/Σw²` for weighted
-    /// estimators, the realised draw count for the stratified one.
+    /// Kish effective sample size `(Σw)²/Σw²` (the draw count for the
+    /// naive estimator, whose weights are all 1).
     pub ess: f64,
     /// Total samples drawn.
     pub samples: u64,
@@ -185,10 +132,11 @@ enum Kernel {
         residual: Box<BiasedBitSampler>,
     },
     /// Stratified path: conditional sampler over the concatenated
-    /// `γ ++ ρ×channels` universe.
+    /// `γ ++ ρ×channels` universe, and the mixture's strata with their
+    /// log weights `ln(Wₕ/πₕ)`.
     Stratified {
         cond: CountConditionedSampler,
-        rounds: u32,
+        mixture: Vec<(usize, f64)>,
     },
 }
 
@@ -227,7 +175,7 @@ impl RareEventExperiment {
     ///
     /// [`DevSimError::InvalidConfig`] for an empty fault model, more
     /// than 64 faults, `k ∉ [1, channels]`, a non-finite/negative
-    /// tilt, zero rounds, or a stratified universe exceeding 64 bits
+    /// tilt, or a stratified universe exceeding 64 bits
     /// (`faults × (1 + channels)`).
     pub fn from_shared(
         model: &SharedCauseModel,
@@ -285,12 +233,7 @@ impl RareEventExperiment {
                     residual: Box::new(BiasedBitSampler::exponential(&rhos, theta)?),
                 }
             }
-            RareEstimator::StratifyByCount { rounds } => {
-                if rounds == 0 {
-                    return Err(DevSimError::InvalidConfig(
-                        "stratified estimator needs at least one round".into(),
-                    ));
-                }
+            RareEstimator::StratifyByCount => {
                 let bits = faults * (1 + channels as usize);
                 if bits > 64 {
                     return Err(DevSimError::InvalidConfig(format!(
@@ -303,10 +246,9 @@ impl RareEventExperiment {
                 for _ in 0..channels {
                     concat.extend_from_slice(&rhos);
                 }
-                Kernel::Stratified {
-                    cond: CountConditionedSampler::new(&concat)?,
-                    rounds,
-                }
+                let cond = CountConditionedSampler::new(&concat)?;
+                let mixture = stratum_mixture(cond.count_pmf());
+                Kernel::Stratified { cond, mixture }
             }
         };
         Ok(RareEventExperiment {
@@ -437,9 +379,9 @@ impl RareEventExperiment {
     /// split RNG stream. A pure function of `(self, count, seed)` —
     /// the distribution layer calls this on any host and gets the
     /// exact bits the in-process sweep produces.
-    pub fn run_cell(&self, count: usize, seed: u64) -> RareAccumulator {
+    pub fn run_cell(&self, count: usize, seed: u64) -> WeightedMean {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut acc = RareAccumulator::default();
+        let mut acc = WeightedMean::new();
         match &self.kernel {
             Kernel::Layered { common, residual } => {
                 let mut resid = vec![0u64; self.channels as usize];
@@ -450,70 +392,37 @@ impl RareEventExperiment {
                         *r = residual.sample(&mut rng);
                         log_w += residual.log_weight(*r);
                     }
-                    acc.weighted.push(log_w, self.payoff(cw, &resid));
+                    acc.push(log_w, self.payoff(cw, &resid));
                 }
             }
-            Kernel::Stratified { cond, rounds } => {
-                self.run_stratified_cell(cond, *rounds, count, &mut rng, &mut acc);
+            Kernel::Stratified { cond, mixture } => {
+                self.run_stratified_cell(cond, mixture, count, &mut rng, &mut acc);
             }
         }
         acc
     }
 
+    /// The stratified draws of one cell: one uniform picks a stratum
+    /// of the mixture, then a word is drawn conditional on it (the
+    /// last stratum is the `≥ STRATA−1` tail).
     fn run_stratified_cell(
         &self,
         cond: &CountConditionedSampler,
-        rounds: u32,
+        mixture: &[(usize, f64)],
         count: usize,
         rng: &mut StdRng,
-        acc: &mut RareAccumulator,
+        acc: &mut WeightedMean,
     ) {
-        let pmf = cond.count_pmf();
-        let strata = STRATA.min(pmf.len());
-        let weights = stratum_weights(pmf, strata);
-        acc.strata = StratumMoments::with_strata(strata);
+        let tail = STRATA.min(cond.count_pmf().len()) - 1;
         let mut scratch = Vec::with_capacity(self.channels as usize);
-        let rounds = rounds.max(1) as usize;
-        let base = count / rounds;
-        for round in 0..rounds {
-            let budget = if round + 1 == rounds {
-                count - base * (rounds - 1)
+        for _ in 0..count {
+            let (h, log_w) = mixture[rng.gen_range(0..mixture.len())];
+            let word = if h < tail {
+                cond.sample_exact(rng, h)
             } else {
-                base
+                cond.sample_at_least(rng, h)
             };
-            // Round 1 has no variance information: split evenly across
-            // positive-probability strata. Later rounds follow Neyman
-            // scores Wₕ·σ̂ₕ from everything accumulated so far.
-            let scores: Vec<f64> = if round == 0 {
-                weights.iter().map(|&w| f64::from(w > 0.0)).collect()
-            } else {
-                weights
-                    .iter()
-                    .zip(acc.strata.strata())
-                    .map(|(&w, m)| {
-                        if w == 0.0 {
-                            0.0
-                        } else {
-                            w * m.sample_variance().unwrap_or(0.0).sqrt()
-                        }
-                    })
-                    .collect()
-            };
-            let active: Vec<bool> = weights.iter().map(|&w| w > 0.0).collect();
-            for (h, n_h) in allocate_budget(budget, &scores, &active)
-                .into_iter()
-                .enumerate()
-            {
-                for _ in 0..n_h {
-                    let word = if h + 1 < strata {
-                        cond.sample_exact(rng, h)
-                    } else {
-                        cond.sample_at_least(rng, h)
-                    };
-                    let y = self.payoff_concat(word, &mut scratch);
-                    acc.strata.push(h, y);
-                }
-            }
+            acc.push(log_w, self.payoff_concat(word, &mut scratch));
         }
     }
 
@@ -537,46 +446,17 @@ impl RareEventExperiment {
     ///
     /// # Errors
     ///
-    /// [`DevSimError::Numerics`] if the accumulator holds too few
-    /// observations for a variance, or a positive-probability stratum
-    /// was never sampled.
-    pub fn finish(&self, acc: RareAccumulator) -> Result<RareOutcome, DevSimError> {
-        let true_pfd = self.true_pfd();
-        match &self.kernel {
-            Kernel::Layered { .. } => {
-                let estimate = acc.weighted.estimate();
-                let std_error = acc.weighted.std_error()?;
-                let relative_error = acc.weighted.relative_error()?;
-                Ok(RareOutcome {
-                    estimate,
-                    std_error,
-                    relative_error,
-                    ess: acc.weighted.ess(),
-                    samples: acc.weighted.count(),
-                    true_pfd,
-                })
-            }
-            Kernel::Stratified { cond, .. } => {
-                let pmf = cond.count_pmf();
-                let strata = STRATA.min(pmf.len());
-                let weights = stratum_weights(pmf, strata);
-                let (estimate, std_error) = acc.strata.stratified_estimate(&weights)?;
-                let relative_error = if estimate > 0.0 {
-                    std_error / estimate
-                } else {
-                    f64::INFINITY
-                };
-                let samples = acc.strata.count();
-                Ok(RareOutcome {
-                    estimate,
-                    std_error,
-                    relative_error,
-                    ess: samples as f64,
-                    samples,
-                    true_pfd,
-                })
-            }
-        }
+    /// [`DevSimError::Numerics`] if the accumulator holds fewer than
+    /// two draws.
+    pub fn finish(&self, acc: WeightedMean) -> Result<RareOutcome, DevSimError> {
+        Ok(RareOutcome {
+            estimate: acc.estimate(),
+            std_error: acc.std_error()?,
+            relative_error: acc.relative_error()?,
+            ess: acc.ess(),
+            samples: acc.count(),
+            true_pfd: self.true_pfd(),
+        })
     }
 }
 
@@ -588,78 +468,31 @@ fn stratum_weights(pmf: &[f64], strata: usize) -> Vec<f64> {
     w
 }
 
-/// Deterministic integer allocation of `budget` draws over strata:
-/// every active stratum gets one draw first (so variance estimates
-/// keep refining), then the remainder follows `scores` by the largest-
-/// remainder method with index-order tie-breaking. A pure function of
-/// its arguments — allocation never depends on scheduling.
-fn allocate_budget(budget: usize, scores: &[f64], active: &[bool]) -> Vec<usize> {
-    let h = scores.len();
-    let mut out = vec![0usize; h];
-    let mut left = budget;
-    for (i, &a) in active.iter().enumerate() {
-        if left == 0 {
-            return out;
-        }
-        if a {
-            out[i] = 1;
-            left -= 1;
-        }
+/// The fixed stratum mixture of a count PMF: `πₕ = 1/m` over the `m`
+/// strata `h ≥ 1` of positive probability, each with its exact log
+/// weight `ln(Wₕ/πₕ)`. The all-absent stratum pays exactly 0, so
+/// leaving it out keeps `E_π[w·y] = Σₕ Wₕ·E[y | h]` the PFD. A universe
+/// whose only word of positive probability is the all-absent one gets
+/// the mixture of stratum 0 alone.
+fn stratum_mixture(pmf: &[f64]) -> Vec<(usize, f64)> {
+    let weights = stratum_weights(pmf, STRATA.min(pmf.len()));
+    let mut strata: Vec<usize> = (1..weights.len()).filter(|&h| weights[h] > 0.0).collect();
+    if strata.is_empty() {
+        strata.push(0);
     }
-    let total: f64 = scores
-        .iter()
-        .zip(active)
-        .filter(|&(_, &a)| a)
-        .map(|(&s, _)| s)
-        .sum();
-    if left == 0 {
-        return out;
-    }
-    if total <= 0.0 {
-        // No variance signal yet: spread evenly over active strata.
-        let n_active = active.iter().filter(|&&a| a).count().max(1);
-        let each = left / n_active;
-        let mut rem = left - each * n_active;
-        for (i, &a) in active.iter().enumerate() {
-            if a {
-                out[i] += each + usize::from(rem > 0);
-                rem = rem.saturating_sub(1);
-            }
-        }
-        return out;
-    }
-    let mut fracs: Vec<(usize, f64)> = Vec::with_capacity(h);
-    let mut assigned = 0usize;
-    for (i, (&s, &a)) in scores.iter().zip(active).enumerate() {
-        if !a || s <= 0.0 {
-            fracs.push((i, 0.0));
-            continue;
-        }
-        let share = s / total * left as f64;
-        let floor = share.floor() as usize;
-        out[i] += floor;
-        assigned += floor;
-        fracs.push((i, share - floor as f64));
-    }
-    let mut rem = left - assigned.min(left);
-    // Largest fractional part first; ties resolve to the lower index.
-    fracs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    for (i, _) in fracs {
-        if rem == 0 {
-            break;
-        }
-        if active[i] {
-            out[i] += 1;
-            rem -= 1;
-        }
-    }
-    out
+    let ln_m = (strata.len() as f64).ln();
+    strata
+        .into_iter()
+        .map(|h| (h, weights[h].ln() + ln_m))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use divrel_model::FaultModel;
+    use divrel_numerics::sweep::SweepReduce;
+    use divrel_numerics::wire::{Wire, WireForm};
 
     fn shared(beta: f64) -> SharedCauseModel {
         let base = FaultModel::from_params(
@@ -762,16 +595,11 @@ mod tests {
     #[test]
     fn stratified_estimate_is_unbiased_on_a_rare_system() {
         let m = rare_shared();
-        let exp = RareEventExperiment::from_shared(
-            &m,
-            3,
-            2,
-            RareEstimator::StratifyByCount { rounds: 3 },
-        )
-        .unwrap()
-        .samples(1 << 16)
-        .seed(43)
-        .threads(2);
+        let exp = RareEventExperiment::from_shared(&m, 3, 2, RareEstimator::StratifyByCount)
+            .unwrap()
+            .samples(1 << 16)
+            .seed(43)
+            .threads(2);
         let out = exp.run().unwrap();
         assert!(
             (out.estimate - out.true_pfd).abs() < 5.0 * out.std_error,
@@ -789,7 +617,7 @@ mod tests {
         for est in [
             RareEstimator::Naive,
             RareEstimator::ImportanceTilt { theta: 4.0 },
-            RareEstimator::StratifyByCount { rounds: 2 },
+            RareEstimator::StratifyByCount,
         ] {
             let run = |threads: usize| {
                 RareEventExperiment::from_shared(&m, 3, 2, est)
@@ -823,7 +651,7 @@ mod tests {
         let m = rare_shared();
         for est in [
             RareEstimator::ImportanceTilt { theta: 5.0 },
-            RareEstimator::StratifyByCount { rounds: 2 },
+            RareEstimator::StratifyByCount,
         ] {
             let exp = RareEventExperiment::from_shared(&m, 3, 2, est)
                 .unwrap()
@@ -833,12 +661,12 @@ mod tests {
             // Evaluate each cell independently, ship through JSON wire
             // text, fold in canonical order, assemble.
             let grid = exp.grid_spec().grid(9);
-            let mut acc: Option<RareAccumulator> = None;
+            let mut acc: Option<WeightedMean> = None;
             for cell in grid.cells() {
                 let a = exp.run_cell(cell.config, cell.seed);
                 let json = serde_json::to_string(&a.to_wire()).unwrap();
                 let wire: Wire = serde_json::from_str(&json).unwrap();
-                let back = RareAccumulator::from_wire(&wire).unwrap();
+                let back = WeightedMean::from_wire(&wire).unwrap();
                 assert_eq!(back, a);
                 match acc.as_mut() {
                     Some(x) => x.absorb(back),
@@ -880,41 +708,25 @@ mod tests {
             RareEstimator::ImportanceTilt { theta: -1.0 }
         )
         .is_err());
-        assert!(RareEventExperiment::from_shared(
-            &m,
-            2,
-            1,
-            RareEstimator::StratifyByCount { rounds: 0 }
-        )
-        .is_err());
         // 5 faults x (1 + 15 channels) = 80 bits > 64.
-        assert!(RareEventExperiment::from_shared(
-            &m,
-            15,
-            1,
-            RareEstimator::StratifyByCount { rounds: 2 }
-        )
-        .is_err());
+        assert!(
+            RareEventExperiment::from_shared(&m, 15, 1, RareEstimator::StratifyByCount).is_err()
+        );
     }
 
     #[test]
-    fn allocate_budget_is_exact_and_deterministic() {
-        // Scores drive the split; every active stratum keeps >= 1.
-        let out = allocate_budget(100, &[0.0, 1.0, 3.0], &[true, true, true]);
-        assert_eq!(out.iter().sum::<usize>(), 100);
-        assert!(out[0] >= 1 && out[1] >= 1 && out[2] >= 1);
-        assert!(out[2] > out[1]);
-        // Inactive strata get nothing.
-        let out = allocate_budget(10, &[1.0, 1.0, 1.0], &[true, false, true]);
-        assert_eq!(out[1], 0);
-        assert_eq!(out.iter().sum::<usize>(), 10);
-        // No signal: even split.
-        let out = allocate_budget(9, &[0.0, 0.0, 0.0], &[true, true, true]);
-        assert_eq!(out.iter().sum::<usize>(), 9);
-        assert!(out.iter().all(|&n| n >= 2));
-        // Budget smaller than the stratum count: prefix gets it.
-        let out = allocate_budget(2, &[1.0, 1.0, 1.0], &[true, true, true]);
-        assert_eq!(out, vec![1, 1, 0]);
+    fn stratum_mixture_weights_integrate_to_the_mass_outside_stratum_zero() {
+        // E_π[w] = Σₕ πₕ·Wₕ/πₕ = 1 − W₀: every stratum the mixture can
+        // pick is reweighted to its exact probability.
+        let pmf = [0.9, 0.06, 0.02, 0.01, 0.0, 0.005, 0.003, 0.001, 0.001];
+        let mixture = stratum_mixture(&pmf);
+        let strata: Vec<usize> = mixture.iter().map(|&(h, _)| h).collect();
+        assert_eq!(strata, vec![1, 2, 3, 5, 6, 7]);
+        let m = mixture.len() as f64;
+        let total: f64 = mixture.iter().map(|&(_, lw)| lw.exp() / m).sum();
+        assert!((total - 0.1).abs() < 1e-12, "{total}");
+        // No mass outside stratum 0: the all-absent word at weight 1.
+        assert_eq!(stratum_mixture(&[1.0, 0.0, 0.0]), vec![(0, 0.0)]);
     }
 
     #[test]

@@ -395,33 +395,6 @@ impl BiasedBitSampler {
         Self::with_tilted(ps, tilted)
     }
 
-    /// Multiplier proposal: `p'ᵢ = min(pᵢ·factor, ½)` (probabilities
-    /// already ≥ ½ are left untouched) — the blunt instrument for
-    /// quick exploratory runs.
-    ///
-    /// # Errors
-    ///
-    /// [`DevSimError::InvalidConfig`] for more than 64 probabilities,
-    /// probabilities outside `[0, 1]`, or `factor < 1`/non-finite.
-    pub fn multiplier(ps: &[f64], factor: f64) -> Result<Self, DevSimError> {
-        if !factor.is_finite() || factor < 1.0 {
-            return Err(DevSimError::InvalidConfig(format!(
-                "tilt multiplier must be finite and >= 1, got {factor}"
-            )));
-        }
-        let tilted: Vec<f64> = ps
-            .iter()
-            .map(|&p| {
-                if p <= 0.0 || p >= 0.5 {
-                    p
-                } else {
-                    (p * factor).min(0.5)
-                }
-            })
-            .collect();
-        Self::with_tilted(ps, tilted)
-    }
-
     fn with_tilted(ps: &[f64], tilted: Vec<f64>) -> Result<Self, DevSimError> {
         if ps.len() > WORD_BITS {
             return Err(DevSimError::InvalidConfig(format!(
@@ -896,23 +869,19 @@ mod tests {
     #[test]
     fn biased_sampler_log_weight_is_exact_per_word() {
         let ps = [1e-4, 0.03, 0.5, 0.0, 1.0, 0.2];
-        for s in [
-            BiasedBitSampler::exponential(&ps, 5.0).unwrap(),
-            BiasedBitSampler::multiplier(&ps, 50.0).unwrap(),
-        ] {
-            let tilted = s.tilted_ps().to_vec();
-            // Enumerate every word the tilted sampler can produce: bit 3
-            // (p = 0) always absent, bit 4 (p = 1) always present.
-            for raw in 0u64..64 {
-                let word = (raw & !(1 << 3)) | (1 << 4);
-                let expect = reference_log_weight(&ps, &tilted, word);
-                let got = s.log_weight(word);
-                assert!(
-                    (got - expect).abs() < 1e-12,
-                    "word {word:#b}: {got} vs {expect}"
-                );
-                assert!(got.is_finite());
-            }
+        let s = BiasedBitSampler::exponential(&ps, 5.0).unwrap();
+        let tilted = s.tilted_ps().to_vec();
+        // Enumerate every word the tilted sampler can produce: bit 3
+        // (p = 0) always absent, bit 4 (p = 1) always present.
+        for raw in 0u64..64 {
+            let word = (raw & !(1 << 3)) | (1 << 4);
+            let expect = reference_log_weight(&ps, &tilted, word);
+            let got = s.log_weight(word);
+            assert!(
+                (got - expect).abs() < 1e-12,
+                "word {word:#b}: {got} vs {expect}"
+            );
+            assert!(got.is_finite());
         }
     }
 
@@ -924,15 +893,12 @@ mod tests {
         for word in 0u64..8 {
             assert_eq!(s.log_weight(word), 0.0);
         }
-        let m = BiasedBitSampler::multiplier(&ps, 1.0).unwrap();
-        assert_eq!(m.tilted_ps(), &ps);
     }
 
     #[test]
     fn biased_sampler_rejects_bad_parameters() {
         assert!(BiasedBitSampler::exponential(&[0.5], f64::NAN).is_err());
         assert!(BiasedBitSampler::exponential(&[1.5], 1.0).is_err());
-        assert!(BiasedBitSampler::multiplier(&[0.5], 0.5).is_err());
         let too_many = vec![0.1; 65];
         assert!(BiasedBitSampler::exponential(&too_many, 1.0).is_err());
     }

@@ -15,12 +15,11 @@
 //! accumulator: per-cell partials merge associatively, fold in
 //! canonical cell order, and cross process boundaries bit-exactly.
 //!
-//! [`StratumMoments`] is the companion for stratified estimation: a
-//! fixed-length vector of per-stratum [`Moments`] that merges
-//! **element-wise** (the blanket `Vec<T>` reduction concatenates, which
-//! is the wrong algebra for strata).
+//! Every rare-event estimator folds into [`WeightedMean`]: a naive draw
+//! carries log weight 0, a tilted draw its likelihood ratio, and a
+//! stratified draw the ratio of its stratum's exact probability to the
+//! probability the proposal picked that stratum with.
 
-use crate::descriptive::Moments;
 use crate::error::NumericsError;
 use crate::sweep::SweepReduce;
 use crate::wire::{Wire, WireError, WireForm};
@@ -298,110 +297,6 @@ impl WireForm for WeightedMean {
     }
 }
 
-/// Per-stratum moment accumulators for a stratified estimator: index
-/// `h` holds the [`Moments`] of the payoff conditional on stratum `h`.
-///
-/// Merging is **element-wise** (stratum `h` absorbs stratum `h`),
-/// which is why this is a newtype rather than a bare `Vec<Moments>` —
-/// the blanket `Vec<T>` [`SweepReduce`] concatenates. Accumulators
-/// from grids that disagree on the stratum count still merge: the
-/// shorter side is treated as empty in the missing strata.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StratumMoments {
-    strata: Vec<Moments>,
-}
-
-impl StratumMoments {
-    /// Creates an accumulator with `count` empty strata.
-    #[must_use]
-    pub fn with_strata(count: usize) -> Self {
-        StratumMoments {
-            strata: vec![Moments::new(); count],
-        }
-    }
-
-    /// Adds observation `y` to stratum `h`, growing the vector if
-    /// needed.
-    pub fn push(&mut self, h: usize, y: f64) {
-        if h >= self.strata.len() {
-            self.strata.resize(h + 1, Moments::new());
-        }
-        self.strata[h].push(y);
-    }
-
-    /// The per-stratum accumulators.
-    #[must_use]
-    pub fn strata(&self) -> &[Moments] {
-        &self.strata
-    }
-
-    /// Total observations across all strata.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.strata.iter().map(Moments::count).sum()
-    }
-
-    /// The stratified estimate `Σₕ Wₕ·ȳₕ` and its standard error
-    /// `√(Σₕ Wₕ²·sₕ²/nₕ)` for stratum weights `W` (the stratum
-    /// probabilities, summing to ≈ 1). A stratum with zero weight or
-    /// no observations contributes nothing; a stratum with one
-    /// observation contributes its mean with zero variance.
-    ///
-    /// # Errors
-    ///
-    /// [`NumericsError::EmptyData`] if a stratum with positive weight
-    /// has no observations (the allocation never reached it), or if
-    /// `weights` is shorter than the populated strata.
-    pub fn stratified_estimate(&self, weights: &[f64]) -> Result<(f64, f64), NumericsError> {
-        if weights.len() < self.strata.len() {
-            return Err(NumericsError::EmptyData(
-                "StratumMoments::stratified_estimate: missing weights",
-            ));
-        }
-        let mut mean = 0.0;
-        let mut var = 0.0;
-        for (h, m) in self.strata.iter().enumerate() {
-            let w = weights[h];
-            if w == 0.0 {
-                continue;
-            }
-            if m.count() == 0 {
-                return Err(NumericsError::EmptyData(
-                    "StratumMoments::stratified_estimate: empty stratum",
-                ));
-            }
-            mean += w * m.mean()?;
-            if m.count() >= 2 {
-                var += w * w * m.sample_variance()? / m.count() as f64;
-            }
-        }
-        Ok((mean, var.sqrt()))
-    }
-}
-
-impl SweepReduce for StratumMoments {
-    fn absorb(&mut self, other: Self) {
-        if other.strata.len() > self.strata.len() {
-            self.strata.resize(other.strata.len(), Moments::new());
-        }
-        for (h, m) in other.strata.into_iter().enumerate() {
-            self.strata[h].merge(&m);
-        }
-    }
-}
-
-impl WireForm for StratumMoments {
-    fn to_wire(&self) -> Wire {
-        self.strata.to_wire()
-    }
-
-    fn from_wire(wire: &Wire) -> Result<Self, WireError> {
-        Ok(StratumMoments {
-            strata: Vec::<Moments>::from_wire(wire)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,49 +413,5 @@ mod tests {
         let json = serde_json::to_string(&wm.to_wire()).unwrap();
         let wire: Wire = serde_json::from_str(&json).unwrap();
         assert_eq!(WeightedMean::from_wire(&wire).unwrap(), wm);
-    }
-
-    #[test]
-    fn stratum_moments_merge_element_wise_and_estimate() {
-        let mut a = StratumMoments::with_strata(3);
-        let mut b = StratumMoments::with_strata(3);
-        for _ in 0..10 {
-            a.push(0, 0.0);
-            b.push(0, 0.0);
-            a.push(1, 1.0);
-            b.push(1, 3.0);
-            a.push(2, 10.0);
-            b.push(2, 10.0);
-        }
-        a.absorb(b);
-        assert_eq!(a.strata().len(), 3);
-        assert_eq!(a.strata()[1].count(), 20);
-        let (mean, se) = a.stratified_estimate(&[0.9, 0.09, 0.01]).unwrap();
-        // 0.9·0 + 0.09·2 + 0.01·10 = 0.28
-        assert!((mean - 0.28).abs() < 1e-12);
-        assert!(se.is_finite() && se > 0.0);
-    }
-
-    #[test]
-    fn stratum_moments_wire_round_trip() {
-        let mut s = StratumMoments::with_strata(4);
-        s.push(0, 0.0);
-        s.push(2, 1.5);
-        s.push(3, 2.5);
-        s.push(3, 3.5);
-        let back = StratumMoments::from_wire(&s.to_wire()).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn empty_stratum_with_positive_weight_is_an_error() {
-        let s = StratumMoments::with_strata(2);
-        assert!(s.stratified_estimate(&[0.5, 0.5]).is_err());
-        // ...but a zero-weight stratum may stay empty.
-        let mut t = StratumMoments::with_strata(2);
-        t.push(0, 1.0);
-        t.push(0, 2.0);
-        let (mean, _) = t.stratified_estimate(&[1.0, 0.0]).unwrap();
-        assert!((mean - 1.5).abs() < 1e-12);
     }
 }

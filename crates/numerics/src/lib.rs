@@ -53,7 +53,7 @@ pub mod weighted_sum;
 pub mod wire;
 
 pub use error::NumericsError;
-pub use estimator::{LogSum, StratumMoments, WeightedMean};
+pub use estimator::{LogSum, WeightedMean};
 pub use normal::Normal;
 pub use poisson_binomial::PoissonBinomial;
 pub use weighted_sum::WeightedBernoulliSum;

@@ -600,11 +600,7 @@ fn valid_v4_stream() -> Vec<u8> {
             hash: "fnv1a:00".into(),
         },
         Message::Lease { start: 4, end: 6 },
-        Message::Progress {
-            start: 4,
-            end: 6,
-            done: 1,
-        },
+        Message::Progress { start: 4, end: 6 },
     ] {
         Transport::send(&mut out, &msg).expect("in-memory send");
     }

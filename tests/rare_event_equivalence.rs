@@ -7,6 +7,7 @@
 //!    count-stratified) is unbiased for the same closed-form PFD, which
 //!    the engine computes analytically ([`RareEventExperiment::true_pfd`]).
 //!    The suite holds each estimator to the closed form with z-tests,
+//!    holds the stratified estimator's mean over pinned seeds to it,
 //!    holds naive and tilted estimates to *each other* with a Welch
 //!    test where both converge, and proves the likelihood-ratio
 //!    identity `E_q[w] = 1` by exhaustive enumeration on small
@@ -22,8 +23,9 @@ use divrel::devsim::sampler::BiasedBitSampler;
 use divrel::model::shared::SharedCauseModel;
 use divrel::model::FaultModel;
 use divrel::numerics::special::erfc;
+use divrel::numerics::sweep::SeedSpec;
 use divrel_bench::dist::{Coordinator, JsonLines, Transport, Worker};
-use divrel_bench::scenario::Scenario;
+use divrel_bench::scenario::{ExperimentSpec, Scenario};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -59,7 +61,7 @@ fn every_estimator_matches_the_closed_form_on_a_moderate_system() {
     for (label, est) in [
         ("naive", RareEstimator::Naive),
         ("tilt", RareEstimator::ImportanceTilt { theta: 2.0 }),
-        ("stratified", RareEstimator::StratifyByCount { rounds: 3 }),
+        ("stratified", RareEstimator::StratifyByCount),
     ] {
         let out = RareEventExperiment::from_shared(&model, 3, 2, est)
             .expect("valid config")
@@ -78,6 +80,42 @@ fn every_estimator_matches_the_closed_form_on_a_moderate_system() {
             out.std_error
         );
     }
+}
+
+/// Stratification is unbiased, not just within its own error bars on
+/// one seed: over 100 pinned seeds at 4096 samples on the committed
+/// ~2e-7 model, the mean of estimate/true lies within 4 of its standard
+/// errors of 1. Under the normal approximation an unbiased estimator
+/// fails this with probability 6.3e-5. Pooling strata whose draw
+/// counts were sized from the same draws (Neyman reallocation between
+/// rounds) reads about 0.66 ± 0.015 here.
+#[test]
+fn stratified_estimates_average_to_the_closed_form_over_seeds() {
+    let mut scenario = committed_rare_scenario();
+    let ExperimentSpec::RareEvent {
+        estimator, samples, ..
+    } = &mut scenario.experiment
+    else {
+        panic!("the committed rare spec is a RareEvent");
+    };
+    *estimator = RareEstimator::StratifyByCount;
+    *samples = 4096;
+    let ratios: Vec<f64> = (1..=100)
+        .map(|seed| {
+            scenario.seed = SeedSpec::new(seed);
+            let outcome = scenario.run(1).expect("stratified run");
+            let r = outcome.as_rare_event().expect("rare-event outcome");
+            r.estimate / r.true_pfd
+        })
+        .collect();
+    let n = ratios.len() as f64;
+    let mean = ratios.iter().sum::<f64>() / n;
+    let var = ratios.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    let se = (var / n).sqrt();
+    assert!(
+        (mean - 1.0).abs() < 4.0 * se,
+        "mean estimate/true {mean:.3} ± {se:.3} over {n} seeds"
+    );
 }
 
 #[test]

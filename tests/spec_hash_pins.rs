@@ -109,12 +109,18 @@ fn canonical_toml_is_a_fixed_point_for_committed_specs() {
 /// `fnv1a:a72531a798da3763`, when adaptive cells began drawing their
 /// failures as geometric gaps: same law, another random stream (journal
 /// format v2 refuses the older evidence).
+///
+/// `rare_event_protection` moved once on purpose, from
+/// `fnv1a:910c8965ef5490e9`, when every rare-event estimator began
+/// folding into one weighted mean: a cell is the bare `WeightedMean`,
+/// without the empty `strata` field beside it, and its numbers kept
+/// every bit (journal format v3 refuses the older records).
 const WIRE_PINS: &[(&str, &str)] = &[
     ("adaptive_confidence", "fnv1a:184aed6b5ddd68b0"),
     ("asymmetric_difficulty", "fnv1a:59b21e44ecac7cde"),
     ("common_cause_diversity", "fnv1a:048b97a663a44ba9"),
     ("kl_bimodal", "fnv1a:a2957f2279c0ee6b"),
-    ("rare_event_protection", "fnv1a:910c8965ef5490e9"),
+    ("rare_event_protection", "fnv1a:d34e11ac5a71d005"),
     ("slow_markov_plant", "fnv1a:848956bf34709885"),
     ("three_channel_forced", "fnv1a:fce94f013c249d76"),
     ("tree_2oo3", "fnv1a:245ef89de10eeaf9"),
