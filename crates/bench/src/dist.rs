@@ -25,6 +25,16 @@
 //!   [wire form](divrel_numerics::wire) — `f64`s as bit patterns, so
 //!   nothing rounds in transit.
 //!
+//! The coordinator's lease decisions all live in one sans-IO
+//! `Scheduler` value (`dist/scheduler.rs`): it takes a worker's frame,
+//! a worker gone or the time, and answers with frames to send, streams
+//! to close and leases to journal. [`Coordinator::run`] splits each
+//! transport into a reader and a writer thread that only move frames,
+//! and one driver loop on the caller's thread waits on them through
+//! the [`Fleet`] seam, feeds the scheduler and carries out its actions.
+//! [`Coordinator::run_on`] runs the same loop over any other [`Fleet`]:
+//! `tests/dist_chaos.rs` drives it on a virtual clock.
+//!
 //! The fault-tolerance layer has three coupled pieces:
 //!
 //! * **Lease checkpointing** ([`journal`]): the coordinator appends a
@@ -33,12 +43,13 @@
 //!   accumulators and re-leases only the missing ranges. An adaptive
 //!   loop journals each round to its own file ([`round_journal_path`]).
 //! * **Deadlines and degradation**: every lease carries a deadline
-//!   ([`Coordinator::lease_timeout`]); a silent worker's lease is
-//!   re-issued with exponential backoff, a repeat offender is
-//!   quarantined after [`Coordinator::straggler_strikes`] missed
-//!   deadlines, corrupt or hash-mismatched responses quarantine the
-//!   worker rather than abort the run, and whole-fleet loss degrades
-//!   to in-process execution of the remaining cells.
+//!   ([`Coordinator::lease_timeout`]) that only a frame about one of the
+//!   worker's leases restarts; a silent worker's lease is re-issued
+//!   with exponential backoff (25 ms doubling to 2 s), a worker that
+//!   misses three deadlines in a row is quarantined, corrupt or
+//!   hash-mismatched responses and unexpected frames quarantine the
+//!   worker rather than abort the run, and whole-fleet loss degrades to
+//!   in-process execution of the remaining cells.
 //! * **Chaos injection** ([`chaos`]): a [`FaultPlan`] makes a worker
 //!   die, stall, corrupt its wire payloads, echo a wrong hash, or run
 //!   slow on a declared schedule, so tests can sweep failure
@@ -58,6 +69,7 @@
 pub mod chaos;
 pub mod framing;
 pub mod journal;
+mod scheduler;
 
 pub use chaos::{Fault, FaultPlan};
 pub use framing::FramingMode;
@@ -68,13 +80,13 @@ use crate::job::{compile, AnyJob};
 use crate::scenario::{ExperimentSpec, Scenario, ScenarioOutcome, ScenarioResult};
 use divrel_devsim::sweep::CellRange;
 use divrel_numerics::wire::{Wire, WireError};
+use scheduler::{Action, JobState, Scheduler};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The protocol revision this build speaks. v2 added
@@ -94,10 +106,6 @@ pub const DEFAULT_LEASE_CELLS: u64 = 8;
 /// Default per-lease deadline: generous enough that only a genuinely
 /// wedged worker trips it on real workloads. Chaos tests shrink it.
 pub const DEFAULT_LEASE_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// Default straggler cap: a worker that misses this many consecutive
-/// deadlines on one lease is quarantined.
-pub const DEFAULT_STRAGGLER_STRIKES: u32 = 2;
 
 /// Hash of a canonical spec text (64-bit FNV-1a, hex): the fingerprint
 /// a worker checks before running leased cells, so a fleet can never
@@ -254,8 +262,8 @@ pub trait Transport: Send {
     }
 
     /// Splits the transport into independently owned send/receive
-    /// halves, so a reader thread can pump frames while the driver
-    /// writes — the shape the coordinator's deadline machinery needs.
+    /// halves, so a reader thread and a writer thread move frames
+    /// independently — the shape the coordinator's driver loop needs.
     fn split(self: Box<Self>) -> (Box<dyn FrameSend>, Box<dyn FrameRecv>);
 }
 
@@ -583,6 +591,7 @@ impl DistStats {
         self.quarantined_workers += job.quarantined_workers;
         self.worker_faults.extend(job.worker_faults.iter().cloned());
         self.cells += job.cells;
+        self.worker_cells.resize(job.worker_cells.len(), 0);
         for (total, cells) in self.worker_cells.iter_mut().zip(&job.worker_cells) {
             *total += cells;
         }
@@ -602,18 +611,6 @@ pub struct DistRun {
     /// One entry per round of an adaptive round loop, round order;
     /// empty for a grid spec.
     pub rounds: Vec<DistStats>,
-}
-
-/// Pipeline depth: leases a worker may hold at once, so the next lease
-/// is already granted while the current one computes.
-pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
-
-/// Guided self-scheduling (Polychronopoulos & Kuck, 1987): a claim gets
-/// the worker's adaptive `grant`, capped at its share of the `unleased`
-/// cells so that no worker holds the tail while the others idle.
-fn guided_lease_size(grant: u64, unleased: u64, live_workers: usize) -> u64 {
-    let slots = (live_workers.max(1) * DEFAULT_PIPELINE_DEPTH) as u64;
-    grant.min(unleased.div_ceil(slots).max(1))
 }
 
 /// A compiled job and the canonical spec text workers verify it by.
@@ -653,9 +650,6 @@ pub struct Coordinator {
     spec_hash: String,
     lease_cells: u64,
     lease_timeout: Duration,
-    backoff_base: Duration,
-    backoff_cap: Duration,
-    straggler_strikes: u32,
     journal: Option<PathBuf>,
     resume: bool,
     halt_after_appends: Option<u64>,
@@ -687,9 +681,6 @@ impl Coordinator {
             spec_hash: hash,
             lease_cells: DEFAULT_LEASE_CELLS,
             lease_timeout: DEFAULT_LEASE_TIMEOUT,
-            backoff_base: Duration::from_millis(25),
-            backoff_cap: Duration::from_secs(2),
-            straggler_strikes: DEFAULT_STRAGGLER_STRIKES,
             journal: None,
             resume: false,
             halt_after_appends: None,
@@ -714,28 +705,12 @@ impl Coordinator {
     }
 
     /// Sets the per-lease deadline: how long a worker may go without a
-    /// [`Message::Progress`] or [`Message::Result`] frame before its
-    /// lease is re-issued elsewhere.
+    /// [`Message::Progress`] or [`Message::Result`] frame about one of
+    /// its leases before they are re-issued elsewhere. The same
+    /// deadline bounds each step of a worker's handshake.
     #[must_use]
     pub fn lease_timeout(mut self, timeout: Duration) -> Self {
         self.lease_timeout = timeout.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Sets the exponential backoff window for re-issuing a timed-out
-    /// lease: the `n`-th re-issue waits `base * 2^n`, capped at `cap`.
-    #[must_use]
-    pub fn backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap.max(base);
-        self
-    }
-
-    /// Sets the straggler cap: a worker missing this many consecutive
-    /// deadlines on one lease is quarantined (minimum 1).
-    #[must_use]
-    pub fn straggler_strikes(mut self, strikes: u32) -> Self {
-        self.straggler_strikes = strikes.max(1);
         self
     }
 
@@ -782,13 +757,20 @@ impl Coordinator {
         &self.spec_hash
     }
 
-    /// Runs the session to completion. Each worker joins once; then each
-    /// job offers its spec hash, hands out [`CellRange`] leases with
-    /// deadlines, re-issues leases whose workers disconnect or go silent
-    /// (exponential backoff, straggler cap), journals every completed
-    /// lease and folds the per-cell accumulators in canonical order. A
-    /// worker drains its leases before it gets the next job's
-    /// [`Message::SpecHash`], or [`Message::Done`] after the last job.
+    /// Runs the session to completion over real transports. Each worker
+    /// joins once; then each job offers its spec hash, hands out
+    /// [`CellRange`] leases with deadlines, re-issues leases whose
+    /// workers disconnect or go silent (exponential backoff, straggler
+    /// cap), journals every completed lease and folds the per-cell
+    /// accumulators in canonical order. A worker drains its leases
+    /// before it gets the next job's [`Message::SpecHash`], or
+    /// [`Message::Done`] after the last job.
+    ///
+    /// Each transport gets a reader and a writer thread that only move
+    /// frames; the lease decisions run on the caller's thread
+    /// ([`Coordinator::run_on`]). Both threads are left detached, so a
+    /// peer that stops reading or writing cannot keep `run` from
+    /// returning; each ends when its stream does.
     ///
     /// Worker death, silence, corrupt payloads and hash mismatches are
     /// all **recoverable** — the lease goes back in the queue and the
@@ -804,37 +786,32 @@ impl Coordinator {
     /// written; cell evaluation errors on the in-process degradation
     /// path; model, reduction and assembly errors.
     pub fn run(&self, workers: Vec<Box<dyn Transport>>) -> ScenarioResult<DistRun> {
-        std::thread::scope(|scope| {
-            // One job queue per worker. The queues close when this
-            // closure returns (or unwinds), and each idle worker then
-            // gets `Done`, so the scope can join it.
-            let mut fleet = Fleet(Vec::new());
-            for (worker, transport) in workers.into_iter().enumerate() {
-                let (queue, jobs) = std::sync::mpsc::channel();
-                fleet.0.push(Some(queue));
-                scope.spawn(move || {
-                    let (mut tx, mut rx) = transport.split();
-                    let (events_tx, events) = std::sync::mpsc::channel();
-                    // Deliberately unscoped: a pump blocked on a stalled
-                    // peer must not be able to park the whole run at
-                    // scope exit. It dies with the process or when the
-                    // stream closes; the channel going dead tells it to
-                    // stop forwarding.
-                    std::thread::spawn(move || pump_frames(rx.as_mut(), &events_tx));
-                    self.serve_worker(worker, tx.as_mut(), &events, jobs);
-                });
-            }
-            self.run_jobs(&mut fleet)
-        })
+        let count = workers.len();
+        self.run_on(&mut ThreadFleet::spawn(workers), count)
     }
 
-    /// The session's job sequence, run while the worker threads serve
-    /// it.
-    fn run_jobs(&self, fleet: &mut Fleet) -> ScenarioResult<DistRun> {
+    /// Runs the session over `fleet`, whose workers are numbered
+    /// `0..workers`: the driver loop [`Coordinator::run`] uses, open to
+    /// any other [`Fleet`] — a virtual-clock simulator, for one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Coordinator::run`].
+    pub fn run_on(&self, fleet: &mut dyn Fleet, workers: usize) -> ScenarioResult<DistRun> {
+        let sched = Scheduler::new(self, workers);
+        let mut session = Session { sched, fleet };
+        let run = self.run_jobs(&mut session);
+        session.sched.end_session();
+        session.carry_out(&mut None);
+        run
+    }
+
+    /// The session's job sequence.
+    fn run_jobs(&self, session: &mut Session<'_>) -> ScenarioResult<DistRun> {
         let scenario = match &self.plan {
             Plan::Grid(job) => {
                 let (outcome, stats) =
-                    self.run_job(fleet, Arc::clone(job), self.journal.clone(), false)?;
+                    self.run_job(session, Arc::clone(job), self.journal.clone(), false)?;
                 return Ok(DistRun {
                     outcome,
                     stats,
@@ -872,7 +849,7 @@ impl Coordinator {
                     .as_deref()
                     .map(|base| round_journal_path(base, round));
                 let job = Arc::new(Compiled::new(pinned)?);
-                let (outcome, stats) = self.run_job(fleet, job, journal, true)?;
+                let (outcome, stats) = self.run_job(session, job, journal, true)?;
                 rounds.push(stats);
                 match outcome {
                     ScenarioOutcome::AdaptiveRound(r) => Ok(r.evidence),
@@ -885,7 +862,6 @@ impl Coordinator {
         )?;
         let mut stats = DistStats {
             spec_hash: self.spec_hash.clone(),
-            worker_cells: vec![0; fleet.0.len()],
             ..DistStats::default()
         };
         for round in &rounds {
@@ -905,7 +881,7 @@ impl Coordinator {
     /// (`fresh_if_missing`).
     fn run_job(
         &self,
-        fleet: &mut Fleet,
+        session: &mut Session<'_>,
         compiled: Arc<Compiled>,
         journal: Option<PathBuf>,
         fresh_if_missing: bool,
@@ -925,608 +901,83 @@ impl Coordinator {
                         .map_err(|e| format!("journal cell {idx} is corrupt: {e}"))?;
                     cells[idx as usize] = Some(wire);
                 }
-                Some(Mutex::new(j))
+                Some(j)
             }
-            Some(path) => Some(Mutex::new(
+            Some(path) => Some(
                 Journal::create(&path, &compiled.hash, cell_count)
                     .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?,
-            )),
+            ),
             None => None,
         };
-        let filled = cells.iter().filter(|c| c.is_some()).count();
-        // Whole gaps: claims split their leases off the front.
-        let pending = missing_ranges(&cells, cell_count)
-            .into_iter()
-            .map(|range| PendingLease {
-                range,
-                attempt: 0,
-                ready_at: None,
-            })
-            .collect();
-        let job = Arc::new(Job {
-            compiled,
-            journal,
-            board: Mutex::new(Board {
-                pending,
-                unleased: cell_count - filled as u64,
-                worker_cells: vec![0; fleet.0.len()],
-                cells,
-                filled,
-                ..Board::default()
-            }),
-            wakeup: Condvar::new(),
-        });
-        // A fully journaled job runs no lease.
-        if (filled as u64) < cell_count {
-            fleet.publish(&job);
-            let mut b = job.board.lock().expect("lease board poisoned");
-            while b.live > 0 {
-                b = job.wakeup.wait(b).expect("lease board poisoned");
-            }
-        }
-        let mut board = std::mem::take(&mut *job.board.lock().expect("lease board poisoned"));
-        let mut recovered = 0u64;
-        if board.fatal.is_none() && (board.filled as u64) < cell_count {
-            // The whole fleet is gone with cells outstanding: degrade
-            // to in-process execution. Same cells, same seeds, same
-            // bits — only slower.
-            for range in missing_ranges(&board.cells, self.lease_cells) {
-                let wires = job.compiled.dist.run_range(range)?;
-                match self.journal_append(&job, range, &wires) {
-                    Err(e) => return Err(e.into()),
-                    Ok(true) => {
-                        board.fatal = Some(halt_message(self));
-                        break;
-                    }
-                    Ok(false) => {}
-                }
-                for (i, w) in wires.into_iter().enumerate() {
-                    let slot = &mut board.cells[range.start as usize + i];
-                    if slot.is_none() {
-                        *slot = Some(w);
-                        board.filled += 1;
-                        recovered += 1;
-                    }
-                }
-            }
-        }
-        if let Some(fatal) = board.fatal {
-            return Err(format!("distributed run aborted: {fatal}").into());
-        }
-        let cells: Vec<Wire> = board
-            .cells
-            .into_iter()
-            .map(|c| c.expect("filled board has every cell"))
-            .collect();
-        let outcome = job.compiled.dist.finish(&cells)?;
-        let stats = DistStats {
-            spec_hash: job.compiled.hash.clone(),
-            workers: board.handshaken,
-            leases: board.leases,
-            retries: board.retries,
-            timeouts: board.timeouts,
-            quarantined_workers: board.quarantined,
-            worker_faults: board.faults,
-            cells: cell_count,
-            worker_cells: board.worker_cells,
-            resumed_from_journal: resumed.is_some(),
-            resumed_cells: resumed.unwrap_or(0),
-            recovered_in_process: recovered,
-        };
+        let (cells, mut stats) = session.drive_job(&compiled, cells, journal)?;
+        let outcome = compiled.dist.finish(&cells)?;
+        stats.spec_hash = compiled.hash.clone();
+        stats.cells = cell_count;
+        stats.resumed_from_journal = resumed.is_some();
+        stats.resumed_cells = resumed.unwrap_or(0);
         Ok((outcome, stats))
     }
+}
 
-    /// Appends a completed lease to the job's journal (if one is
-    /// attached). Returns `true` when the chaos halt point is reached:
-    /// the append that reaches it is written, and every later one is
-    /// refused under the same lock, so a halted journal holds exactly
-    /// that many records however many results drain in after the halt.
-    fn journal_append(&self, job: &Job, range: CellRange, cells: &[Wire]) -> Result<bool, String> {
-        let Some(journal) = &job.journal else {
-            return Ok(false);
-        };
-        let halted = |appends: u64| self.halt_after_appends.is_some_and(|n| appends >= n);
-        let mut j = journal.lock().expect("journal poisoned");
-        if halted(j.appends()) {
-            return Ok(true);
-        }
-        let appends = j
-            .append(range, cells)
-            .map_err(|e| format!("journal write failed: {e}"))?;
-        Ok(halted(appends))
-    }
+/// A session's scheduler and the fleet its actions go to.
+struct Session<'a> {
+    sched: Scheduler,
+    fleet: &'a mut dyn Fleet,
+}
 
-    /// Serves one worker for the whole session: its `Join` with its
-    /// first job, then each queued job's handshake and lease loop, then
-    /// `Done` once the queue closes. A worker that fails a job leaves
-    /// the session.
-    fn serve_worker(
-        &self,
-        worker: usize,
-        tx: &mut dyn FrameSend,
-        events: &Receiver<RxEvent>,
-        jobs: Receiver<Arc<Job>>,
-    ) {
-        let mut joined = false;
-        while let Ok(job) = jobs.recv() {
-            let mut serve = || {
-                if !joined {
-                    self.check_join(tx, events)?;
-                    joined = true;
-                }
-                self.handshake_ready(&job, tx, events)?;
-                job.board.lock().expect("lease board poisoned").handshaken += 1;
-                self.lease_loop(worker, tx, events, &job)
-            };
-            let served = serve();
-            if served.is_err() {
-                // Close the queue before releasing the job, so that no
-                // later job counts on this worker.
-                drop(jobs);
-                return job.release(served);
-            }
-            job.release(served);
-        }
-        // Sent outside every lock: a worker that has stopped draining
-        // its socket must not park this blocking write while other
-        // coordinator threads wait on a mutex.
-        let _ = tx.send(&Message::Done);
-    }
-
-    /// The first frame of a session must be a `Join` at this build's
-    /// [`PROTOCOL_VERSION`]. There is no negotiation: a worker of any
-    /// other version is told why and quarantined. Bounded by the lease
-    /// deadline.
-    fn check_join(
-        &self,
-        tx: &mut dyn FrameSend,
-        events: &Receiver<RxEvent>,
-    ) -> Result<(), DriveExit> {
-        match wait_frame(events, self.lease_timeout) {
-            RxWait::Event(RxEvent::Frame(Message::Join { protocol }))
-                if protocol == PROTOCOL_VERSION =>
-            {
-                Ok(())
-            }
-            RxWait::Event(RxEvent::Frame(Message::Join { protocol })) => {
-                let reason = format!(
-                    "protocol mismatch: coordinator v{PROTOCOL_VERSION}, worker v{protocol} \
-                     (every worker must run the coordinator's build)"
-                );
-                let _ = tx.send(&Message::Abort {
-                    reason: reason.clone(),
-                });
-                Err(DriveExit::Quarantined(reason))
-            }
-            RxWait::Event(RxEvent::Corrupt(e)) => {
-                Err(DriveExit::Quarantined(format!("corrupt Join frame: {e}")))
-            }
-            _ => Err(DriveExit::Dead(None)),
-        }
-    }
-
-    /// A job's handshake: offer the spec hash, ship the full text only
-    /// on a cache miss ([`Message::NeedSpec`]), and wait for a verified
-    /// `Ready`. Each step is bounded by the lease deadline.
-    fn handshake_ready(
-        &self,
-        job: &Job,
-        tx: &mut dyn FrameSend,
-        events: &Receiver<RxEvent>,
-    ) -> Result<(), DriveExit> {
-        let hash = &job.compiled.hash;
-        tx.send(&Message::SpecHash { hash: hash.clone() })
-            .map_err(|_| DriveExit::Dead(None))?;
-        let mut spec_sent = false;
+impl Session<'_> {
+    /// Runs one job from its preloaded `cells` to every cell in
+    /// canonical order, or to the reason it failed.
+    fn drive_job(
+        &mut self,
+        compiled: &Arc<Compiled>,
+        cells: Vec<Option<Wire>>,
+        mut journal: Option<Journal>,
+    ) -> ScenarioResult<(Vec<Wire>, DistStats)> {
+        let now = self.fleet.now();
+        let journaling = journal.is_some();
+        self.sched
+            .start_job(now, Arc::clone(compiled), cells, journaling);
         loop {
-            match wait_frame(events, self.lease_timeout) {
-                RxWait::Event(RxEvent::Frame(Message::Ready { hash: echoed }))
-                    if echoed == *hash =>
-                {
-                    return Ok(())
+            self.carry_out(&mut journal);
+            match self.sched.state() {
+                JobState::Done => break,
+                JobState::Running => {
+                    let (now, event) = self.fleet.wait(self.sched.next_deadline());
+                    self.sched.advance(now, event);
                 }
-                RxWait::Event(RxEvent::Frame(Message::Ready { hash: echoed })) => {
-                    let reason =
-                        format!("worker echoed spec hash {echoed}, coordinator expects {hash}");
-                    let _ = tx.send(&Message::Abort {
-                        reason: reason.clone(),
-                    });
-                    return Err(DriveExit::Quarantined(reason));
-                }
-                RxWait::Event(RxEvent::Frame(Message::NeedSpec { hash: wanted }))
-                    if !spec_sent && wanted == *hash =>
-                {
-                    tx.send(&Message::Spec {
-                        hash: hash.clone(),
-                        text: job.compiled.text.clone(),
-                    })
-                    .map_err(|_| DriveExit::Dead(None))?;
-                    spec_sent = true;
-                }
-                RxWait::Event(RxEvent::Frame(Message::NeedSpec { hash: wanted })) => {
-                    let reason =
-                        format!("worker requested spec {wanted}, coordinator offers {hash}");
-                    let _ = tx.send(&Message::Abort {
-                        reason: reason.clone(),
-                    });
-                    return Err(DriveExit::Quarantined(reason));
-                }
-                RxWait::Event(RxEvent::Frame(Message::Abort { reason })) => {
-                    return Err(DriveExit::Abort(reason))
-                }
-                RxWait::Event(RxEvent::Corrupt(e)) => {
-                    return Err(DriveExit::Quarantined(format!(
-                        "corrupt handshake frame: {e}"
-                    )))
-                }
-                _ => return Err(DriveExit::Dead(None)),
-            }
-        }
-    }
-
-    /// One worker's leases of one job, until the job's board is drained
-    /// and none of the worker's leases is outstanding.
-    fn lease_loop(
-        &self,
-        worker: usize,
-        tx: &mut dyn FrameSend,
-        events: &Receiver<RxEvent>,
-        job: &Job,
-    ) -> Result<(), DriveExit> {
-        // Pipelined, adaptive lease loop. Up to `DEFAULT_PIPELINE_DEPTH`
-        // leases stay outstanding per worker so the next range is
-        // already granted while the current one computes (the grant
-        // rides the wire during compute instead of after it), and the
-        // per-worker grant doubles on every clean completion — up to 8×
-        // the base — then snaps back to the base on a missed deadline.
-        // `guided_lease_size` caps each grant at the worker's share of
-        // what is left, so the tail is spread over the whole fleet.
-        enum Claim {
-            /// The run is over (all cells filled, or fatal).
-            Drained,
-            /// Nothing eligible right now, but this worker has work in
-            /// flight — keep draining frames instead of parking.
-            Busy,
-            Lease(PendingLease),
-        }
-        let base = self.lease_cells;
-        let cap = base.saturating_mul(8);
-        let mut grant = base;
-        let mut strikes: u32 = 0;
-        let mut outstanding: VecDeque<InFlight> = VecDeque::new();
-        loop {
-            // Top-up phase: grant new leases while the pipeline has room
-            // and the worker is keeping its deadlines. After a strike,
-            // granting pauses until a (late) frame clears it — handing
-            // more work to a straggler only deepens the hole.
-            'grant: while strikes == 0 && outstanding.len() < DEFAULT_PIPELINE_DEPTH {
-                let claim = {
-                    let mut b = job.board.lock().expect("lease board poisoned");
-                    loop {
-                        if b.fatal.is_some() || b.filled == b.cells.len() {
-                            break Claim::Drained;
-                        }
-                        let now = Instant::now();
-                        if let Some(pos) = b
-                            .pending
-                            .iter()
-                            .position(|p| p.ready_at.is_none_or(|t| t <= now))
-                        {
-                            let size = guided_lease_size(grant, b.unleased, b.live);
-                            let rest = &mut b.pending[pos];
-                            let mut lease = *rest;
-                            lease.range.end = rest.range.end.min(rest.range.start + size);
-                            rest.range.start = lease.range.end;
-                            if rest.range.is_empty() {
-                                b.pending.remove(pos);
-                            }
-                            b.unleased -= lease.range.len();
-                            b.leases += 1;
-                            break Claim::Lease(lease);
-                        }
-                        if !outstanding.is_empty() {
-                            break Claim::Busy;
-                        }
-                        // Idle worker, nothing eligible: a range held by
-                        // another worker may yet come back to the queue,
-                        // and a backed-off range becomes eligible when
-                        // its delay expires.
-                        if let Some(earliest) = b.pending.iter().filter_map(|p| p.ready_at).min() {
-                            let wait = earliest.saturating_duration_since(now);
-                            b = job
-                                .wakeup
-                                .wait_timeout(b, wait.max(Duration::from_millis(1)))
-                                .expect("lease board poisoned")
-                                .0;
-                        } else {
-                            b = job.wakeup.wait(b).expect("lease board poisoned");
-                        }
-                    }
-                };
-                match claim {
-                    Claim::Drained => {
-                        if outstanding.is_empty() {
-                            return Ok(());
-                        }
-                        // Results are still in flight: stop granting and
-                        // drain them first, so the next job's SpecHash
-                        // or Done only ever reaches an idle worker.
-                        break 'grant;
-                    }
-                    Claim::Busy => break 'grant,
-                    Claim::Lease(lease) => {
-                        if tx
-                            .send(&Message::Lease {
-                                start: lease.range.start,
-                                end: lease.range.end,
-                            })
-                            .is_err()
-                        {
-                            self.requeue(job, &lease, true);
-                            self.requeue_outstanding(job, &mut outstanding, true);
-                            return Err(DriveExit::Dead(None));
-                        }
-                        outstanding.push_back(InFlight {
-                            lease,
-                            requeued: false,
-                        });
-                    }
-                }
-            }
-            // `outstanding` is never empty here: the claim block parks
-            // on the condvar (or returns) rather than yielding Busy for
-            // an idle worker, and strikes only accrue with work in
-            // flight.
-            match wait_frame(events, self.lease_timeout) {
-                RxWait::Event(RxEvent::Frame(Message::Progress { start, end })) => {
-                    if outstanding
-                        .iter()
-                        .any(|f| start == f.lease.range.start && end == f.lease.range.end)
-                    {
-                        strikes = 0;
-                    }
-                }
-                RxWait::Event(RxEvent::Frame(Message::Result { start, end, cells })) => {
-                    let range = CellRange::new(start, end);
-                    match self.accept(job, worker, range, cells) {
-                        Ok(()) => {
-                            // A result for a lease that already went
-                            // back in the queue (or was re-split) is
-                            // still a valid result — first write wins —
-                            // it just doesn't grow the grant.
-                            strikes = 0;
-                            if let Some(pos) = outstanding.iter().position(|f| {
-                                f.lease.range.start == start && f.lease.range.end == end
-                            }) {
-                                let done = outstanding.remove(pos).expect("position was valid");
-                                if !done.requeued {
-                                    grant = grant.saturating_mul(2).min(cap);
-                                }
-                            }
-                        }
-                        Err(reason) => {
-                            self.requeue_outstanding(job, &mut outstanding, true);
-                            let _ = tx.send(&Message::Abort {
-                                reason: reason.clone(),
-                            });
-                            return Err(DriveExit::Quarantined(reason));
+                // The whole fleet is gone with cells outstanding:
+                // degrade to in-process execution. Same cells, same
+                // seeds, same bits — only slower.
+                JobState::Stranded => {
+                    for range in self.sched.missing() {
+                        let wires = compiled.dist.run_range(range)?;
+                        self.sched.recovered(range, wires);
+                        self.carry_out(&mut journal);
+                        if self.sched.state() == JobState::Done {
+                            break;
                         }
                     }
                 }
-                RxWait::Event(RxEvent::Frame(Message::Abort { reason })) => {
-                    self.requeue_outstanding(job, &mut outstanding, false);
-                    return Err(DriveExit::Abort(reason));
-                }
-                RxWait::Event(RxEvent::Frame(other)) => {
-                    let reason = format!(
-                        "unexpected frame with {} lease(s) outstanding: {other:?}",
-                        outstanding.len()
-                    );
-                    self.requeue_outstanding(job, &mut outstanding, true);
-                    let _ = tx.send(&Message::Abort {
-                        reason: reason.clone(),
-                    });
-                    return Err(DriveExit::Quarantined(reason));
-                }
-                RxWait::Event(RxEvent::Corrupt(e)) => {
-                    self.requeue_outstanding(job, &mut outstanding, true);
-                    return Err(DriveExit::Quarantined(format!("corrupt frame: {e}")));
-                }
-                RxWait::Event(RxEvent::Closed) => {
-                    self.requeue_outstanding(job, &mut outstanding, true);
-                    return Err(DriveExit::Dead(None));
-                }
-                RxWait::Event(RxEvent::Io(e)) => {
-                    self.requeue_outstanding(job, &mut outstanding, true);
-                    return Err(DriveExit::Dead(Some(format!(
-                        "transport error mid-lease: {e}"
-                    ))));
-                }
-                RxWait::Event(RxEvent::Idle) => {}
-                RxWait::Deadline => {
-                    strikes += 1;
-                    job.board.lock().expect("lease board poisoned").timeouts += 1;
-                    self.requeue_outstanding(job, &mut outstanding, true);
-                    // A straggler loses its grown grant; if it comes
-                    // back it re-earns size one completion at a time.
-                    grant = base;
-                    if strikes > self.straggler_strikes {
-                        let reason = format!(
-                            "quarantined as a straggler: {strikes} missed deadlines with \
-                             {} lease(s) outstanding",
-                            outstanding.len()
-                        );
-                        let _ = tx.send(&Message::Abort {
-                            reason: reason.clone(),
-                        });
-                        return Err(DriveExit::Quarantined(reason));
+            }
+        }
+        let finished = self.sched.finish_job();
+        finished.map_err(|fatal| format!("distributed run aborted: {fatal}").into())
+    }
+
+    /// Carries out the scheduler's queued actions in order. A journal
+    /// append that fails goes back to the scheduler as fatal.
+    fn carry_out(&mut self, journal: &mut Option<Journal>) {
+        for action in self.sched.take_actions() {
+            match action {
+                Action::Send(worker, msg) => self.fleet.send(worker, msg),
+                Action::Close(worker) => self.fleet.close(worker),
+                Action::Journal(range, cells) => {
+                    let journal = journal.as_mut().expect("a journaling job has a journal");
+                    if let Err(e) = journal.append(range, &cells) {
+                        self.sched.fail(format!("journal write failed: {e}"));
                     }
                 }
-            }
-        }
-    }
-
-    /// Requeues every not-yet-requeued outstanding lease (marking it so)
-    /// while keeping the entries in the pipeline: a late result for a
-    /// requeued range is still accepted under first-write-wins, it just
-    /// no longer grows the grant.
-    fn requeue_outstanding(&self, job: &Job, outstanding: &mut VecDeque<InFlight>, retry: bool) {
-        for f in outstanding.iter_mut() {
-            if !f.requeued {
-                self.requeue(job, &f.lease, retry);
-                f.requeued = true;
-            }
-        }
-    }
-
-    /// Puts a lease back in the queue, split back down to the base
-    /// granularity — an adaptively grown lease that failed must not be
-    /// retried as one big all-or-nothing chunk. `retry` counts it as a
-    /// retry (once, however many chunks it splits into) and schedules
-    /// the chunks with exponential backoff; `false` (abort paths)
-    /// re-queues immediately so the fatal-path bookkeeping stays exact.
-    fn requeue(&self, job: &Job, lease: &PendingLease, retry: bool) {
-        let mut b = job.board.lock().expect("lease board poisoned");
-        let ready_at = retry.then(|| Instant::now() + self.backoff_delay(lease.attempt));
-        b.unleased += lease.range.len();
-        let mut s = lease.range.start;
-        while s < lease.range.end {
-            let e = (s + self.lease_cells).min(lease.range.end);
-            b.pending.push(PendingLease {
-                range: CellRange::new(s, e),
-                attempt: lease.attempt + 1,
-                ready_at,
-            });
-            s = e;
-        }
-        if retry {
-            b.retries += 1;
-        }
-        job.wakeup.notify_all();
-    }
-
-    fn backoff_delay(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.min(10);
-        // A pathological user-supplied base (`.backoff(Duration::MAX,
-        // ..)`) must clamp to the cap, not panic the coordinator on
-        // `Duration * u32` overflow.
-        self.backoff_base
-            .checked_mul(factor)
-            .map_or(self.backoff_cap, |d| d.min(self.backoff_cap))
-    }
-
-    /// Admits one lease result: validates its shape and every cell
-    /// payload, journals it, then publishes it to the board
-    /// (first-write-wins). A malformed result is the *worker's* fault —
-    /// returned as `Err` so the caller quarantines it. A journal
-    /// failure (or the chaos halt point) is the *coordinator's* problem
-    /// and is recorded as fatal directly.
-    fn accept(
-        &self,
-        job: &Job,
-        worker: usize,
-        range: CellRange,
-        cells: Vec<Wire>,
-    ) -> Result<(), String> {
-        let cell_count = job.compiled.dist.cell_count();
-        if range.start >= range.end || range.end > cell_count || cells.len() as u64 != range.len() {
-            return Err(format!(
-                "malformed lease result: [{}, {}) with {} cells over a {cell_count}-cell grid",
-                range.start,
-                range.end,
-                cells.len()
-            ));
-        }
-        for (k, wire) in (range.start..).zip(&cells) {
-            job.compiled.dist.admit_cell(k, wire).map_err(|e| {
-                format!(
-                    "corrupt cell payload for cell {k} of lease [{}, {}): {e}",
-                    range.start, range.end
-                )
-            })?;
-        }
-        let halted = match self.journal_append(job, range, &cells) {
-            Ok(halted) => halted,
-            Err(e) => {
-                let mut b = job.board.lock().expect("lease board poisoned");
-                b.fatal.get_or_insert(e);
-                job.wakeup.notify_all();
-                return Ok(());
-            }
-        };
-        let mut b = job.board.lock().expect("lease board poisoned");
-        if halted {
-            b.fatal.get_or_insert(halt_message(self));
-            job.wakeup.notify_all();
-            return Ok(());
-        }
-        b.worker_cells[worker] += range.len();
-        for (i, wire) in cells.into_iter().enumerate() {
-            let slot = &mut b.cells[range.start as usize + i];
-            if slot.is_none() {
-                *slot = Some(wire);
-                b.filled += 1;
-            }
-        }
-        job.wakeup.notify_all();
-        Ok(())
-    }
-}
-
-fn halt_message(c: &Coordinator) -> String {
-    format!(
-        "chaos halt: coordinator stopped after {} journal append(s)",
-        c.halt_after_appends.unwrap_or(0)
-    )
-}
-
-/// One job of a session: its compiled spec, its journal, and the lease
-/// board its workers share.
-struct Job {
-    compiled: Arc<Compiled>,
-    journal: Option<Mutex<Journal>>,
-    board: Mutex<Board>,
-    /// Signalled on every board change a waiting thread may act on.
-    wakeup: Condvar,
-}
-
-impl Job {
-    /// Releases a worker from this job: `Ok` once it has drained its
-    /// leases, else the reason it left the session.
-    fn release(&self, exit: Result<(), DriveExit>) {
-        let mut b = self.board.lock().expect("lease board poisoned");
-        b.live -= 1;
-        match exit {
-            Ok(()) | Err(DriveExit::Dead(None)) => {}
-            Err(DriveExit::Abort(msg)) => {
-                b.fatal.get_or_insert(msg);
-            }
-            Err(DriveExit::Quarantined(msg)) => {
-                b.quarantined += 1;
-                b.faults.push(msg);
-            }
-            Err(DriveExit::Dead(Some(msg))) => b.faults.push(msg),
-        }
-        self.wakeup.notify_all();
-    }
-}
-
-/// The fleet side of a session: one job queue per worker, in transport
-/// order; `None` once the worker has left.
-struct Fleet(Vec<Option<Sender<Arc<Job>>>>);
-
-impl Fleet {
-    /// Queues `job` for every worker still in the session. Each counts
-    /// as live on the job's board until it drains or leaves.
-    fn publish(&mut self, job: &Arc<Job>) {
-        job.board.lock().expect("lease board poisoned").live = self.0.iter().flatten().count();
-        for queue in &mut self.0 {
-            if queue
-                .as_ref()
-                .is_some_and(|q| q.send(Arc::clone(job)).is_err())
-            {
-                *queue = None;
-                job.release(Err(DriveExit::Dead(None)));
             }
         }
     }
@@ -1593,148 +1044,134 @@ impl AdaptiveCoordinator {
     }
 }
 
-/// The contiguous runs of unfilled cells, chunked to the lease size.
-fn missing_ranges(cells: &[Option<Wire>], lease_cells: u64) -> Vec<CellRange> {
-    let lease_cells = lease_cells.max(1);
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < cells.len() {
-        if cells[i].is_some() {
-            i += 1;
-            continue;
-        }
-        let start = i as u64;
-        while i < cells.len() && cells[i].is_none() {
-            i += 1;
-        }
-        let end = i as u64;
-        let mut s = start;
-        while s < end {
-            let e = (s + lease_cells).min(end);
-            out.push(CellRange::new(s, e));
-            s = e;
+/// What a [`Fleet`] reports to the coordinator's driver loop.
+#[derive(Debug)]
+pub enum FleetEvent {
+    /// A well-formed frame from worker `i`.
+    Frame(usize, Message),
+    /// Worker `i` sent a malformed frame; its stream can no longer be
+    /// trusted.
+    Corrupt(usize, String),
+    /// Worker `i`'s stream ended: `None` on a clean close or a failed
+    /// write, else the read error.
+    Closed(usize, Option<String>),
+}
+
+/// The seam the coordinator's driver loop waits on: frames out to
+/// numbered workers, and their events back, stamped with the session
+/// time. [`Coordinator::run`] implements it over threads and real
+/// transports; a simulator implements it on a virtual clock and runs
+/// the same loop through [`Coordinator::run_on`].
+pub trait Fleet {
+    /// The session time: how long ago the session started.
+    fn now(&self) -> Duration;
+
+    /// Queues `msg` for worker `worker`. Never waits on the peer; a
+    /// frame for a closed or broken stream is dropped.
+    fn send(&mut self, worker: usize, msg: Message);
+
+    /// Closes the coordinator's side of worker `worker`'s stream: the
+    /// worker has left the session. Frames already queued still go
+    /// out first.
+    fn close(&mut self, worker: usize);
+
+    /// Waits for the next event, or until session time `until` when
+    /// one is given. Returns the session time it stopped at, with the
+    /// event or `None` when `until` came first.
+    fn wait(&mut self, until: Option<Duration>) -> (Duration, Option<FleetEvent>);
+}
+
+/// The fleet behind [`Coordinator::run`]: per transport, a reader
+/// thread forwarding frames into one event channel and a writer thread
+/// draining a frame queue.
+struct ThreadFleet {
+    started: Instant,
+    queues: Vec<Option<Sender<Message>>>,
+    /// Events, with `None` for a transport's retryable read timeout: the
+    /// send that tells a reader whether the driver is still listening.
+    events: Receiver<Option<FleetEvent>>,
+}
+
+impl ThreadFleet {
+    fn spawn(transports: Vec<Box<dyn Transport>>) -> Self {
+        let (events_tx, events) = std::sync::mpsc::channel();
+        let queues = transports
+            .into_iter()
+            .enumerate()
+            .map(|(worker, transport)| {
+                let (mut tx, mut rx) = transport.split();
+                let (queue, frames) = std::sync::mpsc::channel::<Message>();
+                let reader_events = events_tx.clone();
+                std::thread::spawn(move || pump_frames(worker, rx.as_mut(), &reader_events));
+                let writer_events = events_tx.clone();
+                std::thread::spawn(move || {
+                    for msg in frames {
+                        if tx.send(&msg).is_err() {
+                            let _ = writer_events.send(Some(FleetEvent::Closed(worker, None)));
+                            return;
+                        }
+                    }
+                });
+                Some(queue)
+            })
+            .collect();
+        ThreadFleet {
+            started: Instant::now(),
+            queues,
+            events,
         }
     }
-    out
 }
 
-/// What a pump thread forwards from a worker's receive half.
-enum RxEvent {
-    /// A well-formed frame.
-    Frame(Message),
-    /// Clean EOF: the worker closed its stream.
-    Closed,
-    /// A malformed frame (the stream can no longer be trusted).
-    Corrupt(String),
-    /// A non-retryable I/O error.
-    Io(String),
-    /// A retryable read timeout from the transport — forwarded so the
-    /// pump loop stays responsive, filtered out by [`wait_frame`]. The
-    /// *coordinator's* deadline comes from `recv_timeout` on the
-    /// channel, not from the transport.
-    Idle,
+impl Fleet for ThreadFleet {
+    fn now(&self) -> Duration {
+        self.started.elapsed()
+    }
+
+    fn send(&mut self, worker: usize, msg: Message) {
+        if let Some(queue) = &self.queues[worker] {
+            let _ = queue.send(msg);
+        }
+    }
+
+    fn close(&mut self, worker: usize) {
+        self.queues[worker] = None;
+    }
+
+    fn wait(&mut self, until: Option<Duration>) -> (Duration, Option<FleetEvent>) {
+        loop {
+            let event = match until {
+                None => self.events.recv().ok(),
+                Some(t) => self.events.recv_timeout(t.saturating_sub(self.now())).ok(),
+            };
+            if !matches!(event, Some(None)) {
+                return (self.now(), event.flatten());
+            }
+        }
+    }
 }
 
-/// Forwards frames from a receive half into a channel until the stream
-/// ends, breaks, or the driver hangs up.
-fn pump_frames(rx: &mut dyn FrameRecv, events: &Sender<RxEvent>) {
+/// Forwards frames from a receive half into the event channel until the
+/// stream ends, breaks, or the driver hangs up.
+fn pump_frames(worker: usize, rx: &mut dyn FrameRecv, events: &Sender<Option<FleetEvent>>) {
     loop {
-        match rx.recv() {
-            Ok(Some(msg)) => {
-                if events.send(RxEvent::Frame(msg)).is_err() {
-                    return;
-                }
-            }
-            Ok(None) => {
-                let _ = events.send(RxEvent::Closed);
-                return;
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) => {
-                if events.send(RxEvent::Idle).is_err() {
-                    return;
-                }
-            }
+        let event = match rx.recv() {
+            Ok(Some(msg)) => Some(FleetEvent::Frame(worker, msg)),
+            Ok(None) => Some(FleetEvent::Closed(worker, None)),
+            Err(e) if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) => None,
             Err(e) if e.kind() == ErrorKind::InvalidData => {
-                let _ = events.send(RxEvent::Corrupt(e.to_string()));
-                return;
+                Some(FleetEvent::Corrupt(worker, e.to_string()))
             }
-            Err(e) => {
-                let _ = events.send(RxEvent::Io(e.to_string()));
-                return;
-            }
+            Err(e) => Some(FleetEvent::Closed(worker, Some(e.to_string()))),
+        };
+        let last = matches!(
+            event,
+            Some(FleetEvent::Corrupt(..) | FleetEvent::Closed(..))
+        );
+        if events.send(event).is_err() || last {
+            return;
         }
     }
-}
-
-enum RxWait {
-    Event(RxEvent),
-    Deadline,
-}
-
-/// Waits up to `timeout` for the next meaningful receive event,
-/// ignoring transport-level idle ticks.
-fn wait_frame(events: &Receiver<RxEvent>, timeout: Duration) -> RxWait {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return RxWait::Deadline;
-        }
-        match events.recv_timeout(remaining) {
-            Ok(RxEvent::Idle) => {}
-            Ok(ev) => return RxWait::Event(ev),
-            Err(RecvTimeoutError::Timeout) => return RxWait::Deadline,
-            Err(RecvTimeoutError::Disconnected) => return RxWait::Event(RxEvent::Closed),
-        }
-    }
-}
-
-enum DriveExit {
-    /// The worker is gone (connection dropped / silent past the
-    /// handshake deadline); its lease was re-queued. An optional note
-    /// explains abnormal exits (transport errors).
-    Dead(Option<String>),
-    /// The worker misbehaved (wrong hash, corrupt payloads, straggling
-    /// past the strike cap): dropped and counted, lease re-queued.
-    Quarantined(String),
-    /// The worker reported the work itself is broken.
-    Abort(String),
-}
-
-#[derive(Clone, Copy)]
-struct PendingLease {
-    range: CellRange,
-    attempt: u32,
-    /// Backed-off re-issues are not eligible before this instant.
-    ready_at: Option<Instant>,
-}
-
-/// A lease granted to a worker and not yet resolved. It stays in the
-/// pipeline even after a missed deadline puts its range back in the
-/// queue (`requeued`), because a late result is still a valid result.
-struct InFlight {
-    lease: PendingLease,
-    requeued: bool,
-}
-
-/// One job's lease board, shared by the threads serving its workers.
-#[derive(Default)]
-struct Board {
-    pending: Vec<PendingLease>,
-    /// Cells in `pending`, kept in step with every claim and requeue.
-    unleased: u64,
-    /// Workers still on this job: neither drained nor gone.
-    live: usize,
-    worker_cells: Vec<u64>,
-    cells: Vec<Option<Wire>>,
-    filled: usize,
-    leases: u64,
-    retries: u64,
-    timeouts: u64,
-    quarantined: usize,
-    handshaken: usize,
-    faults: Vec<String>,
-    fatal: Option<String>,
 }
 
 /// Compiled-spec cache shared across a worker's connections, keyed by
@@ -2434,25 +1871,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn backoff_saturates_on_pathological_bases() {
-        let ctx = Context::smoke();
-        let c = Coordinator::new(presets::mc(&ctx))
-            .unwrap()
-            .backoff(Duration::MAX, Duration::from_secs(60));
-        // `Duration::MAX * 2` would panic; the delay must clamp to the
-        // cap (which itself clamps up to the base) instead.
-        for attempt in [0, 1, 5, 31, u32::MAX] {
-            assert_eq!(c.backoff_delay(attempt), Duration::MAX);
-        }
-        let c = Coordinator::new(presets::mc(&ctx))
-            .unwrap()
-            .backoff(Duration::from_millis(10), Duration::from_secs(1));
-        assert_eq!(c.backoff_delay(0), Duration::from_millis(10));
-        assert_eq!(c.backoff_delay(3), Duration::from_millis(80));
-        assert_eq!(c.backoff_delay(u32::MAX), Duration::from_secs(1));
-    }
-
     /// Regression: a single lease that computes longer than the lease
     /// deadline used to heartbeat only *between* chunks, so a slow but
     /// healthy worker was spuriously re-leased (and with strict strikes,
@@ -2466,8 +1884,7 @@ mod tests {
         let coordinator = Coordinator::new(scenario)
             .unwrap()
             .lease_cells(1_000_000) // leases as large as guided sizing allows
-            .lease_timeout(Duration::from_millis(150))
-            .straggler_strikes(1);
+            .lease_timeout(Duration::from_millis(150));
         let (mut worker_ends, coord_ends) = duplex_pairs(1);
         let handle = std::thread::spawn(move || {
             Worker::new()
@@ -2486,49 +1903,6 @@ mod tests {
         assert_eq!(summary.leases_served, run.stats.leases);
         assert_eq!(run.stats.worker_cells, vec![run.stats.cells]);
         assert_eq!(format!("{:?}", run.outcome), format!("{direct:?}"));
-    }
-
-    #[test]
-    fn guided_lease_size_floors_at_one_and_never_exceeds_grant_or_queue() {
-        for grant in [1, 2, 8, 64, u64::MAX] {
-            for unleased in 1..=300 {
-                for live in 0..=5 {
-                    let size = guided_lease_size(grant, unleased, live);
-                    assert!(
-                        (1..=grant.min(unleased)).contains(&size),
-                        "grant {grant}, unleased {unleased}, live {live}: size {size}"
-                    );
-                }
-            }
-        }
-        // The tail: one cell per claim once the queue is thinner than
-        // the fleet's pipeline slots.
-        assert_eq!(guided_lease_size(64, 3, 2), 1);
-        assert_eq!(guided_lease_size(64, 1, 1), 1);
-        // The adaptive grant still bounds a large queue.
-        assert_eq!(guided_lease_size(8, 2048, 2), 8);
-    }
-
-    #[test]
-    fn guided_lease_share_grows_as_workers_exit() {
-        let sizes: Vec<u64> = (1..=4)
-            .rev()
-            .map(|live| guided_lease_size(u64::MAX, 96, live))
-            .collect();
-        assert_eq!(sizes, vec![12, 16, 24, 48]);
-    }
-
-    #[test]
-    fn guided_leases_split_a_16_cell_grid_over_two_workers() {
-        // Two live workers at the default base grant: whatever order
-        // they claim in, the sizes follow ceil(unleased / 4).
-        let (mut unleased, mut sizes) = (16, Vec::new());
-        while unleased > 0 {
-            let size = guided_lease_size(DEFAULT_LEASE_CELLS, unleased, 2);
-            sizes.push(size);
-            unleased -= size;
-        }
-        assert_eq!(sizes, vec![4, 3, 3, 2, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -2618,24 +1992,6 @@ mod tests {
         assert_eq!(run.stats.worker_faults, vec![reason]);
         assert_eq!(run.stats.worker_cells[0], 0);
         assert_eq!(format!("{:?}", run.outcome), format!("{direct:?}"));
-    }
-
-    #[test]
-    fn missing_ranges_chunk_only_the_gaps() {
-        let w = Wire::U64(1);
-        let cells = vec![
-            None,
-            Some(w.clone()),
-            None,
-            None,
-            None,
-            Some(w.clone()),
-            None,
-        ];
-        let ranges = missing_ranges(&cells, 2);
-        let spans: Vec<(u64, u64)> = ranges.iter().map(|r| (r.start, r.end)).collect();
-        assert_eq!(spans, vec![(0, 1), (2, 4), (4, 5), (6, 7)]);
-        assert!(missing_ranges(&[Some(w)], 8).is_empty());
     }
 
     /// A pinned adaptive round whose cell `c` is allocated

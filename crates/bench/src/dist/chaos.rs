@@ -8,18 +8,19 @@
 //! | fault | what the worker does | what the coordinator must do |
 //! |---|---|---|
 //! | [`Fault::Die`] | drops the connection without replying | re-issue the lease |
-//! | [`Fault::Stall`] | holds the lease silently, then dies | deadline + re-issue with backoff |
+//! | [`Fault::Stall`] | holds the lease silently, then dies | deadline, re-issue with backoff, quarantine after three misses |
 //! | [`Fault::CorruptWire`] | returns garbage cell payloads | quarantine, re-issue |
 //! | [`Fault::WrongHash`] | echoes a wrong spec hash at handshake | quarantine at handshake |
-//! | [`Fault::Slow`] | sleeps before answering each lease | straggler backoff, duplicate-result tolerance |
+//! | [`Fault::Slow`] | sleeps before answering one lease, heartbeating | keep the lease alive on its heartbeats; accept a duplicate result first-write-wins |
 //!
 //! Faults are keyed by **lease ordinal** (the how-many-th `Lease` frame
 //! the worker has received, 0-based), so a schedule is reproducible for
 //! a given fleet shape. [`FaultPlan::seeded`] derives a whole schedule
 //! from one integer via the same SplitMix64 stream the sweep engine
-//! uses — `tests/dist_chaos.rs` sweeps seeds and asserts the one
-//! invariant that matters: **any fault history folds to bit-identical
-//! results**.
+//! uses — `tests/dist_chaos.rs` sweeps seeds, on real pipes and on its
+//! virtual-clock fleet simulator, which applies the same plans to
+//! simulated workers, and asserts the one invariant that matters:
+//! **any fault history folds to bit-identical results**.
 //!
 //! Plans round-trip through a compact text form (`die@1,slow:40@2` …)
 //! so `scenario_run` can carry them across process boundaries
@@ -42,8 +43,8 @@ pub enum Fault {
     CorruptWire,
     /// Echo a wrong spec hash during the handshake.
     WrongHash,
-    /// Sleep `millis` before answering this and every later lease — a
-    /// straggler, not a corpse.
+    /// Sleep `millis` before answering this lease, heartbeating all
+    /// the while — a straggler, not a corpse.
     Slow {
         /// Injected delay per lease, in milliseconds.
         millis: u64,

@@ -28,7 +28,7 @@
 //! both, workers choose per [`FramingMode`] (binary unless overridden).
 
 use super::Message;
-use divrel_numerics::wire::{read_varint, write_varint, Wire, WireError};
+use divrel_numerics::wire::{read_varint, write_varint, Wire, WireError, PREALLOCATED_ENTRIES};
 use std::io::ErrorKind;
 
 /// First byte of every binary frame. JSON-lines frames start with a
@@ -105,12 +105,13 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
     let end = read_varint(payload, &mut pos)?;
     let count = read_varint(payload, &mut pos)?;
     let remaining = (payload.len() - pos) as u64;
-    if count > remaining {
+    // A cell takes at least a tag and a one-byte body.
+    if count > remaining / 2 {
         return Err(WireError(format!(
             "result frame claims {count} cells but only {remaining} bytes remain"
         )));
     }
-    let mut cells = Vec::with_capacity(count as usize);
+    let mut cells = Vec::with_capacity((count as usize).min(PREALLOCATED_ENTRIES));
     for _ in 0..count {
         let (cell, used) = Wire::from_bytes_prefix(&payload[pos..])?;
         pos += used;

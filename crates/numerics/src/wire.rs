@@ -388,16 +388,18 @@ impl Wire {
             }
             TAG_TEXT => Ok(Wire::Text(read_string(bytes, pos)?)),
             TAG_LIST => {
-                let count = checked_count(bytes, pos)?;
-                let mut items = Vec::with_capacity(count);
+                // An entry takes at least a tag and a one-byte body.
+                let count = checked_count(bytes, pos, 2)?;
+                let mut items = Vec::with_capacity(count.min(PREALLOCATED_ENTRIES));
                 for _ in 0..count {
                     items.push(Wire::decode_binary(bytes, pos, depth + 1)?);
                 }
                 Ok(Wire::List(items))
             }
             TAG_RECORD => {
-                let count = checked_count(bytes, pos)?;
-                let mut fields = Vec::with_capacity(count);
+                // A field takes at least a key length and a value.
+                let count = checked_count(bytes, pos, 3)?;
+                let mut fields = Vec::with_capacity(count.min(PREALLOCATED_ENTRIES));
                 for _ in 0..count {
                     let key = read_string(bytes, pos)?;
                     fields.push((key, Wire::decode_binary(bytes, pos, depth + 1)?));
@@ -409,12 +411,19 @@ impl Wire {
     }
 }
 
-/// Reads a length-prefixed count, bounded by the bytes remaining so a
-/// corrupt huge prefix cannot drive `Vec::with_capacity` to OOM.
-fn checked_count(bytes: &[u8], pos: &mut usize) -> Result<usize, WireError> {
+/// Entries a decoder reserves room for before it has read them. A
+/// claimed count past this grows the container as its entries actually
+/// decode, so the memory a hostile length prefix can ask for is bounded
+/// by the input it comes with: nested containers that each claim the
+/// rest of the buffer reserve this much per level, not the claim.
+pub const PREALLOCATED_ENTRIES: usize = 256;
+
+/// Reads a length-prefixed count of entries of at least `min_entry`
+/// bytes each, refusing a count the bytes remaining cannot hold.
+fn checked_count(bytes: &[u8], pos: &mut usize, min_entry: u64) -> Result<usize, WireError> {
     let count = read_varint(bytes, pos)?;
     let remaining = (bytes.len() - *pos) as u64;
-    if count > remaining {
+    if count > remaining / min_entry {
         return Err(WireError(format!(
             "container claims {count} entries but only {remaining} bytes remain"
         )));
