@@ -23,12 +23,14 @@
 //!   fleet shape or crash/resume history reproduces the run bit for
 //!   bit.
 //!
-//! The driver here is executor-generic: [`drive`] takes a closure that
-//! evaluates one round's allocation to per-cell evidence. The
-//! in-process executor ([`crate::job::in_process_rounds`]) runs each
-//! round as a cell job; the distributed one (`dist::Coordinator`) runs
-//! each round as the next job of one fleet session, leasing the same
-//! cell job to the same workers.
+//! The driver here is executor-generic: [`drive`] compiles the
+//! session's [`AdaptivePfdRuntime`] once and hands it, with each round's
+//! allocation, to a closure that evaluates the round to per-cell
+//! evidence. The in-process executor ([`crate::job::in_process_rounds`])
+//! runs each round as a cell job over that runtime; the distributed one
+//! (`dist::Coordinator`) runs each round as the next job of one fleet
+//! session, leasing the same cell job to workers that compiled the same
+//! runtime once and receive each round as its number and allocation.
 
 use crate::scenario::ScenarioResult;
 use divrel_bayes::update::observe_batch;
@@ -88,11 +90,10 @@ impl RefinementSpec {
     }
 }
 
-/// One pinned round of an adaptive sweep: the execution form the
-/// distributed runtime leases out. A spec carrying a `RoundPlan` runs
-/// exactly that round (evidence only, no posterior loop) — the
-/// coordinator pins each round it derived so workers never need the
-/// evidence history.
+/// One pinned round of an adaptive sweep. A spec carrying a `RoundPlan`
+/// is a grid spec that runs exactly that round (evidence only, no
+/// posterior loop); the round loop itself never renders one, since a
+/// fleet session ships each round as its number and allocation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundPlan {
     /// Which round (salts the demand streams).
@@ -202,7 +203,8 @@ pub enum AllocationStrategy {
 
 /// Runs the round loop with a caller-supplied round executor:
 /// `exec(runtime, round, allocations)` must return per-cell evidence
-/// for exactly that round (cell order, one entry per cell). The
+/// for exactly that round (cell order, one entry per cell). The runtime
+/// is built once, here, and shared by every round. The
 /// posterior side — exact Bayes updates, widths, the stopping rule,
 /// the next allocation — lives here, identically for every executor.
 ///
@@ -219,11 +221,11 @@ pub fn drive<F>(
     mut exec: F,
 ) -> ScenarioResult<AdaptiveOutcome>
 where
-    F: FnMut(&AdaptivePfdRuntime, u32, &[u64]) -> ScenarioResult<Vec<CellEvidence>>,
+    F: FnMut(&Arc<AdaptivePfdRuntime>, u32, &[u64]) -> ScenarioResult<Vec<CellEvidence>>,
 {
     refinement.validate()?;
     let prior = PfdPrior::exact_single(&model)?;
-    let runtime = AdaptivePfdRuntime::new(model, sweep_seed, cells)?;
+    let runtime = Arc::new(AdaptivePfdRuntime::new(model, sweep_seed, cells)?);
     let mut cumulative = vec![CellEvidence::default(); cells];
     let mut rounds: Vec<RoundRecord> = Vec::new();
     let mut allocations = uniform_allocation(refinement.initial_demands, cells);

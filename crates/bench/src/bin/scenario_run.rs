@@ -25,8 +25,9 @@
 //! waits for `N` remote workers started as `scenario_run --worker ADDR`
 //! on any host. Either way the fleet is assembled once and serves the
 //! run as one session of jobs: a grid spec is one job, and an
-//! `AdaptivePfd` spec's round loop runs each posterior-derived round,
-//! pinned into the spec, as the next job on the same workers. The
+//! `AdaptivePfd` spec's round loop runs each posterior-derived round as
+//! the next job on the same workers, which are shipped the spec once
+//! and then each round as its number and allocation. The
 //! reduced outcome is **bit-identical** to the in-process run — any
 //! worker count, any lease partitioning, any failure/recovery history —
 //! and `--check-single` re-runs the spec in process afterwards and
@@ -46,14 +47,14 @@
 //!   after the `K`-th append to one journal — the crash/resume
 //!   rehearsal the CI chaos jobs run.
 //!
-//! Protocol v4 does not negotiate: every worker must be the
-//! coordinator's build. Result frames use the compact binary framing;
-//! `DIVREL_DIST_FRAMING=json` on a worker sends them as JSON lines, a
-//! debugging aid. `--worker ... --persist` keeps a TCP worker alive
-//! across successive runs: after each run it reconnects and serves the
-//! next one, keeping its compiled-spec cache warm, so a re-run of the
-//! same committed spec handshakes with just the spec hash and never
-//! re-ships (or re-compiles) the spec.
+//! Protocol v5 does not negotiate: every worker must be the
+//! coordinator's build. Result and round frames use the compact binary
+//! framing; `DIVREL_DIST_FRAMING=json` on a worker sends its results as
+//! JSON lines, a debugging aid. `--worker ... --persist` keeps a TCP
+//! worker alive across successive runs: after each run it reconnects
+//! and serves the next one, keeping its compiled-spec cache warm, so a
+//! re-run of the same committed spec handshakes with just the spec hash
+//! and never re-ships (or re-compiles) the spec.
 
 use divrel_bench::context::default_sweep_threads;
 use divrel_bench::dist::{

@@ -24,6 +24,12 @@
 //!   while a long lease runs, and returns per-cell accumulators in
 //!   [wire form](divrel_numerics::wire) — `f64`s as bit patterns, so
 //!   nothing rounds in transit.
+//! * An adaptive round loop ships its spec **once per worker**: the
+//!   worker compiles the session's version runtime from it and caches
+//!   it under the spec hash, and each round then travels as a
+//!   [`Message::Round`] — its number and allocation vector, identified
+//!   by [`round_digest`] — from which both sides build the round's job
+//!   over the runtime they already hold.
 //!
 //! The coordinator's lease decisions all live in one sans-IO
 //! `Scheduler` value (`dist/scheduler.rs`): it takes a worker's frame,
@@ -41,7 +47,8 @@
 //!   write-ahead [`Journal`] record as each lease completes; a
 //!   restarted coordinator ([`Coordinator::resume`]) reloads collected
 //!   accumulators and re-leases only the missing ranges. An adaptive
-//!   loop journals each round to its own file ([`round_journal_path`]).
+//!   loop journals each round to its own file ([`round_journal_path`]),
+//!   whose header pins the round's digest.
 //! * **Deadlines and degradation**: every lease carries a deadline
 //!   ([`Coordinator::lease_timeout`]) that only a frame about one of the
 //!   worker's leases restarts; a silent worker's lease is re-issued
@@ -75,9 +82,10 @@ pub use chaos::{Fault, FaultPlan};
 pub use framing::FramingMode;
 pub use journal::{Journal, JournalError, JournalLoad};
 
-use crate::adaptive::{drive, AdaptiveOutcome, AllocationStrategy, RoundPlan};
-use crate::job::{compile, AnyJob};
+use crate::adaptive::{drive, AdaptiveOutcome, AllocationStrategy};
+use crate::job::{adaptive_round, compile, AnyJob};
 use crate::scenario::{ExperimentSpec, Scenario, ScenarioOutcome, ScenarioResult};
+use divrel_devsim::adaptive::AdaptivePfdRuntime;
 use divrel_devsim::sweep::CellRange;
 use divrel_numerics::wire::{Wire, WireError};
 use scheduler::{Action, JobState, Scheduler};
@@ -93,10 +101,14 @@ use std::time::{Duration, Instant};
 /// [`Message::Progress`] heartbeats; v3 the cached-spec handshake
 /// ([`Message::SpecHash`]/[`Message::NeedSpec`]) and binary `Result`
 /// frames ([`framing`]); v4 sessions: one `Join` per connection, then a
-/// `SpecHash` per job and `Done` after the last. There is no
+/// `SpecHash` per job and `Done` after the last; v5 rounds as deltas:
+/// an adaptive round is offered as a binary [`Message::Round`] against
+/// the session spec the worker compiled once, its `Ready` echoes the
+/// [`round_digest`], and its cells batch consecutive versions' evidence
+/// ([`crate::job`]). There is no
 /// negotiation: a `Join` at any other revision is refused, so every
 /// worker of a fleet runs the coordinator's build.
-pub const PROTOCOL_VERSION: u64 = 4;
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// Default base lease (see [`Coordinator::lease_cells`]): a worker's
 /// starting grant and the granularity a failed lease is retried at.
@@ -107,17 +119,43 @@ pub const DEFAULT_LEASE_CELLS: u64 = 8;
 /// wedged worker trips it on real workloads. Chaos tests shrink it.
 pub const DEFAULT_LEASE_TIMEOUT: Duration = Duration::from_secs(120);
 
+/// 64-bit FNV-1a over `bytes`, rendered `fnv1a:<16 hex digits>`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("fnv1a:{h:016x}")
+}
+
 /// Hash of a canonical spec text (64-bit FNV-1a, hex): the fingerprint
 /// a worker checks before running leased cells, so a fleet can never
 /// silently mix two versions of "the same" experiment.
 #[must_use]
 pub fn spec_hash(text: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("fnv1a:{h:016x}")
+    fnv1a(text.bytes())
+}
+
+/// The identity of round `round` of the adaptive session whose spec
+/// hashes to `spec_hash`: 64-bit FNV-1a, rendered like [`spec_hash`],
+/// over these bytes in this order —
+///
+/// 1. `spec_hash` as UTF-8, then one `0x00` byte;
+/// 2. `round` as 4 little-endian bytes;
+/// 3. the allocation count as 8 little-endian bytes;
+/// 4. each allocation as 8 little-endian bytes, in version order.
+///
+/// A worker recomputes it from the [`Message::Round`] it was offered and
+/// echoes it in [`Message::Ready`]; the round's journal header pins it,
+/// so resume refuses another round's or another allocation's journal.
+#[must_use]
+pub fn round_digest(spec_hash: &str, round: u32, allocations: &[u64]) -> String {
+    let head = spec_hash.bytes().chain([0]);
+    let round = round.to_le_bytes().into_iter();
+    let count = (allocations.len() as u64).to_le_bytes().into_iter();
+    let allocations = allocations.iter().flat_map(|a| a.to_le_bytes());
+    fnv1a(head.chain(round).chain(count).chain(allocations))
 }
 
 /// One protocol frame. Frames are serialised as single-line JSON
@@ -150,6 +188,23 @@ pub enum Message {
         /// [`spec_hash`] of the job's committed spec.
         hash: String,
     },
+    /// Coordinator → worker: the next job is round `round` of the
+    /// adaptive session whose un-pinned spec hashes to `hash`, offered
+    /// when the worker is idle as [`Message::SpecHash`] is. A worker
+    /// that has not compiled that spec asks for it with
+    /// [`Message::NeedSpec`] first; it then builds the round's job over
+    /// the session's runtime and echoes the [`round_digest`] in
+    /// [`Message::Ready`]. A coordinator sends it in the binary form
+    /// ([`framing`]).
+    Round {
+        /// [`spec_hash`] of the session's un-pinned spec.
+        hash: String,
+        /// Which round (salts the demand streams).
+        round: u32,
+        /// Per-version demand budgets, version order; one per version
+        /// of the session.
+        allocations: Vec<u64>,
+    },
     /// Worker → coordinator: the spec behind `hash` is not cached;
     /// send the full [`Message::Spec`].
     NeedSpec {
@@ -159,7 +214,9 @@ pub enum Message {
     /// Worker → coordinator: spec parsed, validated and hash-checked;
     /// ready for leases.
     Ready {
-        /// Echo of the verified hash.
+        /// Echo of the verified job identity: the spec hash of a
+        /// [`Message::SpecHash`] offer, the [`round_digest`] of a
+        /// [`Message::Round`].
         hash: String,
     },
     /// Coordinator → worker: evaluate cells `[start, end)`.
@@ -209,8 +266,8 @@ pub trait FrameSend: Send {
 
     /// Sends one frame in the compact binary form where the transport
     /// supports it, falling back to JSON otherwise (only
-    /// [`Message::Result`] has a binary form). Custom transports get
-    /// the fallback for free.
+    /// [`Message::Result`] and [`Message::Round`] have a binary form).
+    /// Custom transports get the fallback for free.
     ///
     /// # Errors
     ///
@@ -283,14 +340,19 @@ impl<W: Write + Send> FrameSend for FrameWriter<W> {
     }
 
     fn send_binary(&mut self, msg: &Message) -> std::io::Result<()> {
-        match msg {
+        let frame = match msg {
             Message::Result { start, end, cells } => {
-                let frame = framing::encode_result_frame(*start, *end, cells);
-                self.inner.write_all(&frame)?;
-                self.inner.flush()
+                framing::encode_result_frame(*start, *end, cells)
             }
-            other => self.send(other),
-        }
+            Message::Round {
+                hash,
+                round,
+                allocations,
+            } => framing::encode_round_frame(hash, *round, allocations),
+            other => return self.send(other),
+        };
+        self.inner.write_all(&frame)?;
+        self.inner.flush()
     }
 }
 
@@ -300,8 +362,8 @@ impl<W: Write + Send> FrameSend for FrameWriter<W> {
 /// `TimedOut`/`WouldBlock` error simply surfaces to the caller, who may
 /// retry `recv` without losing framing.
 ///
-/// The reader demultiplexes the two frame forms on the first byte of
-/// each frame: [`framing::BINARY_FRAME_MARKER`] (`0x00`, never the
+/// The reader demultiplexes the frame forms on the first byte of each
+/// frame: a binary marker ([`framing::is_binary_marker`], never the
 /// start of a JSON document) opens a length-prefixed binary frame,
 /// anything else a `\n`-terminated JSON line. Accepting both forms
 /// unconditionally means a receiver never has to know which framing
@@ -349,7 +411,7 @@ impl<R: Read> FrameReader<R> {
                 Some(b'\n') | Some(b'\r') => {
                     self.pending.remove(0);
                 }
-                Some(&framing::BINARY_FRAME_MARKER) => {
+                Some(&b) if framing::is_binary_marker(b) => {
                     return match framing::try_extract(&self.pending)? {
                         framing::Extracted::Frame(msg, used) => {
                             self.pending.drain(..used);
@@ -464,10 +526,10 @@ impl<R: Read + Send + 'static, W: Write + Send + 'static> Transport for JsonLine
 /// list in canonical cell order, so `run_range` on any host produces
 /// the exact per-cell bits of the in-process run.
 ///
-/// An `AdaptivePfd` spec is distributable **one pinned round at a
-/// time** (`round = Some`): [`Coordinator`] runs the round loop itself,
-/// pinning each derived round and running it as the next job of the
-/// same session.
+/// An `AdaptivePfd` spec compiles here **one pinned round at a time**
+/// (`round = Some`). An un-pinned one is a round loop: [`Coordinator`]
+/// runs it, and each round's job is built over the session's runtime
+/// on both sides of the wire.
 pub struct DistJob {
     job: Box<dyn AnyJob>,
     threads: usize,
@@ -485,6 +547,19 @@ impl DistJob {
         scenario.validate()?;
         Ok(DistJob {
             job: compile(&scenario)?,
+            threads: threads.max(1),
+        })
+    }
+
+    /// Round `round` of the adaptive session over `runtime`.
+    fn round(
+        runtime: Arc<AdaptivePfdRuntime>,
+        round: u32,
+        allocations: Vec<u64>,
+        threads: usize,
+    ) -> ScenarioResult<Self> {
+        Ok(DistJob {
+            job: adaptive_round(runtime, round, allocations)?,
             threads: threads.max(1),
         })
     }
@@ -549,7 +624,8 @@ impl DistJob {
 /// section).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DistStats {
-    /// [`spec_hash`] of the canonical spec the fleet executed.
+    /// [`spec_hash`] of the canonical spec the fleet executed; for one
+    /// round of an adaptive loop, the round's [`round_digest`].
     pub spec_hash: String,
     /// Workers that completed the handshake (for a session, the most
     /// in any one job).
@@ -613,21 +689,72 @@ pub struct DistRun {
     pub rounds: Vec<DistStats>,
 }
 
-/// A compiled job and the canonical spec text workers verify it by.
+/// A canonical spec text and its [`spec_hash`]: what a worker's
+/// [`Message::NeedSpec`] is answered with.
+struct SpecText {
+    hash: String,
+    text: String,
+}
+
+impl SpecText {
+    fn new(scenario: &Scenario) -> ScenarioResult<Arc<Self>> {
+        let text = scenario.to_toml()?;
+        Ok(Arc::new(SpecText {
+            hash: spec_hash(&text),
+            text,
+        }))
+    }
+}
+
+/// A compiled job, how it is offered to a worker, and the spec a
+/// worker compiles it from.
 struct Compiled {
     dist: DistJob,
-    text: String,
+    /// The job's identity, which a worker's `Ready` echoes: the spec
+    /// hash of a grid spec, the [`round_digest`] of a round.
     hash: String,
+    /// The frame that offers the job to an idle worker.
+    offer: Message,
+    /// The spec behind the job: for a round, the session's.
+    spec: Arc<SpecText>,
 }
 
 impl Compiled {
-    fn new(scenario: Scenario) -> ScenarioResult<Self> {
-        let text = scenario.to_toml()?;
-        let hash = spec_hash(&text);
+    fn grid(scenario: Scenario) -> ScenarioResult<Self> {
+        let spec = SpecText::new(&scenario)?;
         // The job doubles as the degradation executor, so give it real
         // parallelism; worker-side bits never depend on thread count.
         let dist = DistJob::new(scenario, crate::context::default_sweep_threads())?;
-        Ok(Compiled { dist, text, hash })
+        Ok(Compiled {
+            dist,
+            hash: spec.hash.clone(),
+            offer: Message::SpecHash {
+                hash: spec.hash.clone(),
+            },
+            spec,
+        })
+    }
+
+    /// Round `round` of the session over `runtime`, whose un-pinned spec
+    /// is `spec`.
+    fn round(
+        spec: &Arc<SpecText>,
+        runtime: &Arc<AdaptivePfdRuntime>,
+        round: u32,
+        allocations: &[u64],
+    ) -> ScenarioResult<Self> {
+        let threads = crate::context::default_sweep_threads();
+        let dist = DistJob::round(Arc::clone(runtime), round, allocations.to_vec(), threads)?;
+        Ok(Compiled {
+            dist,
+            hash: round_digest(&spec.hash, round, allocations),
+            offer: Message::Round {
+                hash: spec.hash.clone(),
+                round,
+                allocations: allocations.to_vec(),
+            },
+            spec: Arc::clone(spec),
+        })
     }
 }
 
@@ -635,9 +762,9 @@ impl Compiled {
 enum Plan {
     /// A grid spec's one job, compiled up front.
     Grid(Arc<Compiled>),
-    /// An un-pinned `AdaptivePfd` spec: each round is pinned into the
-    /// spec and compiled when the loop derives it.
-    Rounds(Box<Scenario>),
+    /// An un-pinned `AdaptivePfd` spec: each round's job is built over
+    /// the runtime [`drive`] compiles once.
+    Rounds(Box<Scenario>, Arc<SpecText>),
 }
 
 /// Coordinates a fleet of workers over one committed scenario. A run is
@@ -669,10 +796,11 @@ impl Coordinator {
             scenario.experiment,
             ExperimentSpec::AdaptivePfd { round: None, .. }
         ) {
-            let hash = spec_hash(&scenario.to_toml()?);
-            (Plan::Rounds(Box::new(scenario)), hash)
+            let spec = SpecText::new(&scenario)?;
+            let hash = spec.hash.clone();
+            (Plan::Rounds(Box::new(scenario), spec), hash)
         } else {
-            let job = Compiled::new(scenario)?;
+            let job = Compiled::grid(scenario)?;
             let hash = job.hash.clone();
             (Plan::Grid(Arc::new(job)), hash)
         };
@@ -752,18 +880,20 @@ impl Coordinator {
     }
 
     /// The fingerprint of the session's spec (for an adaptive loop,
-    /// of the un-pinned spec; each round's job has its own).
+    /// of the un-pinned spec; each round's job is identified by its
+    /// [`round_digest`]).
     pub fn spec_hash(&self) -> &str {
         &self.spec_hash
     }
 
     /// Runs the session to completion over real transports. Each worker
-    /// joins once; then each job offers its spec hash, hands out
+    /// joins once; then each job is offered — its spec hash, or an
+    /// adaptive round's number and allocation — and hands out
     /// [`CellRange`] leases with deadlines, re-issues leases whose
     /// workers disconnect or go silent (exponential backoff, straggler
-    /// cap), journals every completed lease and folds the per-cell
-    /// accumulators in canonical order. A worker drains its leases
-    /// before it gets the next job's [`Message::SpecHash`], or
+    /// cap), journals every completed lease before publishing it and
+    /// folds the per-cell accumulators in canonical order. A worker
+    /// drains its leases before it gets the next job's offer, or
     /// [`Message::Done`] after the last job.
     ///
     /// Each transport gets a reader and a writer thread that only move
@@ -808,7 +938,7 @@ impl Coordinator {
 
     /// The session's job sequence.
     fn run_jobs(&self, session: &mut Session<'_>) -> ScenarioResult<DistRun> {
-        let scenario = match &self.plan {
+        let (scenario, spec) = match &self.plan {
             Plan::Grid(job) => {
                 let (outcome, stats) =
                     self.run_job(session, Arc::clone(job), self.journal.clone(), false)?;
@@ -818,7 +948,7 @@ impl Coordinator {
                     rounds: Vec::new(),
                 });
             }
-            Plan::Rounds(scenario) => scenario.as_ref(),
+            Plan::Rounds(scenario, spec) => (scenario.as_ref(), spec),
         };
         let ExperimentSpec::AdaptivePfd {
             model,
@@ -836,19 +966,12 @@ impl Coordinator {
             *cells,
             refinement,
             AllocationStrategy::PosteriorDriven,
-            |_runtime, round, allocations| {
-                let mut pinned = scenario.clone();
-                if let ExperimentSpec::AdaptivePfd { round: slot, .. } = &mut pinned.experiment {
-                    *slot = Some(RoundPlan {
-                        round,
-                        allocations: allocations.to_vec(),
-                    });
-                }
+            |runtime, round, allocations| {
                 let journal = self
                     .journal
                     .as_deref()
                     .map(|base| round_journal_path(base, round));
-                let job = Arc::new(Compiled::new(pinned)?);
+                let job = Arc::new(Compiled::round(spec, runtime, round, allocations)?);
                 let (outcome, stats) = self.run_job(session, job, journal, true)?;
                 rounds.push(stats);
                 match outcome {
@@ -965,17 +1088,19 @@ impl Session<'_> {
         finished.map_err(|fatal| format!("distributed run aborted: {fatal}").into())
     }
 
-    /// Carries out the scheduler's queued actions in order. A journal
-    /// append that fails goes back to the scheduler as fatal.
+    /// Carries out the scheduler's queued actions in order. A lease is
+    /// published only once its journal append succeeds; an append that
+    /// fails goes back to the scheduler as fatal.
     fn carry_out(&mut self, journal: &mut Option<Journal>) {
         for action in self.sched.take_actions() {
             match action {
                 Action::Send(worker, msg) => self.fleet.send(worker, msg),
                 Action::Close(worker) => self.fleet.close(worker),
-                Action::Journal(range, cells) => {
+                Action::Journal { from, range, cells } => {
                     let journal = journal.as_mut().expect("a journaling job has a journal");
-                    if let Err(e) = journal.append(range, &cells) {
-                        self.sched.fail(format!("journal write failed: {e}"));
+                    match journal.append_cells(range, cells) {
+                        Ok(cells) => self.sched.publish(from, range, cells),
+                        Err(e) => self.sched.fail(format!("journal write failed: {e}")),
                     }
                 }
             }
@@ -1015,7 +1140,7 @@ impl AdaptiveCoordinator {
     pub fn new(scenario: Scenario) -> ScenarioResult<Self> {
         let coordinator = Coordinator::new(scenario)?;
         match coordinator.plan {
-            Plan::Rounds(_) => Ok(AdaptiveCoordinator(coordinator)),
+            Plan::Rounds(..) => Ok(AdaptiveCoordinator(coordinator)),
             Plan::Grid(_) => {
                 Err("AdaptiveCoordinator needs an un-pinned AdaptivePfd scenario".into())
             }
@@ -1083,7 +1208,8 @@ pub trait Fleet {
 
 /// The fleet behind [`Coordinator::run`]: per transport, a reader
 /// thread forwarding frames into one event channel and a writer thread
-/// draining a frame queue.
+/// draining a frame queue, in the binary form where a frame has one (a
+/// [`Message::Round`]).
 struct ThreadFleet {
     started: Instant,
     queues: Vec<Option<Sender<Message>>>,
@@ -1106,7 +1232,7 @@ impl ThreadFleet {
                 let writer_events = events_tx.clone();
                 std::thread::spawn(move || {
                     for msg in frames {
-                        if tx.send(&msg).is_err() {
+                        if tx.send_binary(&msg).is_err() {
                             let _ = writer_events.send(Some(FleetEvent::Closed(worker, None)));
                             return;
                         }
@@ -1174,10 +1300,21 @@ fn pump_frames(worker: usize, rx: &mut dyn FrameRecv, events: &Sender<Option<Fle
     }
 }
 
+/// What a worker compiles a spec into.
+#[derive(Clone)]
+enum WorkerSpec {
+    /// A grid spec's job.
+    Grid(Arc<DistJob>),
+    /// An un-pinned adaptive spec: the runtime each round's job is
+    /// built over.
+    Session(Arc<AdaptivePfdRuntime>),
+}
+
 /// Compiled-spec cache shared across a worker's connections, keyed by
-/// spec hash. A persistent worker that reconnects to coordinators
-/// running the same committed spec compiles the [`DistJob`] once and
-/// answers every later [`Message::SpecHash`] offer from cache —
+/// spec hash: a grid spec's [`DistJob`], or an adaptive session's
+/// runtime, which serves every round of the session. A persistent
+/// worker that reconnects to coordinators running the same committed
+/// spec compiles it once and answers every later offer from cache —
 /// skipping both the spec transfer and the model/grid build.
 ///
 /// Cloning is cheap (the map is behind an `Arc`), so one cache can back
@@ -1186,7 +1323,7 @@ fn pump_frames(worker: usize, rx: &mut dyn FrameRecv, events: &Sender<Option<Fle
 /// sharing a cache between workers with different `threads` settings is
 /// safe for correctness (the hint of whoever compiled first wins).
 #[derive(Clone, Default)]
-pub struct SpecCache(Arc<Mutex<HashMap<String, Arc<DistJob>>>>);
+pub struct SpecCache(Arc<Mutex<HashMap<String, WorkerSpec>>>);
 
 impl std::fmt::Debug for SpecCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -1203,7 +1340,7 @@ impl SpecCache {
         Self::default()
     }
 
-    fn get(&self, hash: &str) -> Option<Arc<DistJob>> {
+    fn get(&self, hash: &str) -> Option<WorkerSpec> {
         self.0
             .lock()
             .expect("spec cache poisoned")
@@ -1211,11 +1348,11 @@ impl SpecCache {
             .cloned()
     }
 
-    fn insert(&self, hash: String, job: Arc<DistJob>) {
+    fn insert(&self, hash: String, spec: WorkerSpec) {
         self.0
             .lock()
             .expect("spec cache poisoned")
-            .insert(hash, job);
+            .insert(hash, spec);
     }
 
     /// Number of distinct specs compiled into this cache.
@@ -1354,7 +1491,15 @@ impl Worker {
         loop {
             let (start, end) = match self.recv_patient(t)? {
                 Some(Message::SpecHash { hash }) => {
-                    job = Some(self.ready(t, hash, &mut summary)?);
+                    job = Some(self.ready(t, hash, None, &mut summary)?);
+                    continue;
+                }
+                Some(Message::Round {
+                    hash,
+                    round,
+                    allocations,
+                }) => {
+                    job = Some(self.ready(t, hash, Some((round, allocations)), &mut summary)?);
                     continue;
                 }
                 Some(Message::Lease { start, end }) => (start, end),
@@ -1428,18 +1573,21 @@ impl Worker {
         }
     }
 
-    /// Answers a job's [`Message::SpecHash`] offer with `Ready`: the
-    /// compiled job comes from the cache, or from the spec text the
-    /// worker asks for.
+    /// Answers a job's offer with `Ready`: the spec comes from the
+    /// cache, or from the text the worker asks for. A
+    /// [`Message::SpecHash`] offer (`round` = `None`) runs a grid spec's
+    /// job; a [`Message::Round`] offer builds the round's job over the
+    /// session's runtime and echoes its [`round_digest`].
     fn ready<T: Transport + ?Sized>(
         &self,
         t: &mut T,
         hash: String,
+        round: Option<(u32, Vec<u64>)>,
         summary: &mut WorkerSummary,
     ) -> ScenarioResult<Arc<DistJob>> {
         let cached = self.cache.get(&hash);
-        let job = match &cached {
-            Some(job) => Arc::clone(job),
+        let spec = match &cached {
+            Some(spec) => spec.clone(),
             None => {
                 t.send(&Message::NeedSpec { hash: hash.clone() })?;
                 match self.recv_patient(t)? {
@@ -1451,6 +1599,28 @@ impl Worker {
                     }
                     other => return Err(format!("expected Spec for {hash}, got {other:?}").into()),
                 }
+            }
+        };
+        let built = match (spec, round) {
+            (WorkerSpec::Grid(job), None) => Ok((job, hash.clone())),
+            (WorkerSpec::Session(runtime), Some((round, allocations))) => {
+                let digest = round_digest(&hash, round, &allocations);
+                DistJob::round(runtime, round, allocations, self.threads)
+                    .map(|job| (Arc::new(job), digest))
+                    .map_err(|e| e.to_string())
+            }
+            (_, round) => Err(format!(
+                "spec {hash} cannot run the offered {}",
+                if round.is_some() { "round" } else { "grid job" }
+            )),
+        };
+        let (job, echo) = match built {
+            Ok(built) => built,
+            Err(reason) => {
+                let _ = t.send(&Message::Abort {
+                    reason: reason.clone(),
+                });
+                return Err(reason.into());
             }
         };
         if self.plan.wrong_hash() {
@@ -1476,7 +1646,7 @@ impl Worker {
                 }
             }
         }
-        t.send(&Message::Ready { hash: hash.clone() })?;
+        t.send(&Message::Ready { hash: echo })?;
         summary.jobs += 1;
         summary.cached_jobs += u64::from(cached.is_some());
         summary.spec_hash = hash;
@@ -1532,14 +1702,15 @@ impl Worker {
         }
     }
 
-    /// Verifies `text` against its claimed `hash`, compiles it into a
-    /// [`DistJob`], and caches the result for future connections.
+    /// Verifies `text` against its claimed `hash`, compiles it — a grid
+    /// spec into its [`DistJob`], an un-pinned adaptive spec into its
+    /// session runtime — and caches the result for future connections.
     fn compile<T: Transport + ?Sized>(
         &self,
         t: &mut T,
         hash: &str,
         text: &str,
-    ) -> ScenarioResult<Arc<DistJob>> {
+    ) -> ScenarioResult<WorkerSpec> {
         if spec_hash(text) != hash {
             let reason = format!(
                 "spec hash mismatch: coordinator claims {hash}, text hashes to {}",
@@ -1560,9 +1731,22 @@ impl Worker {
                 return Err(reason.into());
             }
         };
-        let job = Arc::new(DistJob::new(scenario, self.threads)?);
-        self.cache.insert(hash.to_string(), Arc::clone(&job));
-        Ok(job)
+        let spec = match &scenario.experiment {
+            ExperimentSpec::AdaptivePfd {
+                model,
+                cells,
+                round: None,
+                ..
+            } => {
+                scenario.validate()?;
+                let model = Arc::new(model.build()?);
+                let runtime = AdaptivePfdRuntime::new(model, scenario.seed.seed, *cells)?;
+                WorkerSpec::Session(Arc::new(runtime))
+            }
+            _ => WorkerSpec::Grid(Arc::new(DistJob::new(scenario, self.threads)?)),
+        };
+        self.cache.insert(hash.to_string(), spec.clone());
+        Ok(spec)
     }
 }
 
@@ -1644,9 +1828,10 @@ pub struct WorkerSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::{RefinementSpec, RoundPlan};
     use crate::scenario::presets;
     use crate::Context;
-    use divrel_devsim::adaptive::CellEvidence;
+    use divrel_devsim::adaptive::{CellEvidence, EvidenceBatch};
     use divrel_numerics::wire::WireForm;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1677,6 +1862,11 @@ mod tests {
             },
             Message::Ready {
                 hash: "fnv1a:00".into(),
+            },
+            Message::Round {
+                hash: "fnv1a:00".into(),
+                round: 3,
+                allocations: vec![0, u64::MAX, 7],
             },
             Message::Lease { start: 3, end: 9 },
             Message::Progress { start: 3, end: 9 },
@@ -1969,7 +2159,8 @@ mod tests {
         let mut current = worker_ends.pop().expect("two pairs");
         let mut old = worker_ends.pop().expect("two pairs");
         let old_peer = std::thread::spawn(move || {
-            Transport::send(&mut old, &Message::Join { protocol: 3 }).unwrap();
+            let protocol = PROTOCOL_VERSION - 1;
+            Transport::send(&mut old, &Message::Join { protocol }).unwrap();
             Transport::recv(&mut old).unwrap()
         });
         let healthy = std::thread::spawn(move || {
@@ -1987,17 +2178,16 @@ mod tests {
         let Some(Message::Abort { reason }) = reply else {
             panic!("the old worker got {reply:?}, not an Abort");
         };
-        assert!(reason.contains("v3") && reason.contains("v4"), "{reason}");
+        assert!(reason.contains("v4") && reason.contains("v5"), "{reason}");
         assert_eq!(run.stats.quarantined_workers, 1, "stats: {:?}", run.stats);
         assert_eq!(run.stats.worker_faults, vec![reason]);
         assert_eq!(run.stats.worker_cells[0], 0);
         assert_eq!(format!("{:?}", run.outcome), format!("{direct:?}"));
     }
 
-    /// A pinned adaptive round whose cell `c` is allocated
-    /// [`pinned_allocation`]`(c)` demands.
-    fn pinned_round() -> Scenario {
-        use crate::adaptive::RefinementSpec;
+    /// A pinned adaptive round of `versions` versions, version `v`
+    /// allocated [`pinned_allocation`]`(v)` demands.
+    fn pinned_round(versions: usize) -> Scenario {
         use divrel_model::spec::FaultModelSpec;
         Scenario {
             name: "pinned-round".into(),
@@ -2008,7 +2198,7 @@ mod tests {
                     p: 0.25,
                     q: 0.004,
                 },
-                cells: 12,
+                cells: versions,
                 refinement: RefinementSpec {
                     confidence: 0.99,
                     target_width: 0.002,
@@ -2018,29 +2208,39 @@ mod tests {
                 },
                 round: Some(RoundPlan {
                     round: 2,
-                    allocations: (0..12).map(pinned_allocation).collect(),
+                    allocations: (0..versions as u64).map(pinned_allocation).collect(),
                 }),
             },
         }
     }
 
-    fn pinned_allocation(cell: u64) -> u64 {
-        100 + 50 * cell
+    fn pinned_allocation(version: u64) -> u64 {
+        100 + 50 * version
     }
 
-    fn evidence_cell(ev: CellEvidence) -> Wire {
+    /// The same session un-pinned: a round loop of `versions` versions.
+    fn round_loop(versions: usize) -> Scenario {
+        let mut scenario = pinned_round(versions);
+        if let ExperimentSpec::AdaptivePfd { round, .. } = &mut scenario.experiment {
+            *round = None;
+        }
+        scenario
+    }
+
+    fn evidence_cell(batch: &EvidenceBatch) -> Wire {
         Wire::record([
             ("kind", Wire::Text("adaptive".into())),
-            ("data", ev.to_wire()),
+            ("data", batch.to_wire()),
         ])
     }
 
-    /// Made-up evidence for a cell's allocation.
+    /// Made-up evidence for a version's allocation.
     type Forge = fn(u64) -> CellEvidence;
 
-    /// A hand-rolled worker: completes the handshake, then answers its
-    /// leases with well-formed evidence that `forge` makes up, and
-    /// waits to be cut off.
+    /// A hand-rolled worker: completes the handshake and compiles the
+    /// spec, then answers its leases with the genuine cells except that
+    /// the middle version of each lease's first cell carries evidence
+    /// `forge` makes up, and waits to be cut off.
     fn forging_worker(t: &mut PipeTransport, forge: Forge) {
         Transport::send(
             t,
@@ -2049,18 +2249,27 @@ mod tests {
             },
         )
         .unwrap();
+        let mut job = None;
         loop {
             match Transport::recv(t) {
                 Ok(Some(Message::SpecHash { hash, .. })) => {
                     Transport::send(t, &Message::NeedSpec { hash }).unwrap();
                 }
-                Ok(Some(Message::Spec { hash, .. })) => {
+                Ok(Some(Message::Spec { hash, text })) => {
+                    let scenario = Scenario::from_spec_text(&text).unwrap();
+                    job = Some(DistJob::new(scenario, 1).unwrap());
                     Transport::send(t, &Message::Ready { hash }).unwrap();
                 }
                 Ok(Some(Message::Lease { start, end })) => {
-                    let cells = (start..end)
-                        .map(|k| evidence_cell(forge(pinned_allocation(k))))
-                        .collect();
+                    let job = job.as_ref().expect("a lease after the spec");
+                    let mut cells = job.run_range(CellRange::new(start, end)).unwrap();
+                    let data = cells[0].field("data").unwrap();
+                    let mut batch = EvidenceBatch::from_wire(data).unwrap();
+                    let mid = batch.demands.len() / 2;
+                    let forged = forge(batch.demands[mid]);
+                    batch.failures[mid] = forged.failures;
+                    batch.demands[mid] = forged.demands;
+                    cells[0] = evidence_cell(&batch);
                     let _ = Transport::send(t, &Message::Result { start, end, cells });
                 }
                 Ok(Some(Message::Abort { .. } | Message::Done) | None) | Err(_) => return,
@@ -2069,10 +2278,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forged_adaptive_evidence_quarantines_its_worker() {
-        let scenario = pinned_round();
+    /// Runs `scenario` on one forging worker and checks that its first
+    /// result quarantined it for the version `version_note` names, and
+    /// that the coordinator ran every cell in process instead.
+    fn check_forgeries(scenario: &Scenario, version_note: &str) {
         let direct = scenario.run(1).unwrap();
+        let cells = DistJob::new(scenario.clone(), 1).unwrap().cell_count();
         let forgeries: [(&str, Forge); 2] = [
             ("more failures than demands", |a| CellEvidence {
                 failures: a + 1,
@@ -2090,13 +2301,13 @@ mod tests {
             let run = coordinator.run(coord_ends).unwrap();
             handle.join().unwrap();
             assert_eq!(run.stats.quarantined_workers, 1, "{label}: {:?}", run.stats);
+            let fault = &run.stats.worker_faults[0];
             assert!(
-                run.stats.worker_faults[0].contains("allocated"),
-                "{label}: {:?}",
-                run.stats.worker_faults
+                fault.contains("allocated") && fault.contains(version_note),
+                "{label}: {fault}"
             );
             assert_eq!(run.stats.worker_cells, vec![0], "{label}");
-            assert_eq!(run.stats.recovered_in_process, 12, "{label}");
+            assert_eq!(run.stats.recovered_in_process, cells, "{label}");
             assert_eq!(
                 format!("{:?}", run.outcome),
                 format!("{direct:?}"),
@@ -2106,20 +2317,36 @@ mod tests {
     }
 
     #[test]
+    fn forged_adaptive_evidence_quarantines_its_worker() {
+        // 12 versions, one per cell: the first lease's first version.
+        check_forgeries(&pinned_round(12), "cell 0 version 0:");
+    }
+
+    #[test]
+    fn a_forged_version_inside_a_batched_cell_quarantines_its_worker() {
+        // 600 versions batch 3 to a cell; the forgery is version 1, the
+        // middle of cell 0, between two genuine versions.
+        let scenario = pinned_round(600);
+        assert_eq!(DistJob::new(scenario.clone(), 1).unwrap().cell_count(), 200);
+        check_forgeries(&scenario, "cell 0 version 1:");
+    }
+
+    #[test]
     fn resume_rejects_forged_adaptive_evidence() {
-        let scenario = pinned_round();
+        let scenario = pinned_round(12);
         let hash = spec_hash(&scenario.to_toml().unwrap());
         let path = std::env::temp_dir().join(format!(
             "divrel-forged-evidence-{}.ndjson",
             std::process::id()
         ));
         let mut journal = Journal::create(&path, &hash, 12).unwrap();
-        let forged = CellEvidence {
+        let mut forged = EvidenceBatch::default();
+        forged.push(CellEvidence {
             failures: 0,
             demands: pinned_allocation(3) + 1,
-        };
+        });
         journal
-            .append(CellRange::new(3, 4), &[evidence_cell(forged)])
+            .append(CellRange::new(3, 4), &[evidence_cell(&forged)])
             .unwrap();
         drop(journal);
         let err = Coordinator::new(scenario)
@@ -2131,6 +2358,89 @@ mod tests {
         let err = err.to_string();
         assert!(err.contains("journal cell 3"), "{err}");
         assert!(err.contains("allocated"), "{err}");
+    }
+
+    /// Runs `scenario`, a round loop, on one pipe worker per entry of
+    /// `workers`, each with a cache of its own; returns the run and
+    /// each worker's cache and summary.
+    fn run_round_loop(
+        scenario: Scenario,
+        workers: Vec<Worker>,
+    ) -> (DistRun, Vec<(SpecCache, WorkerSummary)>) {
+        let (worker_ends, coord_ends) = duplex_pairs(workers.len());
+        let handles: Vec<_> = worker_ends
+            .into_iter()
+            .zip(workers)
+            .map(|(mut t, worker)| {
+                let cache = SpecCache::new();
+                let worker = worker.threads(1).spec_cache(cache.clone());
+                std::thread::spawn(move || {
+                    let served = worker.serve(&mut t).map_err(|e| e.to_string());
+                    (cache, served)
+                })
+            })
+            .collect();
+        let run = Coordinator::new(scenario).unwrap().run(coord_ends).unwrap();
+        let served = handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .filter_map(|(cache, served)| Some((cache, served.ok()?)))
+            .collect();
+        (run, served)
+    }
+
+    /// Rounds as deltas: each worker is shipped the session's spec once,
+    /// compiles one runtime for the whole round loop and answers every
+    /// later round from its cache.
+    #[test]
+    fn an_adaptive_session_ships_its_spec_once_per_worker() {
+        let scenario = round_loop(12);
+        let direct = scenario.run(1).unwrap();
+        let (run, served) = run_round_loop(scenario, vec![Worker::new(), Worker::new()]);
+        assert_eq!(format!("{:?}", run.outcome), format!("{direct:?}"));
+        let rounds = run.rounds.len() as u64;
+        assert!(rounds >= 3, "{rounds} rounds");
+        assert_eq!(served.len(), 2);
+        for (cache, summary) in served {
+            assert_eq!(cache.len(), 1, "one compiled session, not one per round");
+            assert_eq!(summary.jobs, rounds, "{summary:?}");
+            assert_eq!(summary.cached_jobs, rounds - 1, "{summary:?}");
+        }
+    }
+
+    /// A worker whose `Ready` does not echo the round's digest is
+    /// quarantined, and the loop finishes on the rest of the fleet.
+    #[test]
+    fn a_wrong_round_digest_quarantines_its_worker() {
+        let scenario = round_loop(12);
+        let direct = scenario.run(1).unwrap();
+        let liar = Worker::new().fault_plan(FaultPlan::new().inject(0, Fault::WrongHash));
+        let (run, served) = run_round_loop(scenario, vec![liar, Worker::new()]);
+        assert_eq!(format!("{:?}", run.outcome), format!("{direct:?}"));
+        assert_eq!(run.stats.quarantined_workers, 1, "{:?}", run.stats);
+        assert!(
+            run.stats.worker_faults[0].contains("echoed job identity"),
+            "{:?}",
+            run.stats.worker_faults
+        );
+        assert_eq!(run.stats.worker_cells[0], 0);
+        assert_eq!(served.len(), 1, "only the honest worker serves the session");
+    }
+
+    #[test]
+    fn round_digests_follow_their_documented_bytes() {
+        let digest = round_digest("fnv1a:0123", 7, &[1, 2]);
+        let mut bytes = b"fnv1a:0123\0".to_vec();
+        bytes.extend(7u32.to_le_bytes());
+        bytes.extend(2u64.to_le_bytes());
+        bytes.extend(1u64.to_le_bytes());
+        bytes.extend(2u64.to_le_bytes());
+        assert_eq!(digest, fnv1a(bytes));
+        // Every input moves it.
+        assert_ne!(digest, round_digest("fnv1a:0124", 7, &[1, 2]));
+        assert_ne!(digest, round_digest("fnv1a:0123", 8, &[1, 2]));
+        assert_ne!(digest, round_digest("fnv1a:0123", 7, &[2, 1]));
+        assert_ne!(digest, round_digest("fnv1a:0123", 7, &[1, 2, 0]));
     }
 
     type PipeTransport = JsonLines<std::io::PipeReader, std::io::PipeWriter>;

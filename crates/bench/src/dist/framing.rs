@@ -5,35 +5,50 @@
 //! decimal `u64` counters inflates every accumulator several-fold and
 //! dominates coordinator/worker traffic at small lease sizes. Since
 //! protocol v3 a worker sends its `Result` frames in this module's
-//! binary form:
+//! binary form, and since v5 a coordinator sends each adaptive round's
+//! [`Message::Round`] offer in it too:
 //!
 //! ```text
-//! 0x00  varint(payload_len)  payload
+//! marker  varint(payload_len)  payload
 //! ```
 //!
-//! where the payload is `varint(start) varint(end) varint(cell_count)`
-//! followed by each cell in [`Wire::encode_binary`] form (`f64` as raw
-//! little-endian bits, `u64` as a varint). The `0x00` marker byte can
-//! never begin a JSON-lines frame, so a receiver demultiplexes the two
-//! forms on the first byte of each frame and a mixed stream — JSON
-//! control frames interleaved with binary results — parses cleanly.
-//! Everything else (handshake, leases, heartbeats, aborts) stays JSON:
-//! those frames are tiny and keeping them readable keeps the protocol
-//! debuggable with a terminal. The journal and provenance formats are
-//! untouched — binary is a transport encoding, not a storage format.
+//! A `Result` frame has marker [`BINARY_FRAME_MARKER`] (`0x00`) and
+//! payload `varint(start) varint(end) varint(cell_count)` followed by
+//! each cell in [`Wire::encode_binary`] form (`f64` as raw
+//! little-endian bits, `u64` as a varint). A `Round` frame has marker
+//! [`ROUND_FRAME_MARKER`] (`0x01`) and, as payload, the record `{hash,
+//! round, allocations}` in [`Wire::encode_binary`] form, so its decoder
+//! is [`Wire::from_bytes`], which trusts no length prefix for
+//! allocation. Neither marker byte can begin a JSON-lines frame, so a
+//! receiver demultiplexes the forms on the first byte of each frame and
+//! a mixed stream — JSON control frames interleaved with binary ones —
+//! parses cleanly. Everything else (handshake, leases, heartbeats,
+//! aborts) stays JSON: those frames are tiny and keeping them readable
+//! keeps the protocol debuggable with a terminal. The journal and
+//! provenance formats are untouched — binary is a transport encoding,
+//! not a storage format.
 //!
 //! Both forms carry the same exact bits (`tests/dist_equivalence.rs`
 //! proves round-trip equivalence over every `WireForm` accumulator), so
-//! framing is pure transport policy: the coordinator always accepts
-//! both, workers choose per [`FramingMode`] (binary unless overridden).
+//! framing is pure transport policy: both ends always accept both. A
+//! worker chooses per [`FramingMode`] (binary unless overridden); a
+//! coordinator always sends `Round` binary, since a round's allocation
+//! vector, one entry per version, is cheaper to encode and decode as
+//! varints than as a JSON array.
 
 use super::Message;
-use divrel_numerics::wire::{read_varint, write_varint, Wire, WireError, PREALLOCATED_ENTRIES};
+use divrel_numerics::wire::{
+    read_varint, write_varint, Wire, WireError, WireForm, PREALLOCATED_ENTRIES,
+};
 use std::io::ErrorKind;
 
-/// First byte of every binary frame. JSON-lines frames start with a
-/// printable character, so this byte is an unambiguous demultiplexer.
+/// First byte of a binary `Result` frame. JSON-lines frames start with
+/// a printable character, so this byte is an unambiguous
+/// demultiplexer.
 pub const BINARY_FRAME_MARKER: u8 = 0x00;
+
+/// First byte of a binary `Round` frame.
+pub const ROUND_FRAME_MARKER: u8 = 0x01;
 
 /// Hard cap on a binary frame's payload length (64 MiB). A corrupt or
 /// hostile length prefix fails here instead of driving the receive
@@ -75,6 +90,16 @@ impl FramingMode {
     }
 }
 
+/// Wraps `payload` in a binary frame: the marker, then the length
+/// prefix.
+fn frame(marker: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(payload.len() + 11);
+    frame.push(marker);
+    write_varint(&mut frame, payload.len() as u64);
+    frame.extend_from_slice(payload);
+    frame
+}
+
 /// Encodes a `Result` frame in the binary form, marker and length
 /// prefix included.
 #[must_use]
@@ -86,14 +111,10 @@ pub fn encode_result_frame(start: u64, end: u64, cells: &[Wire]) -> Vec<u8> {
     for cell in cells {
         cell.encode_binary(&mut payload);
     }
-    let mut frame = Vec::with_capacity(payload.len() + 10);
-    frame.push(BINARY_FRAME_MARKER);
-    write_varint(&mut frame, payload.len() as u64);
-    frame.extend_from_slice(&payload);
-    frame
+    frame(BINARY_FRAME_MARKER, &payload)
 }
 
-/// Decodes a binary payload (marker and length prefix already
+/// Decodes a binary `Result` payload (marker and length prefix already
 /// stripped) into its [`Message`].
 ///
 /// # Errors
@@ -126,6 +147,40 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
     Ok(Message::Result { start, end, cells })
 }
 
+/// Encodes a `Round` frame in the binary form, marker and length prefix
+/// included.
+#[must_use]
+pub fn encode_round_frame(hash: &str, round: u32, allocations: &[u64]) -> Vec<u8> {
+    let record = Wire::record([
+        ("hash", Wire::Text(hash.to_string())),
+        ("round", Wire::U64(u64::from(round))),
+        (
+            "allocations",
+            Wire::List(allocations.iter().map(|&a| Wire::U64(a)).collect()),
+        ),
+    ]);
+    frame(ROUND_FRAME_MARKER, &record.to_bytes())
+}
+
+/// Decodes a binary `Round` payload (marker and length prefix already
+/// stripped) into its [`Message`]. The receiving worker checks the
+/// allocation count against its session's version count.
+///
+/// # Errors
+///
+/// [`WireError`] on a payload that is not one `{hash, round,
+/// allocations}` record, or a round past `u32`.
+pub fn decode_round_payload(payload: &[u8]) -> Result<Message, WireError> {
+    let record = Wire::from_bytes(payload)?;
+    let round = record.field("round")?.as_u64()?;
+    Ok(Message::Round {
+        hash: record.field("hash")?.as_text()?.to_string(),
+        round: u32::try_from(round)
+            .map_err(|_| WireError(format!("round frame names round {round}, past u32")))?,
+        allocations: Vec::from_wire(record.field("allocations")?)?,
+    })
+}
+
 /// What [`try_extract`] found at the head of the receive buffer.
 pub enum Extracted {
     /// A complete binary frame: the decoded message and the total
@@ -135,15 +190,22 @@ pub enum Extracted {
     Incomplete,
 }
 
+/// Whether `byte` opens a binary frame.
+#[must_use]
+pub fn is_binary_marker(byte: u8) -> bool {
+    matches!(byte, BINARY_FRAME_MARKER | ROUND_FRAME_MARKER)
+}
+
 /// Attempts to extract one complete binary frame from the head of
-/// `pending` (which must start with [`BINARY_FRAME_MARKER`]).
+/// `pending` (which must start with a binary marker: see
+/// [`is_binary_marker`]).
 ///
 /// # Errors
 ///
 /// `InvalidData` for an oversized length prefix or a malformed payload
 /// — the stream can no longer be trusted.
 pub fn try_extract(pending: &[u8]) -> std::io::Result<Extracted> {
-    debug_assert_eq!(pending.first(), Some(&BINARY_FRAME_MARKER));
+    debug_assert!(pending.first().copied().is_some_and(is_binary_marker));
     let mut pos = 1usize;
     // The length prefix itself may be split across reads: a truncated
     // varint is Incomplete, not an error.
@@ -162,8 +224,11 @@ pub fn try_extract(pending: &[u8]) -> std::io::Result<Extracted> {
     let Some(payload) = pending.get(pos..pos + len) else {
         return Ok(Extracted::Incomplete);
     };
-    let msg =
-        decode_payload(payload).map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.0))?;
+    let msg = match pending[0] {
+        ROUND_FRAME_MARKER => decode_round_payload(payload),
+        _ => decode_payload(payload),
+    }
+    .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.0))?;
     Ok(Extracted::Frame(msg, pos + len))
 }
 
@@ -223,14 +288,74 @@ mod tests {
     }
 
     #[test]
+    fn round_frames_round_trip() {
+        let allocations = vec![0, 1, 127, 128, u64::MAX];
+        let frame = encode_round_frame("fnv1a:00ff", u32::MAX, &allocations);
+        assert_eq!(frame[0], ROUND_FRAME_MARKER);
+        match try_extract(&frame).unwrap() {
+            Extracted::Frame(msg, used) => {
+                let want = Message::Round {
+                    hash: "fnv1a:00ff".into(),
+                    round: u32::MAX,
+                    allocations,
+                };
+                assert_eq!(msg, want);
+                assert_eq!(used, frame.len());
+            }
+            Extracted::Incomplete => panic!("expected a complete frame"),
+        }
+    }
+
+    #[test]
     fn partial_frames_wait_for_more_bytes() {
-        let frame = encode_result_frame(0, 2, &sample_cells());
-        for cut in 1..frame.len() {
-            match try_extract(&frame[..cut]).unwrap() {
-                Extracted::Incomplete => {}
-                Extracted::Frame(..) => panic!("complete at {cut}/{} bytes", frame.len()),
+        let frames = [
+            encode_result_frame(0, 2, &sample_cells()),
+            encode_round_frame("fnv1a:00", 2, &[5, 300, 0]),
+        ];
+        for frame in frames {
+            for cut in 1..frame.len() {
+                match try_extract(&frame[..cut]).unwrap() {
+                    Extracted::Incomplete => {}
+                    Extracted::Frame(..) => panic!("complete at {cut}/{} bytes", frame.len()),
+                }
             }
         }
+    }
+
+    #[test]
+    fn round_frames_refuse_what_is_not_a_round() {
+        let payload = |fields: Vec<(&str, Wire)>| {
+            Wire::Record(fields.into_iter().map(|(k, v)| (k.into(), v)).collect()).to_bytes()
+        };
+        let hash = || ("hash", Wire::Text("fnv1a:00".into()));
+        let allocations = || ("allocations", Wire::List(vec![Wire::U64(1)]));
+        for (label, bytes, want) in [
+            (
+                "round past u32",
+                payload(vec![hash(), ("round", Wire::U64(1 << 32)), allocations()]),
+                "past u32",
+            ),
+            (
+                "no allocations",
+                payload(vec![hash(), ("round", Wire::U64(1))]),
+                "allocations",
+            ),
+            (
+                "a text allocation",
+                payload(vec![
+                    hash(),
+                    ("round", Wire::U64(1)),
+                    ("allocations", Wire::List(vec![Wire::Text("1".into())])),
+                ]),
+                "expected u64",
+            ),
+        ] {
+            let err = decode_round_payload(&bytes).expect_err(label);
+            assert!(err.0.contains(want), "{label}: {err}");
+        }
+        let mut trailing = encode_round_frame("fnv1a:00", 1, &[1])[2..].to_vec();
+        trailing.push(0);
+        assert!(decode_round_payload(&trailing).is_err());
     }
 
     #[test]

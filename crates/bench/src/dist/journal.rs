@@ -24,12 +24,16 @@
 //!   coordinator's lease board (re-issued leases may complete twice);
 //! * a journal whose header carries a **different `spec_hash`** (or
 //!   grid size) is rejected loudly — resuming someone else's campaign
-//!   would silently mix experiments.
+//!   would silently mix experiments;
+//! * **memory stays bounded by the record cap**: a line is read up to
+//!   [`MAX_RECORD_BYTES`] and no further, and the check that a bad line
+//!   is the tail reads the rest of the file through a fixed buffer.
+//!   Every failure is a [`JournalError`], never a panic.
 
 use divrel_devsim::sweep::CellRange;
 use divrel_numerics::wire::Wire;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Journal format revision. v2: adaptive cells draw their failures as
@@ -38,17 +42,40 @@ use std::path::{Path, PathBuf};
 /// spec hash cannot tell them apart. v3: a rare-event cell is a bare
 /// weighted mean, without the empty `strata` field v2 carried, so a v2
 /// rare journal is refused by its version rather than reported as a
-/// corrupt cell.
-pub const JOURNAL_VERSION: u64 = 3;
+/// corrupt cell. v4: an adaptive round's cell batches consecutive
+/// versions as `{failures: [..], demands: [..]}`, and a round's header
+/// pins its round digest instead of a pinned spec's hash, so a v3
+/// adaptive journal is refused by its version.
+pub const JOURNAL_VERSION: u64 = 4;
 
-/// A journal failure: I/O, a malformed non-trailing record, or a
-/// header that does not match the campaign being resumed.
+/// How many times longer a [`Wire`] tree's JSON is than its binary
+/// encoding, at most: a control character in a string escapes to the
+/// six bytes of `\u001f`, and every other element grows less.
+const JSON_EXPANSION: u64 = 6;
+
+/// The longest record line a journal writes or reads, newline
+/// included. A lease's cells take at most a binary frame's payload cap
+/// in a worker's `Result` frame, and their JSON in the record at most
+/// six times that; the rest of the record is under a hundred bytes.
+pub const MAX_RECORD_BYTES: u64 = JSON_EXPANSION * super::framing::MAX_BINARY_PAYLOAD + 4096;
+
+/// A journal failure. Each variant carries a message naming the file.
 #[derive(Debug)]
-pub struct JournalError(pub String);
+pub enum JournalError {
+    /// The file could not be created, opened, read, written or
+    /// rendered.
+    Io(String),
+    /// The header is missing, or pins another format, spec or grid.
+    Header(String),
+    /// A record before the end of the journal is malformed, or a record
+    /// runs past [`MAX_RECORD_BYTES`].
+    Corrupt(String),
+}
 
 impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "journal error: {}", self.0)
+        let (JournalError::Io(m) | JournalError::Header(m) | JournalError::Corrupt(m)) = self;
+        write!(f, "journal error: {m}")
     }
 }
 
@@ -56,7 +83,7 @@ impl std::error::Error for JournalError {}
 
 impl From<std::io::Error> for JournalError {
     fn from(e: std::io::Error) -> Self {
-        JournalError(format!("I/O failure: {e}"))
+        JournalError::Io(format!("I/O failure: {e}"))
     }
 }
 
@@ -92,13 +119,28 @@ fn header_record(spec_hash: &str, cell_count: u64) -> Wire {
     ])
 }
 
-fn lease_record(range: CellRange, cells: &[Wire]) -> Wire {
+fn lease_record(range: CellRange, cells: Vec<Wire>) -> Wire {
     Wire::record([
         ("kind", Wire::Text("cells".into())),
         ("start", Wire::U64(range.start)),
         ("end", Wire::U64(range.end)),
-        ("cells", Wire::List(cells.to_vec())),
+        ("cells", Wire::List(cells)),
     ])
+}
+
+/// Whether everything `reader` has left is ASCII whitespace, read
+/// through a fixed buffer.
+fn rest_is_blank(reader: &mut impl Read) -> std::io::Result<bool> {
+    let mut buf = [0u8; 8192];
+    loop {
+        match reader.read(&mut buf) {
+            Ok(0) => return Ok(true),
+            Ok(n) if buf[..n].iter().all(u8::is_ascii_whitespace) => {}
+            Ok(_) => return Ok(false),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 fn parse_line(line: &str) -> Result<Wire, String> {
@@ -115,9 +157,9 @@ impl Journal {
     /// I/O failures creating or writing the file.
     pub fn create(path: &Path, spec_hash: &str, cell_count: u64) -> JournalResult<Journal> {
         let mut file = File::create(path)
-            .map_err(|e| JournalError(format!("cannot create {}: {e}", path.display())))?;
+            .map_err(|e| JournalError::Io(format!("cannot create {}: {e}", path.display())))?;
         let header = serde_json::to_string(&header_record(spec_hash, cell_count))
-            .map_err(|e| JournalError(format!("cannot render header: {e}")))?;
+            .map_err(|e| JournalError::Io(format!("cannot render header: {e}")))?;
         file.write_all(header.as_bytes())?;
         file.write_all(b"\n")?;
         file.flush()?;
@@ -135,91 +177,92 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// A missing/unreadable file, a missing or mismatched header, or a
-    /// malformed record *before* the final line.
+    /// [`JournalError::Io`] for a missing or unreadable file,
+    /// [`JournalError::Header`] for a missing or mismatched header, and
+    /// [`JournalError::Corrupt`] for a malformed record *before* the
+    /// final line or a line past [`MAX_RECORD_BYTES`].
     pub fn resume(
         path: &Path,
         spec_hash: &str,
         cell_count: u64,
     ) -> JournalResult<(Journal, JournalLoad)> {
+        Self::resume_capped(path, spec_hash, cell_count, MAX_RECORD_BYTES)
+    }
+
+    /// [`Journal::resume`] with record lines capped at `cap` bytes.
+    fn resume_capped(
+        path: &Path,
+        spec_hash: &str,
+        cell_count: u64,
+        cap: u64,
+    ) -> JournalResult<(Journal, JournalLoad)> {
         let file = File::open(path)
-            .map_err(|e| JournalError(format!("cannot open {}: {e}", path.display())))?;
+            .map_err(|e| JournalError::Io(format!("cannot open {}: {e}", path.display())))?;
+        let unreadable =
+            |e: std::io::Error| JournalError::Io(format!("cannot read {}: {e}", path.display()));
+        let corrupt = |why: String| JournalError::Corrupt(format!("{}: {why}", path.display()));
         let mut reader = BufReader::new(file);
         let mut load = JournalLoad::default();
         let mut seen = vec![false; cell_count as usize];
         let mut good_bytes: u64 = 0;
-        let mut line = String::new();
+        let mut line = Vec::new();
         let mut header_checked = false;
         loop {
             line.clear();
-            let n = reader
-                .read_line(&mut line)
-                .map_err(|e| JournalError(format!("cannot read {}: {e}", path.display())))?;
+            let n = (&mut reader)
+                .take(cap)
+                .read_until(b'\n', &mut line)
+                .map_err(unreadable)? as u64;
             if n == 0 {
                 break;
             }
-            let complete = line.ends_with('\n');
-            if line.trim().is_empty() {
+            let complete = line.last() == Some(&b'\n');
+            if !complete && n == cap {
+                // No append writes a line this long, so it is not a
+                // torn write either.
+                return Err(corrupt(format!("a record runs past {cap} bytes")));
+            }
+            let text = std::str::from_utf8(&line).map_err(|e| e.to_string());
+            if text.as_ref().is_ok_and(|t| t.trim().is_empty()) {
                 if complete {
-                    good_bytes += n as u64;
+                    good_bytes += n;
                 }
                 continue;
             }
-            let record = match parse_line(line.trim_end()) {
-                Ok(w) if complete => w,
-                // A torn or garbled tail — tolerated if and only if it
-                // is the last thing in the file.
-                bad => {
-                    let mut rest = String::new();
-                    reader.read_to_string(&mut rest).map_err(|e| {
-                        JournalError(format!("cannot read {}: {e}", path.display()))
-                    })?;
-                    if rest.trim().is_empty() {
-                        load.torn_tail = true;
-                        break;
-                    }
-                    let why = match bad {
-                        Ok(_) => "truncated line".to_string(),
-                        Err(e) => e,
-                    };
-                    return Err(JournalError(format!(
-                        "{}: corrupt record before end of journal ({why}); \
-                         only a trailing torn write is recoverable",
-                        path.display()
-                    )));
+            let applied = match text.and_then(|t| parse_line(t.trim_end())) {
+                Ok(record) if complete && !header_checked => {
+                    Self::check_header(&record, path, spec_hash, cell_count)?;
+                    header_checked = true;
+                    good_bytes += n;
+                    continue;
                 }
+                Ok(record) if complete => {
+                    Self::apply_record(&record, cell_count, &mut seen, &mut load.cells)
+                }
+                Ok(_) => Err("truncated line".to_string()),
+                Err(e) => Err(e),
             };
-            if !header_checked {
-                Self::check_header(&record, path, spec_hash, cell_count)?;
-                header_checked = true;
-                good_bytes += n as u64;
-                continue;
-            }
-            match Self::apply_record(&record, cell_count, &mut seen, &mut load.cells) {
+            match applied {
                 Ok(()) => {
                     load.records += 1;
-                    good_bytes += n as u64;
+                    good_bytes += n;
+                }
+                // A torn or garbled tail — tolerated if and only if it
+                // is the last thing in the file.
+                Err(_) if rest_is_blank(&mut reader).map_err(unreadable)? => {
+                    load.torn_tail = true;
+                    break;
                 }
                 Err(why) => {
-                    // Same torn-tail rule as a parse failure: a shape
-                    // error on the final line is a torn write.
-                    let mut rest = String::new();
-                    reader.read_to_string(&mut rest).map_err(|e| {
-                        JournalError(format!("cannot read {}: {e}", path.display()))
-                    })?;
-                    if rest.trim().is_empty() {
-                        load.torn_tail = true;
-                        break;
-                    }
-                    return Err(JournalError(format!(
-                        "{}: corrupt record before end of journal ({why})",
-                        path.display()
-                    )));
+                    return Err(corrupt(format!(
+                        "corrupt record before end of journal ({why}); \
+                         only a trailing torn write is recoverable"
+                    )))
                 }
             }
         }
         if !header_checked {
-            return Err(JournalError(format!(
+            return Err(JournalError::Header(format!(
                 "{}: journal has no header record",
                 path.display()
             )));
@@ -245,7 +288,7 @@ impl Journal {
         spec_hash: &str,
         cell_count: u64,
     ) -> JournalResult<()> {
-        let fail = |why: String| JournalError(format!("{}: {why}", path.display()));
+        let fail = |why: String| JournalError::Header(format!("{}: {why}", path.display()));
         let kind = record
             .field("kind")
             .and_then(Wire::as_text)
@@ -341,16 +384,43 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Render or I/O failures — a journal that cannot take appends has
-    /// lost its durability guarantee, so callers treat this as fatal.
+    /// Render or I/O failures, and a record past [`MAX_RECORD_BYTES`] —
+    /// a journal that cannot take appends has lost its durability
+    /// guarantee, so callers treat this as fatal.
     pub fn append(&mut self, range: CellRange, cells: &[Wire]) -> JournalResult<u64> {
-        let line = serde_json::to_string(&lease_record(range, cells))
-            .map_err(|e| JournalError(format!("cannot render lease record: {e}")))?;
+        self.append_cells(range, cells.to_vec())?;
+        Ok(self.appends)
+    }
+
+    /// [`Journal::append`] of owned cells, which come back uncopied once
+    /// their record is written.
+    pub(crate) fn append_cells(
+        &mut self,
+        range: CellRange,
+        cells: Vec<Wire>,
+    ) -> JournalResult<Vec<Wire>> {
+        let record = lease_record(range, cells);
+        let mut line = serde_json::to_string(&record)
+            .map_err(|e| JournalError::Io(format!("cannot render lease record: {e}")))?;
+        line.push('\n');
+        if line.len() as u64 > MAX_RECORD_BYTES {
+            return Err(JournalError::Io(format!(
+                "lease [{}, {}) renders to {} bytes, past the {MAX_RECORD_BYTES}-byte record cap",
+                range.start,
+                range.end,
+                line.len()
+            )));
+        }
         self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
         self.file.flush()?;
         self.appends += 1;
-        Ok(self.appends)
+        let Wire::Record(mut fields) = record else {
+            unreachable!("a lease record is a record");
+        };
+        let Some((_, Wire::List(cells))) = fields.pop() else {
+            unreachable!("a lease record ends with its cells");
+        };
+        Ok(cells)
     }
 
     /// Appends written through this handle (resumed records excluded).
@@ -482,7 +552,7 @@ mod tests {
         drop(f);
         let mut j = OpenOptions::new().append(true).open(&path).unwrap();
         let line =
-            serde_json::to_string(&lease_record(CellRange::new(1, 2), &[wire_cell(1)])).unwrap();
+            serde_json::to_string(&lease_record(CellRange::new(1, 2), vec![wire_cell(1)])).unwrap();
         j.write_all(line.as_bytes()).unwrap();
         j.write_all(b"\n").unwrap();
         drop(j);
@@ -519,7 +589,106 @@ mod tests {
         std::fs::write(&path, text.replace(&current, "\"journal\":\"u64:1\"")).unwrap();
         let err = Journal::resume(&path, "fnv1a:0088", 4).unwrap_err();
         let want = format!("journal format v1, this build reads v{JOURNAL_VERSION}");
-        assert!(err.0.ends_with(&want), "{err}");
+        assert!(
+            matches!(&err, JournalError::Header(m) if m.ends_with(&want)),
+            "{err:?}"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The journal's line format: a record `{kind, start, end, cells}`
+    /// in [`Wire`]'s JSON, one per line, whichever append wrote it.
+    #[test]
+    fn appended_lines_keep_the_record_format() {
+        let path = temp_path("format");
+        let mut j = Journal::create(&path, "fnv1a:00aa", 9).unwrap();
+        let cells = vec![
+            wire_cell(0),
+            Wire::record([("xs", Wire::List(vec![Wire::F64(-0.0), Wire::U64(u64::MAX)]))]),
+        ];
+        assert_eq!(
+            j.append_cells(CellRange::new(7, 9), cells.clone()).unwrap(),
+            cells
+        );
+        assert_eq!(j.append(CellRange::new(3, 3), &[]).unwrap(), 2);
+        drop(j);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let records: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(
+            records,
+            [
+                r#"{"kind":"s:cells","start":"u64:7","end":"u64:9","cells":[{"kind":"s:t","data":"u64:0"},{"xs":["f64:8000000000000000","u64:18446744073709551615"]}]}"#,
+                r#"{"kind":"s:cells","start":"u64:3","end":"u64:3","cells":[]}"#,
+            ]
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// [`JSON_EXPANSION`] bounds the JSON of the trees that grow most
+    /// from binary, with room for the separator after each.
+    #[test]
+    fn json_is_at_most_json_expansion_times_binary() {
+        let controls = |n: usize| "\u{1}".repeat(n);
+        let mut trees = vec![
+            Wire::U64(0),
+            Wire::U64(100),
+            Wire::U64(127),
+            Wire::U64(128),
+            Wire::U64(u64::MAX),
+            Wire::F64(f64::NAN),
+            Wire::List(Vec::new()),
+            Wire::List(vec![Wire::List(Vec::new()); 200]),
+            Wire::List(vec![Wire::U64(100); 300]),
+            Wire::Record(vec![(String::new(), Wire::List(Vec::new()))]),
+            Wire::Record(vec![(controls(127), Wire::U64(100)); 3]),
+            Wire::Text("\\\"\n\t\r ünï".into()),
+        ];
+        trees.extend([0, 1, 127, 128, 1000].map(|n| Wire::Text(controls(n))));
+        let mut worst: f64 = 0.0;
+        for tree in &trees {
+            let (json, binary) = (
+                serde_json::to_string(tree).unwrap().len() + 1,
+                tree.to_bytes().len(),
+            );
+            assert!(
+                json as u64 <= JSON_EXPANSION * binary as u64,
+                "{json} vs {binary}: {tree:?}"
+            );
+            worst = worst.max(json as f64 / binary as f64);
+        }
+        // The bound is nearly tight: a string of control characters
+        // comes within 1% of it.
+        assert!(worst > 0.99 * JSON_EXPANSION as f64, "worst ratio {worst}");
+        // The record around a lease's cells fits the cap's margin.
+        let range = CellRange::new(u64::MAX - 1, u64::MAX);
+        let around = serde_json::to_string(&lease_record(range, Vec::new()))
+            .unwrap()
+            .len()
+            + 1;
+        assert!(
+            JSON_EXPANSION * super::super::framing::MAX_BINARY_PAYLOAD + around as u64
+                <= MAX_RECORD_BYTES
+        );
+    }
+
+    #[test]
+    fn a_record_past_the_cap_is_corrupt_even_at_the_tail() {
+        let path = temp_path("long");
+        let mut j = Journal::create(&path, "fnv1a:0099", 4).unwrap();
+        j.append(CellRange::new(0, 1), &[wire_cell(0)]).unwrap();
+        drop(j);
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&[b'x'; 300]).unwrap();
+        drop(f);
+        let err = Journal::resume_capped(&path, "fnv1a:0099", 4, 256).unwrap_err();
+        assert!(
+            matches!(&err, JournalError::Corrupt(m) if m.contains("runs past 256 bytes")),
+            "{err:?}"
+        );
+        // Under the cap the same tail is a torn write.
+        let (_, load) = Journal::resume_capped(&path, "fnv1a:0099", 4, 512).unwrap();
+        assert!(load.torn_tail);
+        assert_eq!(load.records, 1);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -543,12 +712,12 @@ mod tests {
         // 2-cell claim works, but its records overflow a smaller grid
         // (caught by the header first) — instead garble the count.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        let bad = serde_json::to_string(&lease_record(CellRange::new(1, 2), &[])).unwrap();
+        let bad = serde_json::to_string(&lease_record(CellRange::new(1, 2), Vec::new())).unwrap();
         f.write_all(bad.as_bytes()).unwrap();
         f.write_all(b"\n").unwrap();
         // Another good record after it, so the bad one is not a tail.
         let good =
-            serde_json::to_string(&lease_record(CellRange::new(0, 1), &[wire_cell(9)])).unwrap();
+            serde_json::to_string(&lease_record(CellRange::new(0, 1), vec![wire_cell(9)])).unwrap();
         f.write_all(good.as_bytes()).unwrap();
         f.write_all(b"\n").unwrap();
         drop(f);

@@ -24,19 +24,22 @@
 //!   base-sized pieces with exponential backoff, pauses its grants until
 //!   it is heard from again, and after more than [`STRAGGLER_STRIKES`]
 //!   misses in a row quarantines it.
+//! * **Write-ahead.** With a journal, an admitted result is published
+//!   only after its record is appended; without one, on admission.
 //! * **First write wins.** A result for a lease that already went back
 //!   in the queue is still accepted; duplicate cells keep their first
 //!   value.
-//! * **Quarantine.** A wrong protocol or spec hash, a corrupt stream or
-//!   payload, a forged cell, or any frame the protocol does not expect
-//!   (a `Progress` or `Result` naming no lease the worker holds
-//!   included) removes the worker for the rest of the session.
+//! * **Quarantine.** A wrong protocol, spec hash or round digest, a
+//!   corrupt stream or payload, a forged cell, or any frame the
+//!   protocol does not expect (a `Progress` or `Result` naming no lease
+//!   the worker holds included) removes the worker for the rest of the
+//!   session.
 //! * **The halt.** With a kill point of `K` journal appends, the `K`-th
 //!   append is the last one; the job then drains and fails.
 //! * **Idle handshakes.** A job is done only when every worker still in
 //!   the session holds no lease and has finished its handshake, so the
-//!   next job's `SpecHash`, or the session's `Done`, reaches only idle
-//!   workers.
+//!   next job's offer (`SpecHash` or `Round`), or the session's `Done`,
+//!   reaches only idle workers.
 //! * **Degradation.** A job whose whole fleet is gone asks for its
 //!   missing cells to be run in process.
 
@@ -104,9 +107,15 @@ pub(crate) enum Action {
     Send(usize, Message),
     /// Worker `i` has left the session: close its stream.
     Close(usize),
-    /// Append this completed lease to the job's journal. A failed
-    /// append goes back through [`Scheduler::fail`].
-    Journal(CellRange, Vec<Wire>),
+    /// Append this admitted lease to the job's journal, then hand it
+    /// back through [`Scheduler::publish`]; a failed append goes back
+    /// through [`Scheduler::fail`] instead. `from` is the worker, `None`
+    /// the in-process recovery.
+    Journal {
+        from: Option<usize>,
+        range: CellRange,
+        cells: Vec<Wire>,
+    },
 }
 
 /// Where the current job stands.
@@ -127,8 +136,8 @@ enum Phase {
     /// Its `Join` not yet seen.
     #[default]
     Joining,
-    /// Offered the current job's spec hash; `spec_sent` once the full
-    /// spec followed.
+    /// Offered the current job; `spec_sent` once the full spec
+    /// followed.
     Offered { spec_sent: bool },
     /// Joined, and ready on the current job once offered one.
     Ready,
@@ -180,6 +189,10 @@ pub(crate) struct Scheduler {
     job: Option<Arc<Compiled>>,
     pending: Vec<Pending>,
     cells: Vec<Option<Wire>>,
+    /// Which cells are accepted: published, or queued to be journaled
+    /// and then published.
+    accepted: Vec<bool>,
+    /// Accepted cells.
     filled: usize,
     /// Appends to the job's journal so far; `None` without a journal.
     appends: Option<u64>,
@@ -212,7 +225,8 @@ impl Scheduler {
         journaling: bool,
     ) {
         self.now = self.now.max(now);
-        self.filled = cells.iter().filter(|c| c.is_some()).count();
+        self.accepted = cells.iter().map(Option::is_some).collect();
+        self.filled = self.accepted.iter().filter(|&&a| a).count();
         // Whole gaps: claims split their leases off the front.
         self.pending = missing_ranges(&cells, cells.len() as u64)
             .into_iter()
@@ -334,6 +348,9 @@ impl Scheduler {
         self.job.as_deref().expect("a job is running")
     }
 
+    /// Whether the job needs no more leases: it failed, or every cell
+    /// is accepted, so the grant after the last result leases nothing
+    /// even while that result still waits for its journal append.
     fn drained(&self) -> bool {
         self.fatal.is_some() || self.filled == self.cells.len()
     }
@@ -352,8 +369,8 @@ impl Scheduler {
 
     /// Offers the current job to worker `w`.
     fn offer(&mut self, w: usize) {
-        let hash = self.spec().hash.clone();
-        self.send(w, Message::SpecHash { hash });
+        let offer = self.spec().offer.clone();
+        self.send(w, offer);
         self.workers[w].phase = Phase::Offered { spec_sent: false };
         self.heard(w);
     }
@@ -384,7 +401,8 @@ impl Scheduler {
     }
 
     /// A job's handshake: the spec text ships only on a cache miss
-    /// ([`Message::NeedSpec`]), and a verified `Ready` opens leasing.
+    /// ([`Message::NeedSpec`]), and a `Ready` echoing the job's identity
+    /// opens leasing.
     fn on_handshake(&mut self, w: usize, msg: Message, spec_sent: bool) {
         let spec = self.spec();
         match msg {
@@ -397,13 +415,13 @@ impl Scheduler {
             }
             Message::Ready { hash } => {
                 let reason = format!(
-                    "worker echoed spec hash {hash}, coordinator expects {}",
+                    "worker echoed job identity {hash}, coordinator expects {}",
                     spec.hash
                 );
                 self.quarantine(w, reason, true);
             }
-            Message::NeedSpec { hash } if !spec_sent && hash == spec.hash => {
-                let text = spec.text.clone();
+            Message::NeedSpec { hash } if !spec_sent && hash == spec.spec.hash => {
+                let text = spec.spec.text.clone();
                 self.send(w, Message::Spec { hash, text });
                 self.workers[w].phase = Phase::Offered { spec_sent: true };
                 self.heard(w);
@@ -411,7 +429,7 @@ impl Scheduler {
             Message::NeedSpec { hash } => {
                 let reason = format!(
                     "worker requested spec {hash}, coordinator offers {}",
-                    spec.hash
+                    spec.spec.hash
                 );
                 self.quarantine(w, reason, true);
             }
@@ -501,24 +519,36 @@ impl Scheduler {
         Ok(())
     }
 
-    /// Journals an admitted lease result, then publishes its cells
-    /// first-write-wins; `from` is the worker, `None` the in-process
-    /// recovery. A failed job — the kill point reached included —
-    /// journals and publishes nothing more.
+    /// Takes an admitted lease result: with a journal, queues its append
+    /// (which publishes it once written); without one, publishes it.
+    /// `from` is the worker, `None` the in-process recovery. A failed
+    /// job — the kill point reached included — journals and publishes
+    /// nothing more.
     fn accept(&mut self, from: Option<usize>, range: CellRange, cells: Vec<Wire>) {
         if self.fatal.is_some() {
             return;
         }
-        if let Some(appends) = &mut self.appends {
-            self.actions.push(Action::Journal(range, cells.clone()));
-            *appends += 1;
-            if self.halt_after == Some(*appends) {
-                let n = *appends;
-                self.fatal = Some(format!(
-                    "chaos halt: coordinator stopped after {n} journal append(s)"
-                ));
-                return;
-            }
+        for seen in &mut self.accepted[range.start as usize..range.end as usize] {
+            self.filled += usize::from(!std::mem::replace(seen, true));
+        }
+        let Some(appends) = &mut self.appends else {
+            return self.publish(from, range, cells);
+        };
+        self.actions.push(Action::Journal { from, range, cells });
+        *appends += 1;
+        if self.halt_after == Some(*appends) {
+            let n = *appends;
+            self.fatal = Some(format!(
+                "chaos halt: coordinator stopped after {n} journal append(s)"
+            ));
+        }
+    }
+
+    /// Publishes an accepted lease's cells first-write-wins, once its
+    /// journal record (if any) is written.
+    pub(crate) fn publish(&mut self, from: Option<usize>, range: CellRange, cells: Vec<Wire>) {
+        if self.fatal.is_some() {
+            return;
         }
         if let Some(w) = from {
             self.stats.worker_cells[w] += range.len();
@@ -529,7 +559,6 @@ impl Scheduler {
         {
             if slot.is_none() {
                 *slot = Some(wire);
-                self.filled += 1;
                 self.stats.recovered_in_process += u64::from(from.is_none());
             }
         }
@@ -658,7 +687,9 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::DEFAULT_LEASE_CELLS;
+    use crate::dist::{Plan, DEFAULT_LEASE_CELLS};
+    use crate::scenario::presets;
+    use crate::Context;
 
     #[test]
     fn guided_lease_size_floors_at_one_and_never_exceeds_grant_or_queue() {
@@ -727,5 +758,68 @@ mod tests {
         let spans: Vec<(u64, u64)> = ranges.iter().map(|r| (r.start, r.end)).collect();
         assert_eq!(spans, vec![(0, 1), (2, 4), (4, 5), (6, 7)]);
         assert!(missing_ranges(&[Some(w)], 8).is_empty());
+    }
+
+    /// A late result that completes a journaled job leases nothing
+    /// more, although the timed-out lease's piece is back in the queue
+    /// and past its backoff: its cells count as accepted before they are
+    /// journaled and published.
+    #[test]
+    fn a_late_result_completing_a_journaled_job_leases_nothing_more() {
+        let timeout = Duration::from_secs(1);
+        let coordinator = Coordinator::new(presets::mc(&Context::smoke()))
+            .unwrap()
+            .lease_cells(1)
+            .lease_timeout(timeout);
+        let Plan::Grid(job) = &coordinator.plan else {
+            unreachable!("a grid spec is one job");
+        };
+        let n = job.dist.cell_count();
+        let mut cells: Vec<Option<Wire>> = job
+            .dist
+            .run_range(CellRange::new(0, n))
+            .unwrap()
+            .into_iter()
+            .map(Some)
+            .collect();
+        let last = cells[0].take().into_iter().collect::<Vec<_>>();
+        let mut sched = Scheduler::new(&coordinator, 1);
+        sched.start_job(Duration::ZERO, Arc::clone(job), cells, true);
+        let frame = |msg| Some(FleetEvent::Frame(0, msg));
+        let protocol = PROTOCOL_VERSION;
+        sched.advance(Duration::ZERO, frame(Message::Join { protocol }));
+        let hash = job.hash.clone();
+        sched.advance(Duration::ZERO, frame(Message::Ready { hash }));
+        let leases = |actions: Vec<Action>| -> Vec<(u64, u64)> {
+            let leases = actions.into_iter().filter_map(|a| match a {
+                Action::Send(_, Message::Lease { start, end }) => Some((start, end)),
+                _ => None,
+            });
+            leases.collect()
+        };
+        assert_eq!(leases(sched.take_actions()), [(0, 1)]);
+        // The lease misses its deadline and goes back in the queue.
+        sched.advance(timeout + Duration::from_millis(1), None);
+        assert_eq!(sched.stats.retries, 1);
+        assert!(leases(sched.take_actions()).is_empty());
+        // Its result arrives once the requeued piece is eligible again.
+        let (start, end) = (0, 1);
+        let result = Message::Result {
+            start,
+            end,
+            cells: last,
+        };
+        sched.advance(timeout + BACKOFF_CAP, frame(result));
+        let mut actions = sched.take_actions();
+        assert!(
+            matches!(actions.as_slice(), [Action::Journal { .. }]),
+            "{actions:?}"
+        );
+        let Some(Action::Journal { from, range, cells }) = actions.pop() else {
+            unreachable!();
+        };
+        sched.publish(from, range, cells);
+        assert_eq!(sched.state(), JobState::Done);
+        assert_eq!(sched.finish_job().unwrap().0.len() as u64, n);
     }
 }

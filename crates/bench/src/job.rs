@@ -18,15 +18,17 @@
 //! | `MonteCarlo` | ≤ 2048 sampled pairs | [`McAccumulator`] |
 //! | `Protection` | one campaign shard of one system | [`OperationLog`](divrel_protection::OperationLog) |
 //! | `RareEvent` | ≤ 4096 weighted draws | [`WeightedMean`] |
-//! | `AdaptivePfd` (one round) | one cell's round demands | [`CellEvidence`] |
+//! | `AdaptivePfd` (one round) | ≤ 256 cells of consecutive versions | [`EvidenceBatch`] |
 //!
 //! An un-pinned `AdaptivePfd` spec is a loop of rounds, not one grid:
-//! [`crate::adaptive::drive`] runs each round as its own job.
+//! [`crate::adaptive::drive`] compiles its [`AdaptivePfdRuntime`] once
+//! and runs each round as its own job over that runtime, in process and
+//! on a fleet alike.
 
 use crate::adaptive::AdaptiveRoundOutcome;
 use crate::scenario::{CampaignRuntime, ExperimentSpec, Scenario, ScenarioOutcome, ScenarioResult};
 use crate::sweep::{forced_cell, forced_grid, kl_cell, kl_grid, ForcedSweepStats, KlSweepStats};
-use divrel_devsim::adaptive::{AdaptivePfdRuntime, CellEvidence};
+use divrel_devsim::adaptive::{AdaptivePfdRuntime, CellEvidence, EvidenceBatch};
 use divrel_devsim::experiment::{run_cell as mc_cell, McAccumulator, MonteCarloExperiment};
 use divrel_devsim::factory::VersionFactory;
 use divrel_devsim::rare::RareEventExperiment;
@@ -35,7 +37,7 @@ use divrel_model::FaultModel;
 use divrel_numerics::estimator::WeightedMean;
 use divrel_numerics::sweep::SweepReduce;
 use divrel_numerics::wire::{Wire, WireError, WireForm};
-use std::borrow::Borrow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One experiment family compiled to a grid of `cells()` cells.
@@ -171,54 +173,117 @@ impl CellJob for RareJob {
     }
 }
 
-/// One round of an adaptive sweep: cell `c` spends `allocations[c]`
-/// demands on the round-salted stream of its sampled version. The
-/// runtime is borrowed from the round loop in process, or owned by the
-/// job of a pinned spec.
-struct AdaptiveRound<R> {
-    runtime: R,
+/// Most cells an adaptive round is cut into: cell `k` holds versions
+/// `[k·b, (k+1)·b)` with `b = ⌈versions / ADAPTIVE_ROUND_CELLS⌉`, so a
+/// round of up to 256 versions keeps one version per cell and a larger
+/// one batches versions like the other families batch their draws.
+const ADAPTIVE_ROUND_CELLS: usize = 256;
+
+/// One round of an adaptive sweep: version `v` spends `allocations[v]`
+/// demands on the round-salted stream of its sampled version, and the
+/// versions are batched into at most [`ADAPTIVE_ROUND_CELLS`] cells.
+/// The runtime is the session's, compiled once for every round.
+struct AdaptiveRound {
+    runtime: Arc<AdaptivePfdRuntime>,
     round: u32,
     allocations: Vec<u64>,
+    /// Versions per cell.
+    batch: usize,
 }
 
-impl<R: Borrow<AdaptivePfdRuntime> + Sync> CellJob for AdaptiveRound<R> {
+impl AdaptiveRound {
+    fn new(runtime: Arc<AdaptivePfdRuntime>, round: u32, allocations: Vec<u64>) -> Self {
+        let batch = allocations.len().div_ceil(ADAPTIVE_ROUND_CELLS).max(1);
+        AdaptiveRound {
+            runtime,
+            round,
+            allocations,
+            batch,
+        }
+    }
+
+    /// The versions of cell `k`.
+    fn versions(&self, k: u64) -> Range<usize> {
+        let start = (k as usize).saturating_mul(self.batch);
+        start..start.saturating_add(self.batch).min(self.allocations.len())
+    }
+}
+
+impl CellJob for AdaptiveRound {
     const KIND: &'static str = "adaptive";
-    type Acc = CellEvidence;
+    type Acc = EvidenceBatch;
 
     fn cells(&self) -> u64 {
-        self.allocations.len() as u64
+        self.allocations.len().div_ceil(self.batch) as u64
     }
 
-    fn run_cell(&self, k: u64) -> Result<CellEvidence, String> {
-        let c = k as usize;
-        Ok(self
-            .runtime
-            .borrow()
-            .run_cell(c, self.allocations[c], self.round))
+    fn run_cell(&self, k: u64) -> Result<EvidenceBatch, String> {
+        let versions = self.versions(k);
+        let mut batch = EvidenceBatch::with_capacity(versions.len());
+        for v in versions {
+            batch.push(self.runtime.run_cell(v, self.allocations[v], self.round));
+        }
+        Ok(batch)
     }
 
-    /// Evidence must spend exactly the cell's allocation and cannot
-    /// fail more often than it was demanded: either defect would pass
-    /// the wire-shape check and only surface later, as a wrong fold or
-    /// as a posterior update that aborts the round loop.
-    fn admit(&self, k: u64, ev: &CellEvidence) -> Result<(), String> {
-        let want = self.allocations[k as usize];
-        if ev.demands != want || ev.failures > ev.demands {
+    /// A cell must hold one entry per version, and each version's
+    /// evidence must spend exactly its allocation and cannot fail more
+    /// often than it was demanded: any of these defects would pass the
+    /// wire-shape check and only surface later, as a wrong fold or as a
+    /// posterior update that aborts the round loop.
+    fn admit(&self, k: u64, batch: &EvidenceBatch) -> Result<(), String> {
+        let versions = self.versions(k);
+        let (failures, demands) = (batch.failures.len(), batch.demands.len());
+        if failures != versions.len() || demands != versions.len() {
             return Err(format!(
-                "round {} cell {k}: evidence of {} failures in {} demands, \
-                 but the cell was allocated {want} demands",
-                self.round, ev.failures, ev.demands
+                "round {} cell {k}: {failures} failure and {demands} demand entries, \
+                 but the cell holds {} versions",
+                self.round,
+                versions.len()
             ));
+        }
+        for (v, ev) in versions.zip(batch.evidence()) {
+            let want = self.allocations[v];
+            if ev.demands != want || ev.failures > ev.demands {
+                return Err(format!(
+                    "round {} cell {k} version {v}: evidence of {} failures in {} demands, \
+                     but the version was allocated {want} demands",
+                    self.round, ev.failures, ev.demands
+                ));
+            }
         }
         Ok(())
     }
 
-    fn finish(&self, evidence: Vec<CellEvidence>) -> ScenarioResult<ScenarioOutcome> {
+    fn finish(&self, batches: Vec<EvidenceBatch>) -> ScenarioResult<ScenarioOutcome> {
         Ok(ScenarioOutcome::AdaptiveRound(AdaptiveRoundOutcome {
             round: self.round,
-            evidence,
+            evidence: batches.iter().flat_map(EvidenceBatch::evidence).collect(),
         }))
     }
+}
+
+/// Round `round` of the adaptive session over `runtime`: the job both
+/// the in-process executor and a fleet run.
+///
+/// # Errors
+///
+/// An allocation vector whose length is not the runtime's version
+/// count.
+pub(crate) fn adaptive_round(
+    runtime: Arc<AdaptivePfdRuntime>,
+    round: u32,
+    allocations: Vec<u64>,
+) -> ScenarioResult<Box<dyn AnyJob>> {
+    if allocations.len() != runtime.cells() {
+        return Err(format!(
+            "adaptive round {round} has {} allocations, want one per version ({})",
+            allocations.len(),
+            runtime.cells()
+        )
+        .into());
+    }
+    Ok(Box::new(AdaptiveRound::new(runtime, round, allocations)))
 }
 
 /// Evaluates the cells of `range` (clamped to the grid) with up to
@@ -251,19 +316,13 @@ fn each_cell<J: CellJob, T: Send>(
 /// same round.
 pub fn in_process_rounds(
     threads: usize,
-) -> impl Fn(&AdaptivePfdRuntime, u32, &[u64]) -> ScenarioResult<Vec<CellEvidence>> {
+) -> impl Fn(&Arc<AdaptivePfdRuntime>, u32, &[u64]) -> ScenarioResult<Vec<CellEvidence>> {
     move |runtime, round, allocations| {
-        let job = AdaptiveRound {
-            runtime,
-            round,
-            allocations: allocations.to_vec(),
-        };
-        Ok(each_cell(
-            &job,
-            CellRange::new(0, job.cells()),
-            threads,
-            |ev| ev,
-        )?)
+        let job = adaptive_round(Arc::clone(runtime), round, allocations.to_vec())?;
+        match job.run_all(threads)? {
+            ScenarioOutcome::AdaptiveRound(r) => Ok(r.evidence),
+            other => Err(format!("adaptive round {round} folded to {other:?}").into()),
+        }
     }
 }
 
@@ -331,13 +390,10 @@ pub(crate) fn compile(scenario: &Scenario) -> ScenarioResult<Box<dyn AnyJob>> {
             let plan = round.as_ref().ok_or(
                 "AdaptivePfd compiles one pinned round at a time; this spec \
                  has no round plan — run the round loop through Scenario::run or \
-                 a dist::Coordinator, which pin each round they derive",
+                 a dist::Coordinator, which build each round they derive",
             )?;
-            Box::new(AdaptiveRound {
-                runtime: AdaptivePfdRuntime::new(Arc::new(model.build()?), seed, *cells)?,
-                round: plan.round,
-                allocations: plan.allocations.clone(),
-            })
+            let runtime = AdaptivePfdRuntime::new(Arc::new(model.build()?), seed, *cells)?;
+            adaptive_round(Arc::new(runtime), plan.round, plan.allocations.clone())?
         }
     })
 }

@@ -150,10 +150,10 @@ pub enum ExperimentSpec {
         cells: usize,
         /// The stopping rule and round budgets.
         refinement: RefinementSpec,
-        /// When present, pins the spec to **one** round of that plan:
-        /// the execution form the distributed runtime leases out
-        /// (committed spec files leave it absent — the round loop
-        /// derives each plan from the accumulated evidence).
+        /// When present, pins the spec to **one** round of that plan,
+        /// a one-job grid spec (committed spec files leave it absent —
+        /// the round loop derives each plan from the accumulated
+        /// evidence, and a fleet ships each round as a delta).
         round: Option<RoundPlan>,
     },
 }
@@ -357,8 +357,8 @@ pub enum ScenarioOutcome {
     RareEvent(RareOutcome),
     /// Adaptive-sweep outcome (the full round loop).
     Adaptive(AdaptiveOutcome),
-    /// One pinned round of an adaptive sweep (evidence only — the
-    /// execution form the distributed runtime reduces per round).
+    /// One round of an adaptive sweep (evidence only — what each round
+    /// of the loop, and a pinned-round spec, reduces to).
     AdaptiveRound(AdaptiveRoundOutcome),
 }
 

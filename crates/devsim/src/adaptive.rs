@@ -12,8 +12,10 @@
 //!   trials that each fail with the version's exact PFD. A round's
 //!   failure count is drawn as the geometric gaps between failures, so
 //!   it costs one draw per failure, not one per demand;
-//! * [`CellEvidence`] — the per-cell `(failures, demands)` accumulator
-//!   that crosses threads, journals and worker fleets in wire form;
+//! * [`CellEvidence`] — one version's `(failures, demands)`, merged
+//!   across rounds, and [`EvidenceBatch`] — the evidence of a run of
+//!   consecutive versions in one round, the accumulator that crosses
+//!   threads, journals and worker fleets in wire form;
 //! * [`uniform_allocation`] / [`refine_allocation`] — the budget
 //!   allocators: round 0 spreads the initial budget evenly, every later
 //!   round leases its budget to the cells with the widest posterior
@@ -54,10 +56,8 @@ pub fn round_stream(round: u32) -> u64 {
     1 + u64::from(round)
 }
 
-/// Per-cell operational evidence: `failures` failures observed in
-/// `demands` demands. The accumulator of the adaptive sweep — merged
-/// across rounds by [`SweepReduce::absorb`], shipped across fleets in
-/// wire form.
+/// One version's operational evidence: `failures` failures observed in
+/// `demands` demands. Merged across rounds by [`SweepReduce::absorb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CellEvidence {
     /// Failures observed.
@@ -73,18 +73,56 @@ impl SweepReduce for CellEvidence {
     }
 }
 
-impl WireForm for CellEvidence {
+/// The evidence of consecutive versions in one round, as two lists of
+/// equal length: the accumulator of a batched round cell, shipped as
+/// `{failures: [..], demands: [..]}` — one list per field, not one
+/// record per version.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct EvidenceBatch {
+    /// Failures observed, one entry per version.
+    pub failures: Vec<u64>,
+    /// Demands exercised, one entry per version.
+    pub demands: Vec<u64>,
+}
+
+impl EvidenceBatch {
+    /// An empty batch with room for `versions` entries.
+    #[must_use]
+    pub fn with_capacity(versions: usize) -> Self {
+        EvidenceBatch {
+            failures: Vec::with_capacity(versions),
+            demands: Vec::with_capacity(versions),
+        }
+    }
+
+    /// Appends the next version's evidence.
+    pub fn push(&mut self, ev: CellEvidence) {
+        self.failures.push(ev.failures);
+        self.demands.push(ev.demands);
+    }
+
+    /// The per-version evidence in version order (as many entries as
+    /// the shorter list holds).
+    pub fn evidence(&self) -> impl Iterator<Item = CellEvidence> + '_ {
+        self.failures
+            .iter()
+            .zip(&self.demands)
+            .map(|(&failures, &demands)| CellEvidence { failures, demands })
+    }
+}
+
+impl WireForm for EvidenceBatch {
     fn to_wire(&self) -> Wire {
         Wire::record([
-            ("failures", Wire::U64(self.failures)),
-            ("demands", Wire::U64(self.demands)),
+            ("failures", self.failures.to_wire()),
+            ("demands", self.demands.to_wire()),
         ])
     }
 
     fn from_wire(wire: &Wire) -> Result<Self, WireError> {
-        Ok(CellEvidence {
-            failures: wire.field("failures")?.as_u64()?,
-            demands: wire.field("demands")?.as_u64()?,
+        Ok(EvidenceBatch {
+            failures: Vec::from_wire(wire.field("failures")?)?,
+            demands: Vec::from_wire(wire.field("demands")?)?,
         })
     }
 }
@@ -342,8 +380,15 @@ mod tests {
                 demands: 150,
             }
         );
-        let back = CellEvidence::from_wire(&a.to_wire()).expect("round trip");
-        assert_eq!(back, a);
+        let mut batch = EvidenceBatch::with_capacity(2);
+        batch.push(a);
+        batch.push(CellEvidence::default());
+        let back = EvidenceBatch::from_wire(&batch.to_wire()).expect("round trip");
+        assert_eq!(back, batch);
+        assert_eq!(
+            back.evidence().collect::<Vec<_>>(),
+            vec![a, CellEvidence::default()]
+        );
     }
 
     #[test]

@@ -25,9 +25,11 @@
 use divrel::devsim::sweep::CellRange;
 use divrel::numerics::sweep::split_seed;
 use divrel::numerics::wire::Wire;
+use divrel_bench::adaptive::RoundPlan;
 use divrel_bench::dist::{
-    round_journal_path, spec_hash, Coordinator, DistJob, DistRun, DistStats, Fault, FaultPlan,
-    Fleet, FleetEvent, JsonLines, Message, Transport, Worker, WorkerSummary, PROTOCOL_VERSION,
+    round_digest, round_journal_path, spec_hash, Coordinator, DistJob, DistRun, DistStats, Fault,
+    FaultPlan, Fleet, FleetEvent, JsonLines, Message, Transport, Worker, WorkerSummary,
+    PROTOCOL_VERSION,
 };
 use divrel_bench::scenario::{ExperimentSpec, Scenario, ScenarioOutcome};
 use divrel_bench::Context;
@@ -461,16 +463,37 @@ impl Rng {
     }
 }
 
-/// Every cell of a spec, computed once per spec hash by the job a
-/// worker compiles — `DistJob::run_range` is a pure function of spec
-/// and range, so a slice of this is what any worker returns.
-fn spec_cells(hash: &str, text: &str) -> Arc<Vec<Wire>> {
+/// A job offer: a grid spec's hash, or an adaptive round's session
+/// hash with its round and allocation.
+type Offer = (String, Option<(u32, Vec<u64>)>);
+
+/// Every cell of the job `offer` names over the spec `text`, with the
+/// job's identity (the spec hash or the round digest), computed once per
+/// identity by the job a worker compiles: `DistJob::run_range` is a
+/// pure function of spec and range, so a slice of this is what any
+/// worker returns. A round's job is its round pinned into the session's
+/// spec, which folds to the bits of the job built over the session's
+/// runtime.
+fn job_cells(offer: &Offer, text: &str) -> (String, Arc<Vec<Wire>>) {
     static CELLS: OnceLock<Mutex<HashMap<String, Arc<Vec<Wire>>>>> = OnceLock::new();
+    let (hash, round) = offer;
+    let identity = match round {
+        Some((round, allocations)) => round_digest(hash, *round, allocations),
+        None => hash.clone(),
+    };
     let cache = CELLS.get_or_init(Mutex::default);
-    if let Some(cells) = cache.lock().expect("cell cache").get(hash) {
-        return Arc::clone(cells);
+    if let Some(cells) = cache.lock().expect("cell cache").get(&identity) {
+        return (identity, Arc::clone(cells));
     }
-    let scenario = Scenario::from_spec_text(text).expect("the coordinator's spec parses");
+    let mut scenario = Scenario::from_spec_text(text).expect("the coordinator's spec parses");
+    if let (Some((round, allocations)), ExperimentSpec::AdaptivePfd { round: slot, .. }) =
+        (round, &mut scenario.experiment)
+    {
+        *slot = Some(RoundPlan {
+            round: *round,
+            allocations: allocations.clone(),
+        });
+    }
     let job = DistJob::new(scenario, 1).expect("the coordinator's spec compiles");
     let cells = Arc::new(
         job.run_range(CellRange::new(0, job.cell_count()))
@@ -479,8 +502,8 @@ fn spec_cells(hash: &str, text: &str) -> Arc<Vec<Wire>> {
     cache
         .lock()
         .expect("cell cache")
-        .insert(hash.to_string(), Arc::clone(&cells));
-    cells
+        .insert(identity.clone(), Arc::clone(&cells));
+    (identity, cells)
 }
 
 /// What a simulated worker does besides serving its fault plan.
@@ -498,12 +521,13 @@ enum Behaviour {
 struct SimWorker {
     behaviour: Behaviour,
     plan: FaultPlan,
-    /// The specs this worker has compiled, by hash (its `SpecCache`).
-    cached: HashMap<String, Arc<Vec<Wire>>>,
-    /// The job it is ready on: its spec hash and cells.
+    /// The spec texts this worker has compiled, by hash (its
+    /// `SpecCache`).
+    cached: HashMap<String, String>,
+    /// The job it is ready on: its identity and cells.
     job: Option<(String, Arc<Vec<Wire>>)>,
-    /// The spec it asked for with `NeedSpec`.
-    awaiting_spec: Option<String>,
+    /// The offer it asked the spec for with `NeedSpec`.
+    awaiting_spec: Option<Offer>,
     /// After a wrong-hash `Ready`, it waits to be cut off.
     wrong_hash_echoed: bool,
     leases_seen: u64,
@@ -661,33 +685,50 @@ impl SimFleet {
             }
             return;
         }
-        if let Some(wanted) = worker.awaiting_spec.clone() {
+        if let Some(offer) = worker.awaiting_spec.clone() {
             match frame {
-                Some(Message::Spec { hash, text }) if hash == wanted => {
+                Some(Message::Spec { hash, text }) if hash == offer.0 => {
                     assert_eq!(spec_hash(&text), hash, "the coordinator's spec hashes");
-                    let cells = spec_cells(&hash, &text);
                     let worker = &mut self.workers[w];
+                    let shipped = worker.cached.insert(hash, text);
+                    assert!(shipped.is_none(), "a spec shipped to worker {w} twice");
                     worker.awaiting_spec = None;
-                    worker.cached.insert(hash.clone(), Arc::clone(&cells));
-                    self.ready(w, hash, cells);
+                    self.offered(w, offer);
                 }
                 _ => self.exit(w),
             }
             return;
         }
         match frame {
-            Some(Message::SpecHash { hash }) => {
-                if let Some(cells) = self.workers[w].cached.get(&hash).cloned() {
-                    self.ready(w, hash, cells);
-                } else {
-                    self.workers[w].awaiting_spec = Some(hash.clone());
-                    self.reply(w, Message::NeedSpec { hash });
-                }
-            }
+            Some(Message::SpecHash { hash }) => self.offer(w, (hash, None)),
+            Some(Message::Round {
+                hash,
+                round,
+                allocations,
+            }) => self.offer(w, (hash, Some((round, allocations)))),
             Some(Message::Lease { start, end }) => self.lease(w, start, end),
             // `Done`, an abort, end of stream, or a frame out of turn.
             _ => self.exit(w),
         }
+    }
+
+    /// Worker `w` is offered a job: from its cache, or after asking for
+    /// the spec.
+    fn offer(&mut self, w: usize, offer: Offer) {
+        if self.workers[w].cached.contains_key(&offer.0) {
+            self.offered(w, offer);
+        } else {
+            let hash = offer.0.clone();
+            self.workers[w].awaiting_spec = Some(offer);
+            self.reply(w, Message::NeedSpec { hash });
+        }
+    }
+
+    /// Worker `w` builds the offered job from its cached spec.
+    fn offered(&mut self, w: usize, offer: Offer) {
+        let text = &self.workers[w].cached[&offer.0];
+        let (identity, cells) = job_cells(&offer, text);
+        self.ready(w, identity, cells);
     }
 
     fn ready(&mut self, w: usize, hash: String, cells: Arc<Vec<Wire>>) {
@@ -816,6 +857,19 @@ impl Fleet for SimFleet {
     }
 
     fn send(&mut self, worker: usize, msg: Message) {
+        if let (Message::Lease { start, end }, Some((hash, cells))) =
+            (&msg, &self.workers[worker].job)
+        {
+            // A job whose every cell came in needs no more leases.
+            let mut covered = vec![false; cells.len()];
+            for range in accepted(self, hash) {
+                covered[range.start as usize..range.end as usize].fill(true);
+            }
+            assert!(
+                covered.contains(&false),
+                "worker {worker} leased [{start}, {end}) after every cell of job {hash} came in"
+            );
+        }
         if self.workers[worker].closed {
             return;
         }
@@ -926,6 +980,25 @@ fn adaptive() -> &'static Subject {
             24,
             true,
         )
+    })
+}
+
+/// The committed adaptive spec scaled to 768 versions, with both round
+/// budgets scaled with it: a round loop of 256-cell jobs whose cells
+/// each batch 3 versions.
+fn adaptive_batched() -> &'static Subject {
+    static BATCHED: OnceLock<Subject> = OnceLock::new();
+    BATCHED.get_or_init(|| {
+        let mut scenario = adaptive().scenario.clone();
+        if let ExperimentSpec::AdaptivePfd {
+            cells, refinement, ..
+        } = &mut scenario.experiment
+        {
+            *cells = 768;
+            refinement.initial_demands *= 32;
+            refinement.round_demands *= 32;
+        }
+        Subject::new(scenario, 256, true)
     })
 }
 
@@ -1188,14 +1261,21 @@ fn seeded_adaptive_schedules_fold_bit_identically() {
     sweep(adaptive(), 0..100);
 }
 
+/// The same schedules on rounds whose cells batch several versions.
+#[test]
+fn seeded_batched_adaptive_schedules_fold_bit_identically() {
+    sweep(adaptive_batched(), 0..12);
+}
+
 /// A large sweep for release builds:
 /// `cargo test --release --test dist_chaos -- --ignored`.
 #[test]
 #[ignore = "a release-mode sweep; run with --release -- --ignored"]
 fn twenty_thousand_simulated_schedules_fold_bit_identically() {
     let started = Instant::now();
-    sweep(e16(), 0..18_000);
+    sweep(e16(), 0..17_000);
     sweep(adaptive(), 0..2_000);
+    sweep(adaptive_batched(), 0..1_000);
     eprintln!("20000 simulated schedules in {:?}", started.elapsed());
 }
 

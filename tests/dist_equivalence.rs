@@ -12,20 +12,25 @@
 //! adaptive round loop to one session on one fleet, and additionally
 //! holds every wire-format accumulator to the
 //! `from_wire(to_wire(x)) == x` bit-identity contract with proptests,
-//! and the frame reader to hostile bytes.
+//! and the frame reader, the round-frame decoder and journal resume to
+//! hostile bytes.
 
-use divrel::devsim::adaptive::CellEvidence;
+use divrel::devsim::adaptive::{CellEvidence, EvidenceBatch};
 use divrel::devsim::experiment::{run_cell, McAccumulator, MonteCarloExperiment};
 use divrel::devsim::process::FaultIntroduction;
+use divrel::devsim::sweep::CellRange;
 use divrel::model::FaultModel;
 use divrel::numerics::descriptive::Moments;
 use divrel::numerics::sweep::SweepReduce;
 use divrel::numerics::wire::{Wire, WireForm};
 use divrel::protection::OperationLog;
-use divrel_bench::dist::framing::{try_extract, Extracted, BINARY_FRAME_MARKER};
+use divrel_bench::dist::framing::{
+    decode_round_payload, encode_round_frame, try_extract, Extracted, BINARY_FRAME_MARKER,
+    ROUND_FRAME_MARKER,
+};
 use divrel_bench::dist::{
-    AdaptiveCoordinator, Coordinator, DistRun, DistStats, Fault, FaultPlan, JsonLines, Message,
-    Transport, Worker, WorkerSummary, PROTOCOL_VERSION,
+    AdaptiveCoordinator, Coordinator, DistRun, DistStats, Fault, FaultPlan, Journal, JsonLines,
+    Message, Transport, Worker, WorkerSummary, PROTOCOL_VERSION,
 };
 use divrel_bench::scenario::{ExperimentSpec, Scenario, ScenarioOutcome};
 use divrel_bench::sweep::{ForcedSweepStats, KlSweepStats};
@@ -501,20 +506,34 @@ proptest! {
 
     #[test]
     fn cell_evidence_round_trips_and_merges_identically(
-        failures in 0u64..1 << 62,
-        extra in 0u64..1 << 62,
-        more_failures in 0u64..1 << 62,
-        more_extra in 0u64..1 << 62,
+        versions in proptest::collection::vec((0u64..1 << 62, 0u64..1 << 62), 0..64),
+        split in 0usize..64,
     ) {
         // demands >= failures by construction, as the runtime guarantees.
-        let a = CellEvidence { failures, demands: failures + extra };
-        let b = CellEvidence { failures: more_failures, demands: more_failures + more_extra };
+        let evidence: Vec<CellEvidence> = versions
+            .iter()
+            .map(|&(failures, extra)| CellEvidence { failures, demands: failures + extra })
+            .collect();
+        // Two batched cells of one round, cut at `split`.
+        let split = split.min(evidence.len());
+        let mut a = EvidenceBatch::default();
+        let mut b = EvidenceBatch::default();
+        evidence[..split].iter().for_each(|&ev| a.push(ev));
+        evidence[split..].iter().for_each(|&ev| b.push(ev));
         assert_wire_round_trip(&a);
-        let mut direct = a;
-        direct.absorb(b);
-        let mut shipped = CellEvidence::from_wire(&through_json(&a.to_wire())).expect("decodes");
-        shipped.absorb(CellEvidence::from_wire(&through_binary(&b.to_wire())).expect("decodes"));
-        prop_assert_eq!(shipped, direct);
+        assert_wire_round_trip(&b);
+        // Shipped under either framing, the cells unbatch to the
+        // versions' evidence, which merges into the running totals
+        // exactly as the unshipped evidence does.
+        let a = EvidenceBatch::from_wire(&through_json(&a.to_wire())).expect("decodes");
+        let b = EvidenceBatch::from_wire(&through_binary(&b.to_wire())).expect("decodes");
+        let shipped: Vec<CellEvidence> = a.evidence().chain(b.evidence()).collect();
+        prop_assert_eq!(&shipped, &evidence);
+        let mut direct = evidence.clone();
+        let mut merged = evidence.clone();
+        direct.iter_mut().zip(&evidence).for_each(|(t, &ev)| t.absorb(ev));
+        merged.iter_mut().zip(&shipped).for_each(|(t, &ev)| t.absorb(ev));
+        prop_assert_eq!(merged, direct);
     }
 
     #[test]
@@ -565,21 +584,27 @@ fn read_hostile_stream(bytes: Vec<u8>) -> Result<(), String> {
     }
 }
 
-/// A valid v4 stream with both directions' frames: JSON control frames
-/// interleaved with binary and JSON `Result` frames.
-fn valid_v4_stream() -> Vec<u8> {
+/// A valid protocol stream with both directions' frames: JSON control
+/// frames interleaved with binary and JSON `Result` and `Round` frames.
+fn valid_stream() -> Vec<u8> {
+    let mut batch = EvidenceBatch::default();
+    batch.push(CellEvidence {
+        failures: 3,
+        demands: 400,
+    });
     let cells = vec![
-        CellEvidence {
-            failures: 3,
-            demands: 400,
-        }
-        .to_wire(),
+        batch.to_wire(),
         Wire::record([("n", Wire::U64(u64::MAX)), ("mean", Wire::F64(1.0 / 3.0))]),
     ];
     let result = Message::Result {
         start: 4,
         end: 6,
         cells,
+    };
+    let round = Message::Round {
+        hash: "fnv1a:00".into(),
+        round: 2,
+        allocations: vec![0, 300, u64::MAX],
     };
     let mut out = JsonLines::new(std::io::empty(), Vec::new());
     for msg in [
@@ -606,9 +631,37 @@ fn valid_v4_stream() -> Vec<u8> {
     }
     Transport::send_binary(&mut out, &result).expect("in-memory send");
     Transport::send(&mut out, &result).expect("in-memory send");
+    Transport::send_binary(&mut out, &round).expect("in-memory send");
+    Transport::send(&mut out, &round).expect("in-memory send");
     Transport::send_binary(&mut out, &result).expect("in-memory send");
     Transport::send(&mut out, &Message::Done).expect("in-memory send");
     out.into_writer()
+}
+
+/// Applies `edits` (flip, insert, remove, truncate) to `bytes`.
+fn mutate(bytes: &mut Vec<u8>, edits: Vec<(u8, usize, u8)>) {
+    for (kind, at, byte) in edits {
+        let at = at % (bytes.len() + 1);
+        match kind {
+            0 if at < bytes.len() => bytes[at] ^= byte,
+            1 => bytes.insert(at, byte),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            3 => bytes.truncate(at),
+            _ => {}
+        }
+    }
+}
+
+/// `marker`, then `payload` behind its true length prefix or none.
+fn binary_frame(marker: u8, payload: Vec<u8>, length_prefixed: bool) -> Vec<u8> {
+    let mut bytes = vec![marker];
+    if length_prefixed {
+        divrel::numerics::wire::write_varint(&mut bytes, payload.len() as u64);
+    }
+    bytes.extend(payload);
+    bytes
 }
 
 proptest! {
@@ -622,22 +675,11 @@ proptest! {
     }
 
     #[test]
-    fn mutated_v4_streams_never_panic_the_frame_reader(
+    fn mutated_protocol_streams_never_panic_the_frame_reader(
         edits in proptest::collection::vec((0u8..4, 0usize..1 << 16, 1u8..=255), 1..6),
     ) {
-        let mut bytes = valid_v4_stream();
-        for (kind, at, byte) in edits {
-            let at = at % (bytes.len() + 1);
-            match kind {
-                0 if at < bytes.len() => bytes[at] ^= byte,
-                1 => bytes.insert(at, byte),
-                2 if at < bytes.len() => {
-                    bytes.remove(at);
-                }
-                3 => bytes.truncate(at),
-                _ => {}
-            }
-        }
+        let mut bytes = valid_stream();
+        mutate(&mut bytes, edits);
         read_hostile_stream(bytes)?;
     }
 
@@ -648,15 +690,144 @@ proptest! {
     ) {
         // With a true length prefix, the payload decoder itself reads
         // the arbitrary bytes.
-        let mut bytes = vec![BINARY_FRAME_MARKER];
-        if length_prefixed {
-            divrel::numerics::wire::write_varint(&mut bytes, payload.len() as u64);
-        }
-        bytes.extend(payload);
+        let bytes = binary_frame(BINARY_FRAME_MARKER, payload, length_prefixed);
         match try_extract(&bytes) {
             Ok(Extracted::Frame(_, used)) => prop_assert!(used <= bytes.len()),
             Ok(Extracted::Incomplete) => {}
             Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
         }
+    }
+
+    #[test]
+    fn arbitrary_bytes_after_the_round_marker_never_panic_try_extract(
+        payload in proptest::collection::vec(0u8..=255, 0..256),
+        length_prefixed in proptest::bool::ANY,
+    ) {
+        let bytes = binary_frame(ROUND_FRAME_MARKER, payload, length_prefixed);
+        match try_extract(&bytes) {
+            Ok(Extracted::Frame(msg, used)) => {
+                prop_assert!(used <= bytes.len());
+                prop_assert!(matches!(msg, Message::Round { .. }), "{msg:?}");
+            }
+            Ok(Extracted::Incomplete) => {}
+            Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+        }
+    }
+
+    #[test]
+    fn mutated_round_frames_decode_no_more_than_their_bytes(
+        allocations in proptest::collection::vec(0u64..1 << 40, 0..64),
+        edits in proptest::collection::vec((0u8..4, 0usize..1 << 10, 1u8..=255), 1..6),
+    ) {
+        // The payload of a valid round frame (marker and one-or-two-byte
+        // length prefix stripped), then edited.
+        let frame = encode_round_frame("fnv1a:0123456789abcdef", 9, &allocations);
+        let prefix = if frame[1] & 0x80 == 0 { 2 } else { 3 };
+        let mut payload = frame[prefix..].to_vec();
+        mutate(&mut payload, edits);
+        if let Ok(Message::Round { allocations, .. }) = decode_round_payload(&payload) {
+            prop_assert!(allocations.len() <= payload.len());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile journals: a resumed coordinator reads whatever the journal
+// file holds. Truncation at any byte must resume exactly the complete
+// records before the cut, and no edit may panic resume.
+// ---------------------------------------------------------------------
+
+const JOURNAL_HASH: &str = "fnv1a:00000000000journal";
+const JOURNAL_CELLS: u64 = 12;
+
+/// The `(cell, wire)` pairs of one lease record.
+type LeaseCells = Vec<(u64, Wire)>;
+
+/// A journal of four leases, two of them overlapping: its bytes, its
+/// line ends, and the cells each record carries.
+fn valid_journal(path: &std::path::Path) -> (Vec<u8>, Vec<usize>, Vec<LeaseCells>) {
+    let cell = |k: u64| {
+        Wire::record([
+            ("kind", Wire::Text("t".into())),
+            (
+                "data",
+                Wire::List(vec![Wire::U64(k), Wire::F64(k as f64 / 3.0)]),
+            ),
+        ])
+    };
+    let mut journal = Journal::create(path, JOURNAL_HASH, JOURNAL_CELLS).expect("journal opens");
+    let mut records = Vec::new();
+    for (start, end) in [(0, 3), (3, 4), (2, 6), (9, 12)] {
+        let cells: LeaseCells = (start..end).map(|k| (k, cell(k + 100 * start))).collect();
+        let wires: Vec<Wire> = cells.iter().map(|(_, w)| w.clone()).collect();
+        journal
+            .append(CellRange::new(start, end), &wires)
+            .expect("append");
+        records.push(cells);
+    }
+    drop(journal);
+    let bytes = std::fs::read(path).expect("journal reads");
+    let ends = (0..bytes.len())
+        .filter(|&i| bytes[i] == b'\n')
+        .map(|i| i + 1)
+        .collect();
+    (bytes, ends, records)
+}
+
+fn hostile_journal_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!(
+        "divrel-hostile-journal-{tag}-{}.ndjson",
+        std::process::id()
+    ))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn truncated_journals_resume_exactly_their_complete_records(cut in 0usize..1 << 12) {
+        let path = hostile_journal_path("truncated");
+        let (bytes, ends, records) = valid_journal(&path);
+        let cut = cut % (bytes.len() + 1);
+        std::fs::write(&path, &bytes[..cut]).expect("journal writes");
+        let resumed = Journal::resume(&path, JOURNAL_HASH, JOURNAL_CELLS);
+        let kept = ends.iter().filter(|&&end| end <= cut).count();
+        match resumed {
+            Ok((_, load)) => {
+                prop_assert!(kept >= 1, "a journal cut inside its header resumed");
+                prop_assert_eq!(load.records as usize, kept - 1);
+                prop_assert_eq!(load.torn_tail, !ends.contains(&cut) && cut > 0);
+                // First write wins across the complete records.
+                let mut want: LeaseCells = Vec::new();
+                for (k, w) in records[..kept - 1].iter().flatten() {
+                    if !want.iter().any(|(seen, _)| seen == k) {
+                        want.push((*k, w.clone()));
+                    }
+                }
+                prop_assert_eq!(load.cells, want);
+                // The torn tail is gone: the file ends on a line boundary.
+                let len = std::fs::metadata(&path).expect("journal stats").len() as usize;
+                prop_assert_eq!(len, ends[kept - 1]);
+            }
+            Err(e) => prop_assert_eq!(kept, 0, "{}", e),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn mutated_journals_resume_or_refuse_without_panicking(
+        edits in proptest::collection::vec((0u8..4, 0usize..1 << 12, 1u8..=255), 1..6),
+    ) {
+        let path = hostile_journal_path("mutated");
+        let (mut bytes, _, _) = valid_journal(&path);
+        mutate(&mut bytes, edits);
+        std::fs::write(&path, &bytes).expect("journal writes");
+        if let Ok((_, load)) = Journal::resume(&path, JOURNAL_HASH, JOURNAL_CELLS) {
+            prop_assert!(load.cells.iter().all(|(k, _)| *k < JOURNAL_CELLS));
+            let left = std::fs::read(&path).expect("journal reads");
+            prop_assert!(left.len() <= bytes.len());
+            prop_assert_eq!(left.last(), Some(&b'\n'), "resume left a torn line");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

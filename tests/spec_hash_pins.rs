@@ -13,10 +13,12 @@
 
 use divrel::devsim::adaptive::uniform_allocation;
 use divrel::devsim::sweep::CellRange;
-use divrel_bench::adaptive::RoundPlan;
-use divrel_bench::dist::{spec_hash, DistJob};
+use divrel_bench::adaptive::{drive, AllocationStrategy, RoundPlan};
+use divrel_bench::dist::{round_digest, spec_hash, DistJob};
+use divrel_bench::job::in_process_rounds;
 use divrel_bench::scenario::{ExperimentSpec, Scenario};
 use divrel_bench::Context;
+use std::sync::Arc;
 
 /// `(committed file, pinned fnv1a hash of the canonical TOML)`.
 ///
@@ -110,13 +112,21 @@ fn canonical_toml_is_a_fixed_point_for_committed_specs() {
 /// failures as geometric gaps: same law, another random stream (journal
 /// format v2 refuses the older evidence).
 ///
+/// `adaptive_confidence` moved a second time on purpose, from
+/// `fnv1a:184aed6b5ddd68b0`, when a round's cells began batching
+/// consecutive versions: a cell is `{failures: [..], demands: [..]}`,
+/// one list entry per version, instead of one `{failures, demands}`
+/// record per version; the committed spec's 24 versions still make 24
+/// one-version cells, and every count kept its value (journal format v4
+/// refuses the older records).
+///
 /// `rare_event_protection` moved once on purpose, from
 /// `fnv1a:910c8965ef5490e9`, when every rare-event estimator began
 /// folding into one weighted mean: a cell is the bare `WeightedMean`,
 /// without the empty `strata` field beside it, and its numbers kept
 /// every bit (journal format v3 refuses the older records).
 const WIRE_PINS: &[(&str, &str)] = &[
-    ("adaptive_confidence", "fnv1a:184aed6b5ddd68b0"),
+    ("adaptive_confidence", "fnv1a:222cc249e61709b8"),
     ("asymmetric_difficulty", "fnv1a:59b21e44ecac7cde"),
     ("common_cause_diversity", "fnv1a:048b97a663a44ba9"),
     ("kl_bimodal", "fnv1a:a2957f2279c0ee6b"),
@@ -187,4 +197,52 @@ fn cell_wire_bytes_are_pinned() {
              written by earlier builds would no longer fold"
         );
     }
+}
+
+/// The [`round_digest`]s of the committed adaptive spec's first three
+/// rounds. A round's journal header pins its digest and a worker's
+/// `Ready` echoes it, so a change to the digest's byte layout, to the
+/// session's canonical spec or to the allocations the posterior loop
+/// derives strands every round journal an earlier build wrote.
+const ROUND_PINS: [&str; 3] = [
+    "fnv1a:0546380813354757",
+    "fnv1a:933d3a013349ca36",
+    "fnv1a:3ed3d85bdd61b9a8",
+];
+
+#[test]
+fn committed_round_digests_are_pinned() {
+    let file = "scenarios/adaptive_confidence.toml";
+    let text = std::fs::read_to_string(repo_path(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let scenario = Scenario::from_spec_text(&text).expect("the adaptive spec parses");
+    let hash = spec_hash(&scenario.to_toml().expect("renders"));
+    let ExperimentSpec::AdaptivePfd {
+        model,
+        cells,
+        refinement,
+        ..
+    } = &scenario.experiment
+    else {
+        panic!("{file} is an adaptive spec");
+    };
+    let run_round = in_process_rounds(1);
+    let mut digests = Vec::new();
+    drive(
+        Arc::new(model.build().expect("model builds")),
+        scenario.seed.seed,
+        *cells,
+        refinement,
+        AllocationStrategy::PosteriorDriven,
+        |runtime, round, allocations| {
+            digests.push(round_digest(&hash, round, allocations));
+            run_round(runtime, round, allocations)
+        },
+    )
+    .expect("the round loop runs");
+    assert_eq!(
+        digests[..ROUND_PINS.len()],
+        ROUND_PINS,
+        "{file}: round digests drifted — round journals written by earlier \
+         builds would be refused"
+    );
 }

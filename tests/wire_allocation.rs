@@ -8,7 +8,7 @@
 //! these tests have a test binary of their own.
 
 use divrel::numerics::wire::{write_varint, Wire};
-use divrel_bench::dist::framing::decode_payload;
+use divrel_bench::dist::framing::{decode_payload, decode_round_payload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -125,4 +125,34 @@ fn a_result_frame_cannot_claim_its_way_into_memory() {
         "decoding {} bytes asked for {asked} bytes",
         payload.len()
     );
+}
+
+#[test]
+fn a_round_frame_cannot_claim_its_way_into_memory() {
+    // A round frame whose allocation list claims first far more entries
+    // than the bytes left could hold, then one for every two bytes left,
+    // followed by bytes that are no entry at all.
+    let head = Wire::record([
+        ("hash", Wire::Text("fnv1a:00".into())),
+        ("round", Wire::U64(3)),
+        ("allocations", Wire::List(Vec::new())),
+    ])
+    .to_bytes();
+    let body = vec![0xff; 64 << 10];
+    for (label, claim) in [
+        ("past the bytes", u64::MAX >> 1),
+        ("one per two bytes", body.len() as u64 / 2),
+    ] {
+        // Drop the empty list's zero count and claim `claim` entries.
+        let mut payload = head[..head.len() - 1].to_vec();
+        write_varint(&mut payload, claim);
+        payload.extend_from_slice(&body);
+        let (decoded, asked) = asked_during(|| decode_round_payload(&payload));
+        assert!(decoded.is_err(), "{label}: the bomb decoded");
+        assert!(
+            asked <= LIMIT,
+            "{label}: decoding {} bytes asked for {asked} bytes",
+            payload.len()
+        );
+    }
 }
