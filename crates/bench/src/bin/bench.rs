@@ -13,12 +13,10 @@
 //!   tree walk (gated ≥ 1×); the Markov demand compiler against the tick
 //!   loop, including its hash store on a 16.7M-cell plant (gated
 //!   ≥ 10×); the fused exit draw against a reconstruction of the
-//!   four-draw sampler it replaced; a sharded campaign against one
-//!   thread.
-//! * `sweep/*`: whole experiment grids at one thread against all cores,
-//!   and the demand trials posterior-driven allocation needs to close
-//!   every credible bound against a fixed uniform schedule (samples,
-//!   gated ≥ 3×).
+//!   four-draw sampler it replaced.
+//! * `sweep/*`: the demand trials posterior-driven allocation needs to
+//!   close every credible bound against a fixed uniform schedule
+//!   (samples, gated ≥ 3×).
 //! * `scenario/*`: a workload declared as a spec against the direct
 //!   call; the gate allows 10% overhead.
 //! * `dist/*`: a persistent 2-process fleet against in-process
@@ -37,7 +35,7 @@ use divrel_bench::context::default_sweep_threads;
 use divrel_bench::job::in_process_rounds;
 use divrel_bench::perf::{Bench, Row};
 use divrel_bench::scenario::{ExperimentSpec, Scenario};
-use divrel_bench::sweep::{forced_sweep, kl_sweep, pfd_sample_sweep};
+use divrel_bench::sweep::forced_sweep;
 use divrel_demand::mapping::FaultRegionMap;
 use divrel_demand::profile::Profile;
 use divrel_demand::region::Region;
@@ -104,8 +102,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut bench = Bench::new(host_cores);
     tree_row(&mut bench);
-    markov_rows(&mut bench, host_cores.min(8));
-    sweep_rows(&mut bench);
+    markov_rows(&mut bench);
     scenario_rows(&mut bench);
     fused_row(&mut bench);
     dist_rows(&mut bench, host_cores);
@@ -202,9 +199,8 @@ fn tree_row(bench: &mut Bench) {
 /// A sticky Markov plant (operating points persist ~1/move ticks) with
 /// a rare-demand trip set: the tick loop (`run_stepwise`, one RNG
 /// decision per tick) against the compiled demand sampler (geometric
-/// dwells and alias jumps, one iteration per state change); then a
-/// 2M-step campaign at one thread against `threads`.
-fn markov_rows(bench: &mut Bench, threads: usize) {
+/// dwells and alias jumps, one iteration per state change).
+fn markov_rows(bench: &mut Bench) {
     let space = GridSpace2D::new(100, 100).expect("valid space");
     let trip = Region::rect(0, 0, 4, 4);
     let system = pair_system(space);
@@ -233,103 +229,6 @@ fn markov_rows(bench: &mut Bench, threads: usize) {
             },
         ));
     }
-
-    // The speedup tracks the host's core count (≈1× on one core).
-    let plant = Plant::markov_walk(space, trip, 2, 0.1).expect("valid plant");
-    let steps = 2_000_000u64;
-    let (mut seed_l, mut seed_f) = (700u64, 700u64);
-    bench.push(Row::time(
-        &format!("protection/run_sharded/{threads}threads/2M"),
-        || {
-            seed_l += 1;
-            black_box(simulation::run_sharded(&plant, &system, steps, 1, seed_l).expect("runs"));
-        },
-        || {
-            seed_f += 1;
-            black_box(
-                simulation::run_sharded(&plant, &system, steps, threads, seed_f).expect("runs"),
-            );
-        },
-    ));
-}
-
-/// Whole experiment grids on the deterministic sweep engine, cell by
-/// cell on one worker against all cores. The reduced statistics are
-/// bit-identical either way (asserted first), so the rows measure
-/// scheduling alone and record ≈1× on single-core hosts.
-fn sweep_rows(bench: &mut Bench) {
-    let threads = default_sweep_threads();
-
-    // The 10k-pair devsim Monte-Carlo grid.
-    let exp = MonteCarloExperiment::new(model_of_size(32), FaultIntroduction::Independent)
-        .samples(10_000)
-        .seed(1);
-    let serial = exp.clone().threads(1).run().expect("runs");
-    let sharded = exp.clone().threads(threads).run().expect("runs");
-    assert_eq!(serial, sharded, "sweep results diverged across threads");
-    bench.push(Row::time(
-        &format!("sweep/mc_10k_pairs/{threads}threads"),
-        || {
-            black_box(exp.clone().threads(1).run().expect("runs"));
-        },
-        || {
-            black_box(exp.clone().threads(threads).run().expect("runs"));
-        },
-    ));
-
-    // The E16 Knight–Leveson replication grid.
-    let kl_model =
-        divrel_bench::experiments::knight_leveson::student_experiment_model().expect("valid model");
-    assert_eq!(
-        kl_sweep(&kl_model, 48, 2001, 1).expect("runs"),
-        kl_sweep(&kl_model, 48, 2001, threads).expect("runs"),
-        "KL sweep diverged across threads"
-    );
-    bench.push(Row::time(
-        &format!("sweep/knight_leveson/{threads}threads"),
-        || {
-            black_box(kl_sweep(&kl_model, 48, 2001, 1).expect("runs"));
-        },
-        || {
-            black_box(kl_sweep(&kl_model, 48, 2001, threads).expect("runs"));
-        },
-    ));
-
-    // The E17 forced-diversity random-process grid.
-    assert_eq!(
-        forced_sweep(2_000, 2001, 1).expect("runs"),
-        forced_sweep(2_000, 2001, threads).expect("runs"),
-        "forced sweep diverged across threads"
-    );
-    bench.push(Row::time(
-        &format!("sweep/forced_diversity/{threads}threads"),
-        || {
-            black_box(forced_sweep(2_000, 2001, 1).expect("runs"));
-        },
-        || {
-            black_box(forced_sweep(2_000, 2001, threads).expect("runs"));
-        },
-    ));
-
-    // Raw PFD sample assembly over the sharded grid.
-    let m32 = model_of_size(32);
-    let samples = |t: usize| {
-        pfd_sample_sweep(&m32, FaultIntroduction::Independent, 10_000, 5, t).expect("runs")
-    };
-    assert_eq!(
-        samples(1),
-        samples(threads),
-        "PFD sample sweep diverged across threads"
-    );
-    bench.push(Row::time(
-        &format!("sweep/pfd_samples_10k/{threads}threads"),
-        || {
-            black_box(samples(1));
-        },
-        || {
-            black_box(samples(threads));
-        },
-    ));
 }
 
 /// Spec-compiled execution against the direct experiment call: the

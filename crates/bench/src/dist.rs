@@ -17,11 +17,11 @@
 //!   the same frames work over a child process's stdin/stdout or a TCP
 //!   socket), and the returned accumulators are folded **in canonical
 //!   cell order**.
-//! * A [`Worker`] (driven by [`Worker::serve`]) joins a coordinator,
-//!   checks each job's spec hash, evaluates leased cell ranges of the
-//!   same cell job the in-process path runs ([`DistJob::run_range`],
-//!   see [`crate::job`]), streams [`Message::Progress`] heartbeats
-//!   while a long lease runs, and returns per-cell accumulators in
+//! * A [`Worker`] joins a coordinator, checks each job's spec hash,
+//!   evaluates leased cell ranges of the same cell job the in-process
+//!   path runs ([`DistJob::run_range`], see [`crate::job`]), streams
+//!   [`Message::Progress`] heartbeats every [`HEARTBEAT_INTERVAL`]
+//!   while a lease runs, and returns per-cell accumulators in
 //!   [wire form](divrel_numerics::wire) — `f64`s as bit patterns, so
 //!   nothing rounds in transit.
 //! * An adaptive round loop ships its spec **once per worker**: the
@@ -31,15 +31,22 @@
 //!   by [`round_digest`] — from which both sides build the round's job
 //!   over the runtime they already hold.
 //!
-//! The coordinator's lease decisions all live in one sans-IO
-//! `Scheduler` value (`dist/scheduler.rs`): it takes a worker's frame,
-//! a worker gone or the time, and answers with frames to send, streams
-//! to close and leases to journal. [`Coordinator::run`] splits each
-//! transport into a reader and a writer thread that only move frames,
-//! and one driver loop on the caller's thread waits on them through
-//! the [`Fleet`] seam, feeds the scheduler and carries out its actions.
-//! [`Coordinator::run_on`] runs the same loop over any other [`Fleet`]:
-//! `tests/dist_chaos.rs` drives it on a virtual clock.
+//! Both ends of the protocol are sans-IO values that read no clock.
+//! The coordinator's lease decisions all live in one `Scheduler`
+//! (`dist/scheduler.rs`): it takes a worker's frame, a worker gone or
+//! the time, and answers with frames to send, streams to close and
+//! leases to journal. [`Coordinator::run`] splits each transport into a
+//! reader and a writer thread that only move frames, and one driver
+//! loop on the caller's thread waits on them through the [`Fleet`]
+//! seam, feeds the scheduler and carries out its actions;
+//! [`Coordinator::run_on`] runs the same loop over any other [`Fleet`].
+//! The worker's protocol lives in one [`WorkerSession`]
+//! (`dist/worker.rs`): it takes each coordinator frame and answers with
+//! [`WorkerStep`]s — a frame to send, a lease to run, a stall, the end
+//! of the session — which [`Worker::serve`] carries out over a real
+//! transport. `tests/dist_chaos.rs` drives both values on a virtual
+//! clock: the coordinator's loop over its simulated fleet, whose
+//! workers are `WorkerSession`s.
 //!
 //! The fault-tolerance layer has three coupled pieces:
 //!
@@ -77,10 +84,12 @@ pub mod chaos;
 pub mod framing;
 pub mod journal;
 mod scheduler;
+mod worker;
 
 pub use chaos::{Fault, FaultPlan};
 pub use framing::FramingMode;
 pub use journal::{Journal, JournalError, JournalLoad};
+pub use worker::{WorkerSession, WorkerStep};
 
 use crate::adaptive::{drive, AdaptiveOutcome, AllocationStrategy};
 use crate::job::{adaptive_round, compile, AnyJob};
@@ -90,7 +99,7 @@ use divrel_devsim::sweep::CellRange;
 use divrel_numerics::wire::{Wire, WireError};
 use scheduler::{Action, JobState, Scheduler};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -1372,12 +1381,19 @@ impl SpecCache {
 /// transport read timeouts) before giving up.
 const WORKER_IDLE_TIMEOUT: Duration = Duration::from_secs(600);
 
-/// Worker-side configuration.
+/// Heartbeat cadence while a lease runs: even when a lease computes
+/// longer than the coordinator's lease deadline, [`Message::Progress`]
+/// frames keep flowing, so a slow-but-alive worker is never mistaken
+/// for a dead one. A fleet simulator heartbeats its simulated workers
+/// at the same cadence.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
+
+/// Worker-side configuration, and the driver that serves a
+/// [`WorkerSession`] over a real transport.
 #[derive(Debug, Clone)]
 pub struct Worker {
     threads: usize,
     plan: FaultPlan,
-    heartbeat_interval: Duration,
     cache: SpecCache,
     framing: FramingMode,
 }
@@ -1397,7 +1413,6 @@ impl Worker {
         Worker {
             threads: crate::context::default_sweep_threads(),
             plan: FaultPlan::new(),
-            heartbeat_interval: Duration::from_millis(200),
             cache: SpecCache::new(),
             framing: FramingMode::from_env(),
         }
@@ -1415,27 +1430,6 @@ impl Worker {
     #[must_use]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.plan = plan;
-        self
-    }
-
-    /// Fault injection shorthand: the worker serves `leases` leases,
-    /// then **drops the connection without replying** to the next one —
-    /// exactly the failure mode the coordinator must survive by
-    /// re-issuing the lease elsewhere.
-    #[must_use]
-    pub fn fail_after_leases(mut self, leases: u64) -> Self {
-        self.plan = self.plan.inject(leases, Fault::Die);
-        self
-    }
-
-    /// Wall-clock heartbeat cadence while a lease runs (default
-    /// 200 ms): even when a lease computes longer than the
-    /// coordinator's lease deadline, [`Message::Progress`] frames keep
-    /// flowing, so a slow-but-alive worker is never mistaken for a dead
-    /// one.
-    #[must_use]
-    pub fn heartbeat_interval(mut self, interval: Duration) -> Self {
-        self.heartbeat_interval = interval.max(Duration::from_millis(1));
         self
     }
 
@@ -1457,6 +1451,13 @@ impl Worker {
         self
     }
 
+    /// A new session of this worker's protocol, with the step that
+    /// starts it: sending the `Join`.
+    #[must_use]
+    pub fn session(&self) -> (WorkerSession, WorkerStep) {
+        WorkerSession::new(self.threads, self.plan.clone(), self.cache.clone())
+    }
+
     /// Receives a frame, riding out transport read timeouts up to
     /// [`WORKER_IDLE_TIMEOUT`].
     fn recv_patient<T: Transport + ?Sized>(&self, t: &mut T) -> std::io::Result<Option<Message>> {
@@ -1471,201 +1472,69 @@ impl Worker {
         }
     }
 
-    /// Serves one coordinator session to completion: the `Join`, then
-    /// for each job its spec handshake and its leases, with heartbeats,
-    /// until [`Message::Done`].
+    /// Serves one coordinator session to completion by driving a
+    /// [`WorkerSession`] over `t`: the `Join`, then for each job its
+    /// spec handshake and its leases, with heartbeats, until
+    /// [`Message::Done`].
     ///
     /// # Errors
     ///
-    /// Transport errors; a spec whose hash does not match its text; a
-    /// cell that fails to evaluate (reported to the coordinator as an
-    /// abort); injected faults.
+    /// Transport errors, and every error the session ends on: a spec
+    /// whose hash does not match its text, a cell that fails to
+    /// evaluate (reported to the coordinator as an abort), injected
+    /// faults.
     pub fn serve<T: Transport + ?Sized>(&self, t: &mut T) -> ScenarioResult<WorkerSummary> {
-        t.send(&Message::Join {
-            protocol: PROTOCOL_VERSION,
-        })?;
-        let use_binary = self.framing.use_binary(PROTOCOL_VERSION);
-        let mut summary = WorkerSummary::default();
-        let mut job: Option<Arc<DistJob>> = None;
-        let mut leases_seen: u64 = 0;
+        let binary = self.framing.use_binary(PROTOCOL_VERSION);
+        let (mut session, join) = self.session();
+        let mut steps = VecDeque::from([join]);
         loop {
-            let (start, end) = match self.recv_patient(t)? {
-                Some(Message::SpecHash { hash }) => {
-                    job = Some(self.ready(t, hash, None, &mut summary)?);
-                    continue;
-                }
-                Some(Message::Round {
-                    hash,
-                    round,
-                    allocations,
-                }) => {
-                    job = Some(self.ready(t, hash, Some((round, allocations)), &mut summary)?);
-                    continue;
-                }
-                Some(Message::Lease { start, end }) => (start, end),
-                Some(Message::Done) | None => return Ok(summary),
-                Some(Message::Abort { reason }) => {
-                    return Err(format!("coordinator aborted: {reason}").into())
-                }
-                other => return Err(format!("unexpected frame: {other:?}").into()),
+            let Some(step) = steps.pop_front() else {
+                steps.extend(session.on_frame(self.recv_patient(t)?));
+                continue;
             };
-            let Some(job) = &job else {
-                return Err(format!("lease [{start}, {end}) arrived before any spec").into());
-            };
-            let ordinal = leases_seen;
-            leases_seen += 1;
-            let mut slow_ms = None;
-            match self.plan.fault_at(ordinal) {
-                Some(Fault::Die) => {
-                    // Simulated crash: vanish mid-lease, no reply.
-                    return Err(format!(
-                        "worker fault injection: dropped connection holding lease \
-                         [{start}, {end})"
-                    )
-                    .into());
+            match step {
+                WorkerStep::Send(msg) => {
+                    // An abort is followed by the exit that carries its
+                    // reason, which a failed send must not replace.
+                    if let Err(e) = t.send(&msg) {
+                        if !matches!(msg, Message::Abort { .. }) {
+                            return Err(e.into());
+                        }
+                    }
                 }
-                Some(Fault::Stall) => {
-                    // Go silent holding the lease, then die — the
-                    // coordinator's deadline must fire. Unlike Slow, the
-                    // stall happens *outside* the heartbeat pump: a
-                    // stalled worker must stay silent.
-                    std::thread::sleep(self.plan.stall_hold_duration());
-                    return Err(format!(
-                        "worker fault injection: stalled holding lease [{start}, {end})"
-                    )
-                    .into());
+                WorkerStep::Run { range, delay } => {
+                    let job = Arc::clone(session.job().expect("a lease runs on a confirmed job"));
+                    let cells = self.evaluate(t, &job, range, delay)?;
+                    for step in session.computed(range, cells) {
+                        match step {
+                            // A lease's result goes out in the worker's
+                            // framing.
+                            WorkerStep::Send(msg @ Message::Result { .. }) if binary => {
+                                t.send_binary(&msg)?;
+                            }
+                            step => steps.push_back(step),
+                        }
+                    }
                 }
-                Some(Fault::CorruptWire) => {
-                    let n = CellRange::new(start, end).len() as usize;
-                    t.send(&Message::Result {
-                        start,
-                        end,
-                        cells: vec![Wire::Text("chaos: corrupt cell".into()); n],
-                    })?;
-                    continue;
-                }
-                Some(Fault::Slow { millis }) => {
-                    // Handled inside the evaluation thread so the
-                    // heartbeat pump covers it — a slow worker is alive,
-                    // and must look alive.
-                    slow_ms = Some(*millis);
-                }
-                Some(Fault::WrongHash) | None => {}
-            }
-            let cells = match self.evaluate(t, job, CellRange::new(start, end), slow_ms)? {
-                Ok(cells) => cells,
-                Err(e) => {
-                    let reason = format!("cells [{start}, {end}) failed: {e}");
-                    let _ = t.send(&Message::Abort {
-                        reason: reason.clone(),
-                    });
-                    return Err(reason.into());
-                }
-            };
-            summary.leases_served += 1;
-            summary.cells_run += cells.len() as u64;
-            let msg = Message::Result { start, end, cells };
-            if use_binary {
-                t.send_binary(&msg)?;
-            } else {
-                t.send(&msg)?;
+                WorkerStep::Stall(hold) => std::thread::sleep(hold),
+                WorkerStep::Exit(exit) => return exit.map_err(Into::into),
             }
         }
     }
 
-    /// Answers a job's offer with `Ready`: the spec comes from the
-    /// cache, or from the text the worker asks for. A
-    /// [`Message::SpecHash`] offer (`round` = `None`) runs a grid spec's
-    /// job; a [`Message::Round`] offer builds the round's job over the
-    /// session's runtime and echoes its [`round_digest`].
-    fn ready<T: Transport + ?Sized>(
-        &self,
-        t: &mut T,
-        hash: String,
-        round: Option<(u32, Vec<u64>)>,
-        summary: &mut WorkerSummary,
-    ) -> ScenarioResult<Arc<DistJob>> {
-        let cached = self.cache.get(&hash);
-        let spec = match &cached {
-            Some(spec) => spec.clone(),
-            None => {
-                t.send(&Message::NeedSpec { hash: hash.clone() })?;
-                match self.recv_patient(t)? {
-                    Some(Message::Spec { hash: echoed, text }) if echoed == hash => {
-                        self.compile(t, &hash, &text)?
-                    }
-                    Some(Message::Abort { reason }) => {
-                        return Err(format!("coordinator aborted: {reason}").into())
-                    }
-                    other => return Err(format!("expected Spec for {hash}, got {other:?}").into()),
-                }
-            }
-        };
-        let built = match (spec, round) {
-            (WorkerSpec::Grid(job), None) => Ok((job, hash.clone())),
-            (WorkerSpec::Session(runtime), Some((round, allocations))) => {
-                let digest = round_digest(&hash, round, &allocations);
-                DistJob::round(runtime, round, allocations, self.threads)
-                    .map(|job| (Arc::new(job), digest))
-                    .map_err(|e| e.to_string())
-            }
-            (_, round) => Err(format!(
-                "spec {hash} cannot run the offered {}",
-                if round.is_some() { "round" } else { "grid job" }
-            )),
-        };
-        let (job, echo) = match built {
-            Ok(built) => built,
-            Err(reason) => {
-                let _ = t.send(&Message::Abort {
-                    reason: reason.clone(),
-                });
-                return Err(reason.into());
-            }
-        };
-        if self.plan.wrong_hash() {
-            // Chaos: echo a wrong hash and wait for the coordinator to
-            // cut us off.
-            t.send(&Message::Ready {
-                hash: "fnv1a:0000000000c0ffee".into(),
-            })?;
-            loop {
-                match self.recv_patient(t)? {
-                    Some(Message::Abort { reason }) => {
-                        return Err(format!(
-                            "worker fault injection: wrong hash echoed; coordinator said: {reason}"
-                        )
-                        .into())
-                    }
-                    None => {
-                        return Err("worker fault injection: wrong hash echoed; \
-                                    coordinator hung up"
-                            .into())
-                    }
-                    _ => {}
-                }
-            }
-        }
-        t.send(&Message::Ready { hash: echo })?;
-        summary.jobs += 1;
-        summary.cached_jobs += u64::from(cached.is_some());
-        summary.spec_hash = hash;
-        Ok(job)
-    }
-
-    /// Evaluates a lease's cells with one [`DistJob::run_range`] call
-    /// on a scoped thread while this thread sends a
-    /// [`Message::Progress`] heartbeat every `heartbeat_interval` until
-    /// it returns: a lease that computes longer than the lease deadline
-    /// still heartbeats, so it is never spuriously re-leased or
-    /// quarantined. The outer error is the transport's; the inner one a
-    /// cell's.
+    /// Evaluates a lease's cells with one [`DistJob::run_range`] call,
+    /// after `delay`, on a scoped thread while this thread sends a
+    /// [`Message::Progress`] heartbeat every [`HEARTBEAT_INTERVAL`]
+    /// until it returns: a lease that computes longer than the lease
+    /// deadline still heartbeats, so it is never spuriously re-leased
+    /// or quarantined. The outer error is the transport's; the inner
+    /// one a cell's.
     fn evaluate<T: Transport + ?Sized>(
         &self,
         t: &mut T,
         job: &DistJob,
         range: CellRange,
-        slow_ms: Option<u64>,
+        delay: Duration,
     ) -> std::io::Result<Result<Vec<Wire>, String>> {
         // The evaluation thread holds the sender; its drop on return
         // ends the heartbeat loop.
@@ -1673,16 +1542,15 @@ impl Worker {
         let (evaled, io_err) = std::thread::scope(|s| {
             let eval = s.spawn(move || {
                 let _done = done_tx;
-                if let Some(ms) = slow_ms {
-                    std::thread::sleep(Duration::from_millis(ms));
+                if !delay.is_zero() {
+                    std::thread::sleep(delay);
                 }
                 // Box<dyn Error> is not Send; carry the message across
                 // the join.
                 job.run_range(range).map_err(|e| e.to_string())
             });
             let mut io_err: Option<std::io::Error> = None;
-            while let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(self.heartbeat_interval)
-            {
+            while let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(HEARTBEAT_INTERVAL) {
                 if io_err.is_none() {
                     if let Err(e) = t.send(&Message::Progress {
                         start: range.start,
@@ -1700,53 +1568,6 @@ impl Worker {
             Some(e) => Err(e),
             None => Ok(evaled),
         }
-    }
-
-    /// Verifies `text` against its claimed `hash`, compiles it — a grid
-    /// spec into its [`DistJob`], an un-pinned adaptive spec into its
-    /// session runtime — and caches the result for future connections.
-    fn compile<T: Transport + ?Sized>(
-        &self,
-        t: &mut T,
-        hash: &str,
-        text: &str,
-    ) -> ScenarioResult<WorkerSpec> {
-        if spec_hash(text) != hash {
-            let reason = format!(
-                "spec hash mismatch: coordinator claims {hash}, text hashes to {}",
-                spec_hash(text)
-            );
-            let _ = t.send(&Message::Abort {
-                reason: reason.clone(),
-            });
-            return Err(reason.into());
-        }
-        let scenario = match Scenario::from_spec_text(text) {
-            Ok(s) => s,
-            Err(e) => {
-                let reason = format!("spec does not parse on worker: {e}");
-                let _ = t.send(&Message::Abort {
-                    reason: reason.clone(),
-                });
-                return Err(reason.into());
-            }
-        };
-        let spec = match &scenario.experiment {
-            ExperimentSpec::AdaptivePfd {
-                model,
-                cells,
-                round: None,
-                ..
-            } => {
-                scenario.validate()?;
-                let model = Arc::new(model.build()?);
-                let runtime = AdaptivePfdRuntime::new(model, scenario.seed.seed, *cells)?;
-                WorkerSpec::Session(Arc::new(runtime))
-            }
-            _ => WorkerSpec::Grid(Arc::new(DistJob::new(scenario, self.threads)?)),
-        };
-        self.cache.insert(hash.to_string(), spec.clone());
-        Ok(spec)
     }
 }
 
@@ -2065,7 +1886,8 @@ mod tests {
     /// deadline used to heartbeat only *between* chunks, so a slow but
     /// healthy worker was spuriously re-leased (and with strict strikes,
     /// quarantined). The wall-clock heartbeat pump must keep the lease
-    /// alive through the whole computation.
+    /// alive through the whole computation: here a 1 s lease against a
+    /// 400 ms deadline, twice [`HEARTBEAT_INTERVAL`].
     #[test]
     fn slow_lease_heartbeats_outlive_the_deadline() {
         let ctx = Context::smoke();
@@ -2074,13 +1896,12 @@ mod tests {
         let coordinator = Coordinator::new(scenario)
             .unwrap()
             .lease_cells(1_000_000) // leases as large as guided sizing allows
-            .lease_timeout(Duration::from_millis(150));
+            .lease_timeout(2 * HEARTBEAT_INTERVAL);
         let (mut worker_ends, coord_ends) = duplex_pairs(1);
         let handle = std::thread::spawn(move || {
             Worker::new()
                 .threads(1)
-                .heartbeat_interval(Duration::from_millis(40))
-                .fault_plan(FaultPlan::new().inject(0, Fault::Slow { millis: 500 }))
+                .fault_plan(FaultPlan::new().inject(0, Fault::Slow { millis: 1_000 }))
                 .serve(&mut worker_ends[0])
                 .map_err(|e| e.to_string())
         });
@@ -2127,7 +1948,7 @@ mod tests {
         // A worker sending JSON results next to one sending binary.
         let handles: Vec<_> = worker_ends
             .into_iter()
-            .zip([FramingMode::Json, FramingMode::Binary])
+            .zip([FramingMode::Json, FramingMode::Auto])
             .map(|(mut t, framing)| {
                 std::thread::spawn(move || {
                     Worker::new()

@@ -1,9 +1,8 @@
 //! Chaos injection for the distributed runtime: declarative worker
 //! fault plans and deterministic seeded failure schedules.
 //!
-//! PR 5's `fail_after_leases` could only make a worker vanish. A
-//! [`FaultPlan`] generalises that into the full menagerie the
-//! coordinator must survive:
+//! A [`FaultPlan`] makes a worker fail in each way the coordinator must
+//! survive:
 //!
 //! | fault | what the worker does | what the coordinator must do |
 //! |---|---|---|
@@ -17,10 +16,11 @@
 //! the worker has received, 0-based), so a schedule is reproducible for
 //! a given fleet shape. [`FaultPlan::seeded`] derives a whole schedule
 //! from one integer via the same SplitMix64 stream the sweep engine
-//! uses — `tests/dist_chaos.rs` sweeps seeds, on real pipes and on its
-//! virtual-clock fleet simulator, which applies the same plans to
-//! simulated workers, and asserts the one invariant that matters:
-//! **any fault history folds to bit-identical results**.
+//! uses. A worker's [`WorkerSession`](super::WorkerSession) serves its
+//! plan, so `tests/dist_chaos.rs` sweeps seeded plans through the same
+//! code on real pipes and on its virtual-clock fleet simulator, and
+//! asserts the one invariant that matters: **any fault history folds
+//! to bit-identical results**.
 //!
 //! Plans round-trip through a compact text form (`die@1,slow:40@2` …)
 //! so `scenario_run` can carry them across process boundaries

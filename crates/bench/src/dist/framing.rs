@@ -63,19 +63,16 @@ pub enum FramingMode {
     /// Always JSON lines (the `DIVREL_DIST_FRAMING=json` override): a
     /// debugging aid for capturing readable traffic.
     Json,
-    /// Always binary (the `DIVREL_DIST_FRAMING=binary` override), the
-    /// same as the default.
-    Binary,
 }
 
 impl FramingMode {
-    /// Reads the `DIVREL_DIST_FRAMING` override (`json` / `binary`);
-    /// anything else (including unset) is [`FramingMode::Auto`].
+    /// Reads the `DIVREL_DIST_FRAMING` override: `json` is
+    /// [`FramingMode::Json`], anything else (including unset) is
+    /// [`FramingMode::Auto`].
     #[must_use]
     pub fn from_env() -> Self {
         match std::env::var("DIVREL_DIST_FRAMING").as_deref() {
             Ok("json") => FramingMode::Json,
-            Ok("binary") => FramingMode::Binary,
             _ => FramingMode::Auto,
         }
     }
@@ -381,6 +378,5 @@ mod tests {
         let v4 = super::super::PROTOCOL_VERSION;
         assert!(FramingMode::Auto.use_binary(v4));
         assert!(!FramingMode::Json.use_binary(v4));
-        assert!(FramingMode::Binary.use_binary(v4));
     }
 }

@@ -28,7 +28,7 @@
 //!   only after its record is appended; without one, on admission.
 //! * **First write wins.** A result for a lease that already went back
 //!   in the queue is still accepted; duplicate cells keep their first
-//!   value.
+//!   value, and no later grant leases an accepted cell.
 //! * **Quarantine.** A wrong protocol, spec hash or round digest, a
 //!   corrupt stream or payload, a forged cell, or any frame the
 //!   protocol does not expect (a `Progress` or `Result` naming no lease
@@ -595,7 +595,10 @@ impl Scheduler {
     }
 
     /// Tops up every ready worker's pipeline from the eligible queue,
-    /// in worker order.
+    /// in worker order. A lease never names an accepted cell: a late
+    /// result can accept cells whose requeued pieces are still queued,
+    /// so a claim skips the accepted cells at the front of its piece and
+    /// ends at the next one.
     fn grant(&mut self) {
         if self.drained() {
             return;
@@ -613,11 +616,21 @@ impl Scheduler {
                 let unleased = self.pending.iter().map(|p| p.range.len()).sum();
                 let size = guided_lease_size(self.workers[w].grant, unleased, live);
                 let rest = &mut self.pending[pos];
+                let accepted = |k: u64| self.accepted[k as usize];
+                while rest.range.start < rest.range.end && accepted(rest.range.start) {
+                    rest.range.start += 1;
+                }
                 let mut lease = *rest;
                 lease.range.end = rest.range.end.min(rest.range.start + size);
+                lease.range.end = (lease.range.start..lease.range.end)
+                    .find(|&k| accepted(k))
+                    .unwrap_or(lease.range.end);
                 rest.range.start = lease.range.end;
                 if rest.range.is_empty() {
                     self.pending.remove(pos);
+                }
+                if lease.range.is_empty() {
+                    continue;
                 }
                 self.stats.leases += 1;
                 let (start, end) = (lease.range.start, lease.range.end);
@@ -688,7 +701,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::dist::{Plan, DEFAULT_LEASE_CELLS};
-    use crate::scenario::presets;
+    use crate::scenario::Scenario;
     use crate::Context;
 
     #[test]
@@ -760,14 +773,17 @@ mod tests {
         assert!(missing_ranges(&[Some(w)], 8).is_empty());
     }
 
-    /// A late result that completes a journaled job leases nothing
-    /// more, although the timed-out lease's piece is back in the queue
-    /// and past its backoff: its cells count as accepted before they are
-    /// journaled and published.
-    #[test]
-    fn a_late_result_completing_a_journaled_job_leases_nothing_more() {
-        let timeout = Duration::from_secs(1);
-        let coordinator = Coordinator::new(presets::mc(&Context::smoke()))
+    /// A scheduler over the E16 smoke preset (100 cells) at 1-cell
+    /// leases and `timeout`, every cell but those of `missing`
+    /// preloaded, with one worker joined and ready; returns it with the
+    /// genuine cells of `missing`.
+    fn ready_with_missing(
+        timeout: Duration,
+        missing: std::ops::Range<usize>,
+        journaling: bool,
+    ) -> (Scheduler, Vec<Wire>) {
+        let e16 = Scenario::preset_with("E16", &Context::smoke()).unwrap();
+        let coordinator = Coordinator::new(e16)
             .unwrap()
             .lease_cells(1)
             .lease_timeout(timeout);
@@ -782,21 +798,39 @@ mod tests {
             .into_iter()
             .map(Some)
             .collect();
-        let last = cells[0].take().into_iter().collect::<Vec<_>>();
+        let genuine = cells[missing].iter_mut().map(|c| c.take().unwrap());
+        let genuine = genuine.collect();
         let mut sched = Scheduler::new(&coordinator, 1);
-        sched.start_job(Duration::ZERO, Arc::clone(job), cells, true);
-        let frame = |msg| Some(FleetEvent::Frame(0, msg));
+        sched.start_job(Duration::ZERO, Arc::clone(job), cells, journaling);
         let protocol = PROTOCOL_VERSION;
         sched.advance(Duration::ZERO, frame(Message::Join { protocol }));
         let hash = job.hash.clone();
         sched.advance(Duration::ZERO, frame(Message::Ready { hash }));
-        let leases = |actions: Vec<Action>| -> Vec<(u64, u64)> {
-            let leases = actions.into_iter().filter_map(|a| match a {
-                Action::Send(_, Message::Lease { start, end }) => Some((start, end)),
-                _ => None,
-            });
-            leases.collect()
-        };
+        (sched, genuine)
+    }
+
+    /// `msg` from worker 0.
+    fn frame(msg: Message) -> Option<FleetEvent> {
+        Some(FleetEvent::Frame(0, msg))
+    }
+
+    /// The `[start, end)` of each lease among `actions`.
+    fn leases(actions: Vec<Action>) -> Vec<(u64, u64)> {
+        let leases = actions.into_iter().filter_map(|a| match a {
+            Action::Send(_, Message::Lease { start, end }) => Some((start, end)),
+            _ => None,
+        });
+        leases.collect()
+    }
+
+    /// A late result that completes a journaled job leases nothing
+    /// more, although the timed-out lease's piece is back in the queue
+    /// and past its backoff: its cells count as accepted before they are
+    /// journaled and published.
+    #[test]
+    fn a_late_result_completing_a_journaled_job_leases_nothing_more() {
+        let timeout = Duration::from_secs(1);
+        let (mut sched, last) = ready_with_missing(timeout, 0..1, true);
         assert_eq!(leases(sched.take_actions()), [(0, 1)]);
         // The lease misses its deadline and goes back in the queue.
         sched.advance(timeout + Duration::from_millis(1), None);
@@ -820,6 +854,29 @@ mod tests {
         };
         sched.publish(from, range, cells);
         assert_eq!(sched.state(), JobState::Done);
-        assert_eq!(sched.finish_job().unwrap().0.len() as u64, n);
+        let n = sched.cells.len();
+        assert_eq!(sched.finish_job().unwrap().0.len(), n);
+    }
+
+    /// A late result accepts cells whose requeued pieces are still in
+    /// the queue, and no later lease names them: two 1-cell leases time
+    /// out, the first one's result arrives past its backoff, and only
+    /// the second cell goes out again.
+    #[test]
+    fn a_late_result_keeps_its_cells_out_of_later_leases() {
+        let timeout = Duration::from_secs(1);
+        let (mut sched, mut genuine) = ready_with_missing(timeout, 0..2, false);
+        assert_eq!(leases(sched.take_actions()), [(0, 1), (1, 2)]);
+        sched.advance(timeout + Duration::from_millis(1), None);
+        assert_eq!(sched.stats.retries, 2);
+        assert!(leases(sched.take_actions()).is_empty());
+        genuine.truncate(1);
+        let result = Message::Result {
+            start: 0,
+            end: 1,
+            cells: genuine,
+        };
+        sched.advance(timeout + BACKOFF_CAP, frame(result));
+        assert_eq!(leases(sched.take_actions()), [(1, 2)]);
     }
 }

@@ -287,7 +287,7 @@ impl SweepReduce for PfdSampleSweep {
 pub const PFD_SAMPLES_PER_CELL: usize = 512;
 
 /// Draws `samples` development-process PFD observations over a sharded
-/// grid (the `mc_10k_pairs` workload as a sweep): cells of
+/// grid (the Monte-Carlo pair experiment as a sweep): cells of
 /// [`PFD_SAMPLES_PER_CELL`] pairs, each sampled from its split stream.
 ///
 /// # Errors

@@ -12,24 +12,25 @@
 //! on a stalled peer.
 //!
 //! The simulator ([`SimFleet`]) implements the coordinator's [`Fleet`]
-//! seam on a virtual clock: simulated workers follow
-//! [`Worker::serve`]'s protocol and fault plans, and seeded compute
-//! times and frame delays set the interleaving, so thousands of
-//! schedules run in the time one wall-clock stall takes. Each schedule
-//! checks that the outcome is bit-identical to the single-process
-//! [`Scenario::run`], that a journal halted after `K` appends holds
-//! exactly the `K` records the schedule implies and resumes to the same
-//! bits, and that every cell came from the journal, a worker or the
-//! in-process recovery.
+//! seam on a virtual clock. Each simulated worker is a real
+//! [`WorkerSession`], the protocol [`Worker::serve`] drives, under its
+//! fault plan; seeded compute times and frame delays set the
+//! interleaving, so thousands of schedules run in the time one
+//! wall-clock stall takes. Each schedule checks that the outcome is
+//! bit-identical to the single-process [`Scenario::run`], that a
+//! journal halted after `K` appends holds exactly the `K` records the
+//! schedule implies and resumes to the same bits, that every cell came
+//! from the journal, a worker or the in-process recovery, that no
+//! worker is shipped a spec twice, and that no lease names a cell that
+//! already came in.
 
 use divrel::devsim::sweep::CellRange;
 use divrel::numerics::sweep::split_seed;
 use divrel::numerics::wire::Wire;
-use divrel_bench::adaptive::RoundPlan;
 use divrel_bench::dist::{
-    round_digest, round_journal_path, spec_hash, Coordinator, DistJob, DistRun, DistStats, Fault,
-    FaultPlan, Fleet, FleetEvent, JsonLines, Message, Transport, Worker, WorkerSummary,
-    PROTOCOL_VERSION,
+    round_journal_path, Coordinator, DistJob, DistRun, DistStats, Fault, FaultPlan, Fleet,
+    FleetEvent, JsonLines, Message, Transport, Worker, WorkerSession, WorkerStep, WorkerSummary,
+    HEARTBEAT_INTERVAL,
 };
 use divrel_bench::scenario::{ExperimentSpec, Scenario, ScenarioOutcome};
 use divrel_bench::Context;
@@ -463,38 +464,17 @@ impl Rng {
     }
 }
 
-/// A job offer: a grid spec's hash, or an adaptive round's session
-/// hash with its round and allocation.
-type Offer = (String, Option<(u32, Vec<u64>)>);
-
-/// Every cell of the job `offer` names over the spec `text`, with the
-/// job's identity (the spec hash or the round digest), computed once per
-/// identity by the job a worker compiles: `DistJob::run_range` is a
-/// pure function of spec and range, so a slice of this is what any
-/// worker returns. A round's job is its round pinned into the session's
-/// spec, which folds to the bits of the job built over the session's
-/// runtime.
-fn job_cells(offer: &Offer, text: &str) -> (String, Arc<Vec<Wire>>) {
+/// Every cell of the job a worker's `Ready` confirmed, under the
+/// identity it echoed (a spec hash or a round digest), computed once per
+/// identity from the worker's own job: `DistJob::run_range` is a pure
+/// function of the job and the range, so a slice of this is what the
+/// worker's run of any lease returns.
+fn job_cells(identity: &str, job: &DistJob) -> Arc<Vec<Wire>> {
     static CELLS: OnceLock<Mutex<HashMap<String, Arc<Vec<Wire>>>>> = OnceLock::new();
-    let (hash, round) = offer;
-    let identity = match round {
-        Some((round, allocations)) => round_digest(hash, *round, allocations),
-        None => hash.clone(),
-    };
     let cache = CELLS.get_or_init(Mutex::default);
-    if let Some(cells) = cache.lock().expect("cell cache").get(&identity) {
-        return (identity, Arc::clone(cells));
+    if let Some(cells) = cache.lock().expect("cell cache").get(identity) {
+        return Arc::clone(cells);
     }
-    let mut scenario = Scenario::from_spec_text(text).expect("the coordinator's spec parses");
-    if let (Some((round, allocations)), ExperimentSpec::AdaptivePfd { round: slot, .. }) =
-        (round, &mut scenario.experiment)
-    {
-        *slot = Some(RoundPlan {
-            round: *round,
-            allocations: allocations.clone(),
-        });
-    }
-    let job = DistJob::new(scenario, 1).expect("the coordinator's spec compiles");
     let cells = Arc::new(
         job.run_range(CellRange::new(0, job.cell_count()))
             .expect("cells evaluate"),
@@ -502,41 +482,38 @@ fn job_cells(offer: &Offer, text: &str) -> (String, Arc<Vec<Wire>>) {
     cache
         .lock()
         .expect("cell cache")
-        .insert(identity.clone(), Arc::clone(&cells));
-    (identity, cells)
+        .insert(identity.to_string(), Arc::clone(&cells));
+    cells
 }
 
 /// What a simulated worker does besides serving its fault plan.
 #[derive(Clone, Copy, PartialEq)]
 enum Behaviour {
-    /// `Worker::serve`'s protocol.
+    /// Serves its session.
     Faithful,
     /// Joins and answers `Ready`, then heartbeats a range it was never
     /// leased every 40 ms and runs no lease.
     BogusHeartbeat,
 }
 
-/// One simulated worker: `Worker::serve` as a state machine on the
-/// virtual clock.
+/// One simulated worker: a real [`WorkerSession`] driven on the virtual
+/// clock.
 struct SimWorker {
     behaviour: Behaviour,
-    plan: FaultPlan,
-    /// The spec texts this worker has compiled, by hash (its
-    /// `SpecCache`).
-    cached: HashMap<String, String>,
-    /// The job it is ready on: its identity and cells.
+    session: WorkerSession,
+    /// The session's steps not yet carried out: those after a run or a
+    /// stall wait for it to end.
+    steps: VecDeque<WorkerStep>,
+    /// The job it is ready on: the identity its `Ready` echoed, and the
+    /// job's cells.
     job: Option<(String, Arc<Vec<Wire>>)>,
-    /// The offer it asked the spec for with `NeedSpec`.
-    awaiting_spec: Option<Offer>,
-    /// After a wrong-hash `Ready`, it waits to be cut off.
-    wrong_hash_echoed: bool,
-    leases_seen: u64,
     /// Frames delivered but not yet read, `None` for end of stream.
     inbox: VecDeque<Option<Message>>,
-    /// Computing a lease, stalled, or done: reads nothing.
+    /// Running a lease, stalled, or done: reads nothing.
     busy: bool,
-    /// The ordinal of the lease it is computing.
-    computing: Option<u64>,
+    /// Runs started, and the one in progress with its range.
+    runs: u64,
+    running: Option<(u64, CellRange)>,
     exited: bool,
     /// Per-cell compute time.
     cell_cost: Duration,
@@ -546,21 +523,22 @@ struct SimWorker {
     to_coordinator_at: Duration,
     /// The coordinator closed its side of the stream.
     closed: bool,
+    /// The spec hashes the coordinator shipped it.
+    shipped: BTreeSet<String>,
 }
 
 /// A scheduled happening on the virtual clock.
 enum Sim {
     /// A frame (or end of stream) reaches worker `i`.
     ToWorker(usize, Option<Message>),
-    /// Worker `i` finishes computing its lease of this ordinal,
-    /// `[start, end)`.
-    Computed(usize, u64, u64, u64),
-    /// Worker `i`'s heartbeat timer for its lease of this ordinal.
-    Heartbeat(usize, u64, u64, u64),
+    /// Worker `i` finishes computing its run of this number.
+    Computed(usize, u64),
+    /// Worker `i`'s heartbeat timer for its run of this number.
+    Heartbeat(usize, u64),
     /// A bogus heartbeat from worker `i`.
     Bogus(usize),
-    /// A stalled worker `i` gives up and drops its connection.
-    Wake(usize),
+    /// Worker `i`'s stall ends.
+    Resume(usize),
     /// An event reaches the coordinator.
     ToCoordinator(FleetEvent),
 }
@@ -575,18 +553,15 @@ struct SimFleet {
     queue: BTreeMap<(Duration, u64), Sim>,
     workers: Vec<SimWorker>,
     /// Results the coordinator received from workers still in the
-    /// session, with genuine cells: `(job hash, range)`, in order.
+    /// session, with genuine cells: `(job identity, range)`, in order.
     accepted: Vec<(String, CellRange)>,
     /// Events handled, to catch a livelock.
     steps: u64,
 }
 
-/// Heartbeat cadence of a computing worker (`Worker`'s default).
-const HEARTBEAT: Duration = Duration::from_millis(200);
-
 impl SimFleet {
     /// A fleet of `workers` simulated workers drawn from `seed`; each
-    /// sends its `Join` after a seeded delay.
+    /// starts its session, sending its `Join` after a seeded delay.
     fn new(seed: u64, workers: &[(Behaviour, FaultPlan)]) -> Self {
         let mut fleet = SimFleet {
             now: Duration::ZERO,
@@ -599,31 +574,27 @@ impl SimFleet {
         };
         for (behaviour, plan) in workers {
             let cell_cost = Duration::from_micros(fleet.rng.range(100, 4_000));
+            let worker = Worker::new().threads(1).fault_plan(plan.clone());
+            let (session, join) = worker.session();
             fleet.workers.push(SimWorker {
                 behaviour: *behaviour,
-                plan: plan.clone(),
-                cached: HashMap::new(),
+                session,
+                steps: VecDeque::from([join]),
                 job: None,
-                awaiting_spec: None,
-                wrong_hash_echoed: false,
-                leases_seen: 0,
                 inbox: VecDeque::new(),
                 busy: false,
-                computing: None,
+                runs: 0,
+                running: None,
                 exited: false,
                 cell_cost,
                 to_worker_at: Duration::ZERO,
                 to_coordinator_at: Duration::ZERO,
                 closed: false,
+                shipped: BTreeSet::new(),
             });
         }
         for w in 0..workers.len() {
-            fleet.reply(
-                w,
-                Message::Join {
-                    protocol: PROTOCOL_VERSION,
-                },
-            );
+            fleet.run_worker(w);
         }
         fleet
     }
@@ -655,132 +626,79 @@ impl SimFleet {
         self.upstream(w, FleetEvent::Frame(w, msg));
     }
 
-    /// Worker `w`'s `serve` returns: its stream closes after its last
+    /// Worker `w`'s session ends: its stream closes after its last
     /// frame.
     fn exit(&mut self, w: usize) {
         let worker = &mut self.workers[w];
         worker.exited = true;
         worker.busy = true;
-        worker.computing = None;
+        worker.running = None;
         worker.inbox.clear();
+        worker.steps.clear();
         self.upstream(w, FleetEvent::Closed(w, None));
     }
 
-    /// Lets worker `w` read its inbox until it blocks.
+    /// Lets worker `w` carry out its session's steps, reading its inbox
+    /// whenever they run out, until it blocks.
     fn run_worker(&mut self, w: usize) {
         while !self.workers[w].busy {
-            let Some(frame) = self.workers[w].inbox.pop_front() else {
+            let worker = &mut self.workers[w];
+            if let Some(step) = worker.steps.pop_front() {
+                self.carry_out(w, step);
+            } else if let Some(frame) = worker.inbox.pop_front() {
+                let steps = worker.session.on_frame(frame);
+                worker.steps.extend(steps);
+            } else {
                 return;
-            };
-            self.read(w, frame);
+            }
         }
     }
 
-    /// Worker `w` reads one frame, as `Worker::serve` would.
-    fn read(&mut self, w: usize, frame: Option<Message>) {
-        let worker = &self.workers[w];
-        if worker.wrong_hash_echoed {
-            if matches!(frame, None | Some(Message::Abort { .. })) {
-                self.exit(w);
-            }
-            return;
-        }
-        if let Some(offer) = worker.awaiting_spec.clone() {
-            match frame {
-                Some(Message::Spec { hash, text }) if hash == offer.0 => {
-                    assert_eq!(spec_hash(&text), hash, "the coordinator's spec hashes");
-                    let worker = &mut self.workers[w];
-                    let shipped = worker.cached.insert(hash, text);
-                    assert!(shipped.is_none(), "a spec shipped to worker {w} twice");
-                    worker.awaiting_spec = None;
-                    self.offered(w, offer);
+    /// Worker `w` carries out one step of its session, as
+    /// `Worker::serve` does on real time.
+    fn carry_out(&mut self, w: usize, step: WorkerStep) {
+        match step {
+            WorkerStep::Send(msg) => {
+                let ready = matches!(msg, Message::Ready { .. });
+                if let (Message::Ready { hash }, Some(job)) = (&msg, self.workers[w].session.job())
+                {
+                    self.workers[w].job = Some((hash.clone(), job_cells(hash, job)));
                 }
-                _ => self.exit(w),
+                self.reply(w, msg);
+                if ready && self.workers[w].behaviour == Behaviour::BogusHeartbeat {
+                    self.workers[w].busy = true;
+                    self.at(self.now + Duration::from_millis(40), Sim::Bogus(w));
+                }
             }
-            return;
-        }
-        match frame {
-            Some(Message::SpecHash { hash }) => self.offer(w, (hash, None)),
-            Some(Message::Round {
-                hash,
-                round,
-                allocations,
-            }) => self.offer(w, (hash, Some((round, allocations)))),
-            Some(Message::Lease { start, end }) => self.lease(w, start, end),
-            // `Done`, an abort, end of stream, or a frame out of turn.
-            _ => self.exit(w),
-        }
-    }
-
-    /// Worker `w` is offered a job: from its cache, or after asking for
-    /// the spec.
-    fn offer(&mut self, w: usize, offer: Offer) {
-        if self.workers[w].cached.contains_key(&offer.0) {
-            self.offered(w, offer);
-        } else {
-            let hash = offer.0.clone();
-            self.workers[w].awaiting_spec = Some(offer);
-            self.reply(w, Message::NeedSpec { hash });
-        }
-    }
-
-    /// Worker `w` builds the offered job from its cached spec.
-    fn offered(&mut self, w: usize, offer: Offer) {
-        let text = &self.workers[w].cached[&offer.0];
-        let (identity, cells) = job_cells(&offer, text);
-        self.ready(w, identity, cells);
-    }
-
-    fn ready(&mut self, w: usize, hash: String, cells: Arc<Vec<Wire>>) {
-        if self.workers[w].plan.wrong_hash() {
-            self.workers[w].wrong_hash_echoed = true;
-            self.reply(
-                w,
-                Message::Ready {
-                    hash: "fnv1a:0000000000c0ffee".into(),
-                },
-            );
-            return;
-        }
-        self.workers[w].job = Some((hash.clone(), cells));
-        self.reply(w, Message::Ready { hash });
-        if self.workers[w].behaviour == Behaviour::BogusHeartbeat {
-            self.workers[w].busy = true;
-            self.at(self.now + Duration::from_millis(40), Sim::Bogus(w));
-        }
-    }
-
-    fn lease(&mut self, w: usize, start: u64, end: u64) {
-        if self.workers[w].job.is_none() {
-            return self.exit(w);
-        }
-        let ordinal = self.workers[w].leases_seen;
-        self.workers[w].leases_seen += 1;
-        let mut compute = self.workers[w].cell_cost * (end - start) as u32;
-        if self.rng.range(0, 9) == 0 {
-            // Now and then a lease runs far past any deadline, and
-            // only its heartbeats keep it alive.
-            compute += self.rng.ms(200, 1_500);
-        }
-        match self.workers[w].plan.fault_at(ordinal).cloned() {
-            Some(Fault::Die) => return self.exit(w),
-            Some(Fault::Stall) => {
+            WorkerStep::Run { range, delay } => {
+                let mut compute = self.workers[w].cell_cost * range.len() as u32 + delay;
+                if self.rng.range(0, 9) == 0 {
+                    // Now and then a lease runs far past any deadline,
+                    // and only its heartbeats keep it alive.
+                    compute += self.rng.ms(200, 1_500);
+                }
+                let worker = &mut self.workers[w];
+                worker.runs += 1;
+                let run = worker.runs;
+                worker.busy = true;
+                worker.running = Some((run, range));
+                self.at(self.now + compute, Sim::Computed(w, run));
+                self.at(self.now + HEARTBEAT_INTERVAL, Sim::Heartbeat(w, run));
+            }
+            WorkerStep::Stall(hold) => {
                 self.workers[w].busy = true;
-                let hold = self.workers[w].plan.stall_hold_duration();
-                return self.at(self.now + hold, Sim::Wake(w));
+                self.at(self.now + hold, Sim::Resume(w));
             }
-            Some(Fault::CorruptWire) => {
-                let n = (end - start) as usize;
-                let cells = vec![Wire::Text("chaos: corrupt cell".into()); n];
-                return self.reply(w, Message::Result { start, end, cells });
-            }
-            Some(Fault::Slow { millis }) => compute += Duration::from_millis(millis),
-            Some(Fault::WrongHash) | None => {}
+            WorkerStep::Exit(_) => self.exit(w),
         }
-        self.workers[w].busy = true;
-        self.workers[w].computing = Some(ordinal);
-        self.at(self.now + compute, Sim::Computed(w, ordinal, start, end));
-        self.at(self.now + HEARTBEAT, Sim::Heartbeat(w, ordinal, start, end));
+    }
+
+    /// Worker `w`'s run of number `run`, if it is the one in progress.
+    fn running(&self, w: usize, run: u64) -> Option<CellRange> {
+        match self.workers[w].running {
+            Some((current, range)) if current == run => Some(range),
+            _ => None,
+        }
     }
 
     /// Handles one happening addressed to a worker.
@@ -792,23 +710,24 @@ impl SimFleet {
                     self.run_worker(w);
                 }
             }
-            Sim::Computed(w, ordinal, start, end) => {
-                if self.workers[w].computing != Some(ordinal) {
+            Sim::Computed(w, run) => {
+                let Some(range) = self.running(w, run) else {
                     return;
-                }
+                };
                 let (_, cells) = self.workers[w].job.as_ref().expect("a leased job");
-                let cells = cells[start as usize..end as usize].to_vec();
-                self.reply(w, Message::Result { start, end, cells });
+                let cells = cells[range.start as usize..range.end as usize].to_vec();
                 let worker = &mut self.workers[w];
-                worker.computing = None;
+                worker.running = None;
                 worker.busy = false;
+                let steps = worker.session.computed(range, Ok(cells));
+                worker.steps.extend(steps);
                 self.run_worker(w);
             }
-            Sim::Heartbeat(w, ordinal, start, end) => {
-                if self.workers[w].computing == Some(ordinal) {
+            Sim::Heartbeat(w, run) => {
+                if let Some(CellRange { start, end }) = self.running(w, run) {
                     self.reply(w, Message::Progress { start, end });
-                    let next = self.now + HEARTBEAT;
-                    self.at(next, Sim::Heartbeat(w, ordinal, start, end));
+                    let next = self.now + HEARTBEAT_INTERVAL;
+                    self.at(next, Sim::Heartbeat(w, run));
                 }
             }
             Sim::Bogus(w) => {
@@ -825,9 +744,10 @@ impl SimFleet {
                     self.exit(w);
                 }
             }
-            Sim::Wake(w) => {
+            Sim::Resume(w) => {
                 if !self.workers[w].exited {
-                    self.exit(w);
+                    self.workers[w].busy = false;
+                    self.run_worker(w);
                 }
             }
             Sim::ToCoordinator(_) => unreachable!("delivered by wait"),
@@ -857,18 +777,17 @@ impl Fleet for SimFleet {
     }
 
     fn send(&mut self, worker: usize, msg: Message) {
-        if let (Message::Lease { start, end }, Some((hash, cells))) =
-            (&msg, &self.workers[worker].job)
-        {
-            // A job whose every cell came in needs no more leases.
-            let mut covered = vec![false; cells.len()];
-            for range in accepted(self, hash) {
-                covered[range.start as usize..range.end as usize].fill(true);
-            }
-            assert!(
-                covered.contains(&false),
-                "worker {worker} leased [{start}, {end}) after every cell of job {hash} came in"
-            );
+        match (&msg, &self.workers[worker].job) {
+            (Message::Spec { hash, .. }, _) => assert!(
+                self.workers[worker].shipped.insert(hash.clone()),
+                "spec {hash} shipped to worker {worker} twice"
+            ),
+            // A lease never names a cell that already came in.
+            (Message::Lease { start, end }, Some((hash, _))) => assert!(
+                accepted(self, hash).all(|r| r.end <= *start || *end <= r.start),
+                "worker {worker} leased [{start}, {end}) of job {hash}, some of whose cells came in"
+            ),
+            _ => {}
         }
         if self.workers[worker].closed {
             return;

@@ -244,7 +244,9 @@ fn a_worker_lost_in_round_zero_stays_out_of_later_rounds() {
     let survivor = Worker::new()
         .threads(2)
         .fault_plan(FaultPlan::new().inject(0, Fault::Slow { millis: 200 }));
-    let doomed = Worker::new().threads(2).fail_after_leases(1);
+    let doomed = Worker::new()
+        .threads(2)
+        .fault_plan(FaultPlan::new().inject(1, Fault::Die));
     let (run, exits) = run_fleet(&coordinator, vec![doomed, survivor]);
     assert_bit_identical(
         &format!("{name} after a round-0 loss"),
@@ -329,7 +331,10 @@ fn killed_worker_mid_lease_is_reissued_and_stays_bit_identical() {
     let coordinator = Coordinator::new(scenario).expect("compiles").lease_cells(5);
     let (run, exits) = run_fleet(
         &coordinator,
-        vec![Worker::new().fail_after_leases(1), Worker::new().threads(2)],
+        vec![
+            Worker::new().fault_plan(FaultPlan::new().inject(1, Fault::Die)),
+            Worker::new().threads(2),
+        ],
     );
     assert_bit_identical(&format!("{name} after worker kill"), &run.outcome, &single);
     assert!(
@@ -366,8 +371,8 @@ fn whole_fleet_loss_degrades_to_in_process_execution() {
     let (run, exits) = run_fleet(
         &coordinator,
         vec![
-            Worker::new().fail_after_leases(1),
-            Worker::new().fail_after_leases(1),
+            Worker::new().fault_plan(FaultPlan::new().inject(1, Fault::Die)),
+            Worker::new().fault_plan(FaultPlan::new().inject(1, Fault::Die)),
         ],
     );
     assert_bit_identical("E16 after whole-fleet loss", &run.outcome, &single);

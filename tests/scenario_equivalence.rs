@@ -9,6 +9,9 @@
 //!    `f64::to_bits`).
 //! 3. **Committed example specs stay loadable** — every file in
 //!    `scenarios/` parses and validates.
+//! 4. **Hostile spec text is refused, never a panic** — arbitrary
+//!    strings and committed specs mutated with TOML's structural tokens
+//!    either load or fail with a typed error.
 
 use divrel::demand::mapping::FaultRegionMap;
 use divrel::demand::profile::Profile;
@@ -26,6 +29,7 @@ use divrel_bench::experiments::knight_leveson::student_experiment_model;
 use divrel_bench::experiments::workloads;
 use divrel_bench::scenario::{presets, ExperimentSpec, Scenario};
 use divrel_bench::sweep::{forced_sweep, kl_sweep};
+use divrel_bench::toml::TomlError;
 use divrel_bench::Context;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -499,5 +503,118 @@ proptest! {
             Err(e) => return Err(format!("TOML reparse failed: {e}\n{toml}")),
         };
         prop_assert_eq!(back, scenario);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile spec text.
+// ---------------------------------------------------------------------
+
+/// The committed specs' texts.
+fn committed_spec_texts() -> &'static [String] {
+    static TEXTS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+    TEXTS.get_or_init(|| {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("scenarios/ directory exists")
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|path| path.extension().is_some_and(|e| e == "toml"))
+            .collect();
+        paths.sort();
+        let texts = paths
+            .iter()
+            .map(|p| std::fs::read_to_string(p).expect("spec reads"));
+        texts.collect()
+    })
+}
+
+/// TOML's structural tokens, escapes, and numbers at the edges of what
+/// the parser reads.
+const TOML_TOKENS: &[&str] = &[
+    "[",
+    "]",
+    "[[",
+    "]]",
+    "{",
+    "}",
+    "=",
+    ",",
+    ".",
+    "\"",
+    "'",
+    "\"\"\"",
+    "'''",
+    "#",
+    "\n",
+    "\\",
+    "\\u",
+    "-",
+    "+",
+    "inf",
+    "nan",
+    "0x",
+    "1e999",
+    "18446744073709551616",
+    "true",
+    " ",
+];
+
+/// `text` with each edit applied, in characters: `(0, at, t)` inserts
+/// token `t` at `at`, `(1, at, t)` puts it in place of the character
+/// there, and `(2, at, _)` deletes from `at` to the end of its line.
+fn mutate_spec(text: &str, edits: Vec<(u8, usize, usize)>) -> String {
+    let mut chars: Vec<char> = text.chars().collect();
+    for (op, at, token) in edits {
+        let at = at % (chars.len() + 1);
+        let token = TOML_TOKENS[token % TOML_TOKENS.len()].chars();
+        match op {
+            0 => drop(chars.splice(at..at, token)),
+            1 => drop(chars.splice(at..(at + 1).min(chars.len()), token)),
+            _ => {
+                let end = chars[at..].iter().position(|&c| c == '\n');
+                chars.drain(at..end.map_or(chars.len(), |n| at + n));
+            }
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// Feeds `text` through the TOML reader and the spec loader: each
+/// either accepts it or returns its typed error, and a loaded spec
+/// validates or is refused.
+fn load_hostile(text: &str) -> Result<(), String> {
+    let parsed: Result<_, TomlError> = divrel_bench::toml::parse(text);
+    match Scenario::from_spec_text(text) {
+        Ok(scenario) => {
+            prop_assert!(parsed.is_ok() || text.trim_start().starts_with('{'));
+            if let Err(e) = scenario.validate() {
+                prop_assert!(!e.to_string().is_empty());
+            }
+        }
+        Err(e) => prop_assert!(
+            e.is::<TomlError>() || e.is::<serde_json::Error>(),
+            "an untyped load error: {e}"
+        ),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn arbitrary_text_never_panics_the_spec_loader(
+        bytes in proptest::collection::vec(0u8..=255, 0..256),
+    ) {
+        load_hostile(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn mutated_committed_specs_never_panic_the_spec_loader(
+        spec in 0usize..64,
+        edits in proptest::collection::vec((0u8..3, 0usize..1 << 16, 0usize..64), 1..6),
+    ) {
+        let texts = committed_spec_texts();
+        load_hostile(&mutate_spec(&texts[spec % texts.len()], edits))?;
     }
 }
