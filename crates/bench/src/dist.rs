@@ -114,10 +114,12 @@ use std::time::{Duration, Instant};
 /// an adaptive round is offered as a binary [`Message::Round`] against
 /// the session spec the worker compiled once, its `Ready` echoes the
 /// [`round_digest`], and its cells batch consecutive versions' evidence
-/// ([`crate::job`]). There is no
-/// negotiation: a `Join` at any other revision is refused, so every
+/// ([`crate::job`]); v6 changes no frame: naive and tilted rare-event
+/// cells draw another random stream, so a v5 worker's rare cells, which
+/// would pass every shape check, must not fold into a v6 run. There is
+/// no negotiation: a `Join` at any other revision is refused, so every
 /// worker of a fleet runs the coordinator's build.
-pub const PROTOCOL_VERSION: u64 = 5;
+pub const PROTOCOL_VERSION: u64 = 6;
 
 /// Default base lease (see [`Coordinator::lease_cells`]): a worker's
 /// starting grant and the granularity a failed lease is retried at.
@@ -1999,7 +2001,7 @@ mod tests {
         let Some(Message::Abort { reason }) = reply else {
             panic!("the old worker got {reply:?}, not an Abort");
         };
-        assert!(reason.contains("v4") && reason.contains("v5"), "{reason}");
+        assert!(reason.contains("v5") && reason.contains("v6"), "{reason}");
         assert_eq!(run.stats.quarantined_workers, 1, "stats: {:?}", run.stats);
         assert_eq!(run.stats.worker_faults, vec![reason]);
         assert_eq!(run.stats.worker_cells[0], 0);

@@ -45,8 +45,11 @@ use std::path::{Path, PathBuf};
 /// corrupt cell. v4: an adaptive round's cell batches consecutive
 /// versions as `{failures: [..], demands: [..]}`, and a round's header
 /// pins its round digest instead of a pinned spec's hash, so a v3
-/// adaptive journal is refused by its version.
-pub const JOURNAL_VERSION: u64 = 4;
+/// adaptive journal is refused by its version. v5: naive and tilted
+/// rare-event cells draw the concatenated fault universe from one
+/// plan, the same law from another random stream, so a v4 rare journal
+/// would splice two streams.
+pub const JOURNAL_VERSION: u64 = 5;
 
 /// How many times longer a [`Wire`] tree's JSON is than its binary
 /// encoding, at most: a control character in a string escapes to the
@@ -581,14 +584,16 @@ mod tests {
 
     #[test]
     fn a_journal_of_another_format_is_refused() {
-        let path = temp_path("v1");
+        let path = temp_path("previous");
         Journal::create(&path, "fnv1a:0088", 4).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let current = format!("\"journal\":\"u64:{JOURNAL_VERSION}\"");
         assert!(text.contains(&current), "header layout changed: {text}");
-        std::fs::write(&path, text.replace(&current, "\"journal\":\"u64:1\"")).unwrap();
+        let previous = JOURNAL_VERSION - 1;
+        let old = format!("\"journal\":\"u64:{previous}\"");
+        std::fs::write(&path, text.replace(&current, &old)).unwrap();
         let err = Journal::resume(&path, "fnv1a:0088", 4).unwrap_err();
-        let want = format!("journal format v1, this build reads v{JOURNAL_VERSION}");
+        let want = format!("journal format v{previous}, this build reads v{JOURNAL_VERSION}");
         assert!(
             matches!(&err, JournalError::Header(m) if m.ends_with(&want)),
             "{err:?}"

@@ -61,7 +61,7 @@ use divrel_demand::version::ProgramVersion;
 use divrel_devsim::experiment::ExperimentResult;
 use divrel_devsim::factory::VersionFactory;
 use divrel_devsim::process::FaultIntroduction;
-use divrel_devsim::rare::{RareEstimator, RareEventExperiment, RareOutcome};
+use divrel_devsim::rare::{RareEstimator, RareEventExperiment, RareOutcome, MIN_PAYOFF_ESS};
 use divrel_model::spec::FaultModelSpec;
 use divrel_model::FaultModel;
 use divrel_numerics::sweep::SeedSpec;
@@ -515,7 +515,17 @@ impl ScenarioOutcome {
                     .field("true PFD (closed form)", sig(r.true_pfd, 4))
                     .field("std error", sig(r.std_error, 4))
                     .field("relative error", sig(r.relative_error, 4))
-                    .field("effective sample size", sig(r.ess, 4));
+                    .field("effective sample size", sig(r.ess, 4))
+                    .field("effective failing draws (payoff ESS)", sig(r.payoff_ess, 4));
+                if r.payoff_ess < MIN_PAYOFF_ESS {
+                    card.field(
+                        "warning",
+                        format!(
+                            "fewer than {MIN_PAYOFF_ESS} effective failing draws: the \
+                             std error and any interval built from it cannot be trusted"
+                        ),
+                    );
+                }
             }
             ScenarioOutcome::Adaptive(a) => {
                 card.field("cells", a.cells.len().to_string())

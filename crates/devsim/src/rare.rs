@@ -10,13 +10,16 @@
 //! multiplier that remains, and this module supplies two exact forms
 //! over the β-factor shared-cause model of PR 8:
 //!
-//! * **Importance tilting** ([`RareEstimator::ImportanceTilt`]): both
-//!   the common-cause layer (`γᵢ`) and the per-channel residual layer
-//!   (`ρᵢ`) are sampled from exponentially tilted probabilities via
-//!   [`BiasedBitSampler`], and every sample is reweighted by its exact
-//!   per-word likelihood ratio — the estimate is unbiased by
-//!   construction, and the weight bookkeeping lives in the log domain
-//!   ([`WeightedMean`]) so squared weights never underflow.
+//! * **Importance tilting** ([`RareEstimator::ImportanceTilt`]): the
+//!   common-cause layer (`γᵢ`) and one residual layer (`ρᵢ`) per
+//!   channel, concatenated into one bit universe `γ ++ ρ×channels`,
+//!   are sampled from exponentially tilted probabilities by one
+//!   bit-plane plan over the packed universe (the form
+//!   [`BiasedBitSampler`](crate::sampler::BiasedBitSampler) documents),
+//!   and every sample is reweighted by its exact likelihood ratio — the
+//!   estimate is unbiased by construction, and the weight bookkeeping
+//!   lives in the log domain ([`WeightedMean`]) so squared weights
+//!   never underflow.
 //! * **Fault-count stratification**
 //!   ([`RareEstimator::StratifyByCount`]): the concatenated
 //!   common+residual Bernoulli universe is partitioned by its exact
@@ -41,8 +44,9 @@
 //! another sampler.
 
 use crate::error::DevSimError;
-use crate::sampler::{BiasedBitSampler, CountConditionedSampler};
+use crate::sampler::{exponential_tilt, BiasedUniverse, CountConditionedSampler};
 use crate::sweep::{run_sweep, GridSpec};
+use divrel_demand::fault_set::WORD_BITS;
 use divrel_model::shared::SharedCauseModel;
 use divrel_numerics::estimator::WeightedMean;
 use divrel_numerics::special::ln_binomial;
@@ -60,6 +64,16 @@ pub const RARE_CELL_SAMPLES: usize = 4096;
 /// rare regime, and the tail stratum keeps the partition exhaustive
 /// regardless.
 pub const STRATA: usize = 8;
+
+/// Fewest effective failing draws ([`RareOutcome::payoff_ess`]) at
+/// which a run's standard error is trusted. In a probe over 400 pinned
+/// seeds at 8192 samples, configurations whose ± 1.96 SE interval held
+/// the closed form at about the nominal rate read medians of 200–300,
+/// and every one that held it in at most 315 of 400 runs read below
+/// 100 in every run, except count stratification on a system whose
+/// common cause it rarely samples: no weight statistic sees a region
+/// the proposal never visits.
+pub const MIN_PAYOFF_ESS: f64 = 100.0;
 
 /// Which rare-event estimator a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -93,6 +107,10 @@ pub struct RareOutcome {
     /// Kish effective sample size `(Σw)²/Σw²` (the draw count for the
     /// naive estimator, whose weights are all 1).
     pub ess: f64,
+    /// Payoff effective sample size `(Σwy)²/Σ(wy)²`: the effective
+    /// number of failing draws. Below [`MIN_PAYOFF_ESS`] the standard
+    /// error, and any interval built from it, cannot be trusted.
+    pub payoff_ess: f64,
     /// Total samples drawn.
     pub samples: u64,
     /// The exact closed-form PFD of the same system (the layers stay
@@ -122,18 +140,18 @@ fn binomial_sf(n: u32, p: f64, m: u32) -> f64 {
     acc.min(1.0)
 }
 
-/// The precompiled sampling kernel of one estimator.
+/// The precompiled sampling kernel of one estimator. Both draw states
+/// of the concatenated `γ ++ ρ×channels` universe: the common-cause
+/// bits first, then one block of residual bits per channel, packed
+/// densely into `⌈faults·(1+channels)/64⌉` words.
 #[derive(Debug, Clone)]
 enum Kernel {
-    /// Naive and tilted paths share one shape: a biased sampler per
-    /// layer (the naive case is the exact zero tilt, every weight 1).
-    Layered {
-        common: BiasedBitSampler,
-        residual: Box<BiasedBitSampler>,
-    },
-    /// Stratified path: conditional sampler over the concatenated
-    /// `γ ++ ρ×channels` universe, and the mixture's strata with their
-    /// log weights `ln(Wₕ/πₕ)`.
+    /// Naive and tilted paths: one biased plan over the universe (the
+    /// naive plan is the exact zero tilt, every weight 1).
+    Tilted(BiasedUniverse),
+    /// Stratified path: conditional sampler over the (≤ 64-bit)
+    /// universe, and the mixture's strata with their log weights
+    /// `ln(Wₕ/πₕ)`.
     Stratified {
         cond: CountConditionedSampler,
         mixture: Vec<(usize, f64)>,
@@ -203,11 +221,18 @@ impl RareEventExperiment {
             rhos.push(rho);
             qs.push(f.q());
         }
+        let concat = |common: Vec<f64>, residual: &[f64]| {
+            let mut universe = common;
+            for _ in 0..channels {
+                universe.extend_from_slice(residual);
+            }
+            universe
+        };
+        let universe = concat(gammas.clone(), &rhos);
         let kernel = match estimator {
-            RareEstimator::Naive => Kernel::Layered {
-                common: BiasedBitSampler::exponential(&gammas, 0.0)?,
-                residual: Box::new(BiasedBitSampler::exponential(&rhos, 0.0)?),
-            },
+            RareEstimator::Naive => {
+                Kernel::Tilted(BiasedUniverse::new(&universe, universe.clone())?)
+            }
             RareEstimator::ImportanceTilt { theta } => {
                 if !theta.is_finite() || theta < 0.0 {
                     return Err(DevSimError::InvalidConfig(format!(
@@ -228,25 +253,22 @@ impl RareEventExperiment {
                 } else {
                     theta
                 };
-                Kernel::Layered {
-                    common: BiasedBitSampler::exponential(&gammas, theta_common)?,
-                    residual: Box::new(BiasedBitSampler::exponential(&rhos, theta)?),
-                }
+                let tilted = concat(
+                    exponential_tilt(&gammas, theta_common),
+                    &exponential_tilt(&rhos, theta),
+                );
+                Kernel::Tilted(BiasedUniverse::new(&universe, tilted)?)
             }
             RareEstimator::StratifyByCount => {
-                let bits = faults * (1 + channels as usize);
-                if bits > 64 {
+                let bits = universe.len();
+                if bits > WORD_BITS {
                     return Err(DevSimError::InvalidConfig(format!(
                         "stratified universe needs faults x (1 + channels) <= 64 bits, \
                          got {faults} x {} = {bits}",
                         1 + channels
                     )));
                 }
-                let mut concat = gammas.clone();
-                for _ in 0..channels {
-                    concat.extend_from_slice(&rhos);
-                }
-                let cond = CountConditionedSampler::new(&concat)?;
+                let cond = CountConditionedSampler::new(&universe)?;
                 let mixture = stratum_mixture(cond.count_pmf());
                 Kernel::Stratified { cond, mixture }
             }
@@ -336,43 +358,32 @@ impl RareEventExperiment {
             .collect()
     }
 
-    /// The payoff of one sampled state: `Σᵢ qᵢ` over faults carried by
-    /// at least `threshold` channels (a shared-cause bit counts as all
-    /// channels at once).
-    fn payoff(&self, commons: u64, residuals: &[u64]) -> f64 {
-        let mut any = commons;
-        for &r in residuals {
-            any |= r;
-        }
-        let mut y = 0.0;
-        let mut bits = any & self.fault_mask;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            let failing = commons >> i & 1 == 1 || {
-                let mut c = 0u32;
-                for &r in residuals {
-                    c += (r >> i & 1) as u32;
-                }
-                c >= self.threshold
-            };
-            if failing {
-                y += self.qs[i];
+    /// The payoff of one state of the packed concatenated universe:
+    /// `Σᵢ qᵢ` over faults whose common-cause bit is set (the shared
+    /// cause plants the fault in every channel) or whose residual bit
+    /// is set in at least `threshold` channels. `at_least` is scratch
+    /// of `threshold` words, bit-sliced counters: after each channel,
+    /// `at_least[j]` holds the faults seen in more than `j` channels.
+    fn payoff(&self, words: &[u64], at_least: &mut [u64]) -> f64 {
+        let faults = self.qs.len();
+        at_least.fill(0);
+        for ch in 1..=self.channels as usize {
+            let residual = bits_at(words, faults * ch, self.fault_mask);
+            if residual == 0 {
+                continue;
             }
-            bits &= bits - 1;
+            for j in (1..at_least.len()).rev() {
+                at_least[j] |= at_least[j - 1] & residual;
+            }
+            at_least[0] |= residual;
+        }
+        let mut failing = bits_at(words, 0, self.fault_mask) | at_least[at_least.len() - 1];
+        let mut y = 0.0;
+        while failing != 0 {
+            y += self.qs[failing.trailing_zeros() as usize];
+            failing &= failing - 1;
         }
         y
-    }
-
-    /// Splits a concatenated-universe word (`γ` bits low, then one
-    /// `ρ` block per channel) into the layered form and evaluates it.
-    fn payoff_concat(&self, word: u64, scratch: &mut Vec<u64>) -> f64 {
-        let f = self.qs.len();
-        let commons = word & self.fault_mask;
-        scratch.clear();
-        for ch in 0..self.channels as usize {
-            scratch.push(word >> (f * (1 + ch)) & self.fault_mask);
-        }
-        self.payoff(commons, scratch)
     }
 
     /// Evaluates one sweep cell: `count` observations from the cell's
@@ -382,48 +393,32 @@ impl RareEventExperiment {
     pub fn run_cell(&self, count: usize, seed: u64) -> WeightedMean {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut acc = WeightedMean::new();
+        let mut at_least = vec![0u64; self.threshold as usize];
         match &self.kernel {
-            Kernel::Layered { common, residual } => {
-                let mut resid = vec![0u64; self.channels as usize];
+            Kernel::Tilted(plan) => {
+                let mut words = vec![0u64; plan.words()];
                 for _ in 0..count {
-                    let cw = common.sample(&mut rng);
-                    let mut log_w = common.log_weight(cw);
-                    for r in resid.iter_mut() {
-                        *r = residual.sample(&mut rng);
-                        log_w += residual.log_weight(*r);
-                    }
-                    acc.push(log_w, self.payoff(cw, &resid));
+                    plan.sample_into(&mut rng, &mut words);
+                    acc.push(plan.log_weight(&words), self.payoff(&words, &mut at_least));
                 }
             }
             Kernel::Stratified { cond, mixture } => {
-                self.run_stratified_cell(cond, mixture, count, &mut rng, &mut acc);
+                // One uniform picks a stratum of the mixture, then a
+                // word is drawn conditional on it (the last stratum is
+                // the `≥ STRATA−1` tail).
+                let tail = STRATA.min(cond.count_pmf().len()) - 1;
+                for _ in 0..count {
+                    let (h, log_w) = mixture[rng.gen_range(0..mixture.len())];
+                    let word = if h < tail {
+                        cond.sample_exact(&mut rng, h)
+                    } else {
+                        cond.sample_at_least(&mut rng, h)
+                    };
+                    acc.push(log_w, self.payoff(&[word], &mut at_least));
+                }
             }
         }
         acc
-    }
-
-    /// The stratified draws of one cell: one uniform picks a stratum
-    /// of the mixture, then a word is drawn conditional on it (the
-    /// last stratum is the `≥ STRATA−1` tail).
-    fn run_stratified_cell(
-        &self,
-        cond: &CountConditionedSampler,
-        mixture: &[(usize, f64)],
-        count: usize,
-        rng: &mut StdRng,
-        acc: &mut WeightedMean,
-    ) {
-        let tail = STRATA.min(cond.count_pmf().len()) - 1;
-        let mut scratch = Vec::with_capacity(self.channels as usize);
-        for _ in 0..count {
-            let (h, log_w) = mixture[rng.gen_range(0..mixture.len())];
-            let word = if h < tail {
-                cond.sample_exact(rng, h)
-            } else {
-                cond.sample_at_least(rng, h)
-            };
-            acc.push(log_w, self.payoff_concat(word, &mut scratch));
-        }
     }
 
     /// Runs the full sweep at the configured thread count.
@@ -454,10 +449,23 @@ impl RareEventExperiment {
             std_error: acc.std_error()?,
             relative_error: acc.relative_error()?,
             ess: acc.ess(),
+            payoff_ess: acc.payoff_ess(),
             samples: acc.count(),
             true_pfd: self.true_pfd(),
         })
     }
+}
+
+/// The `mask`-wide (≤ 64) field of a densely packed bit array that
+/// starts at bit `at`; it may straddle two words.
+#[inline]
+fn bits_at(words: &[u64], at: usize, mask: u64) -> u64 {
+    let (w, shift) = (at / WORD_BITS, at % WORD_BITS);
+    let mut field = words[w] >> shift;
+    if shift != 0 && w + 1 < words.len() {
+        field |= words[w + 1] << (WORD_BITS - shift);
+    }
+    field & mask
 }
 
 /// Stratum probabilities from a count PMF: exact counts `0..strata-1`,
@@ -711,6 +719,187 @@ mod tests {
         // 5 faults x (1 + 15 channels) = 80 bits > 64.
         assert!(
             RareEventExperiment::from_shared(&m, 15, 1, RareEstimator::StratifyByCount).is_err()
+        );
+    }
+
+    /// `faults` faults with moderate, distinct probabilities behind a
+    /// shared cause of factor `beta`.
+    fn wide_shared(faults: usize, beta: f64) -> SharedCauseModel {
+        let ps: Vec<f64> = (0..faults).map(|i| 0.02 + 0.01 * (i % 7) as f64).collect();
+        let qs: Vec<f64> = (0..faults).map(|i| 0.001 * (1 + i % 5) as f64).collect();
+        SharedCauseModel::new(FaultModel::from_params(&ps, &qs).unwrap(), beta).unwrap()
+    }
+
+    fn tilted_plan(exp: &RareEventExperiment) -> &BiasedUniverse {
+        match &exp.kernel {
+            Kernel::Tilted(plan) => plan,
+            Kernel::Stratified { .. } => panic!("not a tilted kernel"),
+        }
+    }
+
+    /// The universe's untilted probabilities, `γ ++ ρ×channels`.
+    fn universe_ps(exp: &RareEventExperiment) -> Vec<f64> {
+        let mut ps = exp.gammas.clone();
+        for _ in 0..exp.channels {
+            ps.extend_from_slice(&exp.rhos);
+        }
+        ps
+    }
+
+    /// Every word of a 3-fault, 3-channel universe (12 bits), whose
+    /// common-cause layer is tilted by `θ + ln(1/β)` and whose residual
+    /// layers by `θ`: the likelihood ratios integrate to exactly 1 under
+    /// the proposal, and the weighted payoff to exactly the closed-form
+    /// PFD.
+    #[test]
+    fn concatenated_likelihood_ratios_integrate_to_one() {
+        let (theta, beta) = (2.0, 0.1);
+        let exp = RareEventExperiment::from_shared(
+            &wide_shared(3, beta),
+            3,
+            2,
+            RareEstimator::ImportanceTilt { theta },
+        )
+        .unwrap();
+        let plan = tilted_plan(&exp);
+        let (ps, tilted) = (universe_ps(&exp), plan.tilted_ps());
+        assert_eq!((ps.len(), plan.words()), (12, 1));
+        let log_odds_ratio = |b: usize| {
+            let odds = |p: f64| p / (1.0 - p);
+            (odds(tilted[b]) / odds(ps[b])).ln()
+        };
+        for b in 0..3 {
+            assert!((log_odds_ratio(b) - (theta + (1.0 / beta).ln())).abs() < 1e-9);
+        }
+        for b in 3..12 {
+            assert!((log_odds_ratio(b) - theta).abs() < 1e-9, "bit {b}");
+        }
+        let (mut mass, mut weight, mut pfd) = (0.0, 0.0, 0.0);
+        let mut at_least = vec![0u64; exp.threshold as usize];
+        for word in 0u64..1 << 12 {
+            let q: f64 = tilted
+                .iter()
+                .enumerate()
+                .map(|(b, &t)| if word >> b & 1 == 1 { t } else { 1.0 - t })
+                .product();
+            let w = plan.log_weight(&[word]).exp();
+            mass += q;
+            weight += q * w;
+            pfd += q * w * exp.payoff(&[word], &mut at_least);
+        }
+        assert!((mass - 1.0).abs() < 1e-12, "proposal mass {mass}");
+        assert!((weight - 1.0).abs() < 1e-12, "E_q[w] = {weight}");
+        assert!(
+            (pfd - exp.true_pfd()).abs() < 1e-12 * exp.true_pfd(),
+            "E_q[w·y] = {pfd} vs closed form {}",
+            exp.true_pfd()
+        );
+    }
+
+    /// 20 faults x 4 layers = 80 bits in two words, so the third
+    /// channel's block (bits 60..80) straddles the word boundary: on
+    /// seeded random universes the packed payoff and log weight equal
+    /// a bit-by-bit reference, at every vote threshold.
+    #[test]
+    fn packed_payoff_and_log_weight_match_a_bit_by_bit_reference() {
+        let m = wide_shared(20, 0.05);
+        for k in 1..=3 {
+            let exp = RareEventExperiment::from_shared(
+                &m,
+                3,
+                k,
+                RareEstimator::ImportanceTilt { theta: 1.5 },
+            )
+            .unwrap();
+            let plan = tilted_plan(&exp);
+            let (ps, tilted) = (universe_ps(&exp), plan.tilted_ps());
+            assert_eq!((ps.len(), plan.words()), (80, 2));
+            let mut rng = StdRng::seed_from_u64(80 + u64::from(k));
+            let mut at_least = vec![0u64; exp.threshold as usize];
+            for _ in 0..2_000 {
+                // Each bit set with probability 1/4.
+                let words = [
+                    rng.gen::<u64>() & rng.gen::<u64>(),
+                    rng.gen::<u64>() & rng.gen::<u64>() & 0xffff,
+                ];
+                let bit = |i: usize| words[i / 64] >> (i % 64) & 1 == 1;
+                let mut y = 0.0;
+                for i in 0..20 {
+                    let residual = (1..=3).filter(|&ch| bit(20 * ch + i)).count() as u32;
+                    if bit(i) || residual >= exp.threshold {
+                        y += exp.qs[i];
+                    }
+                }
+                let mut lw = 0.0;
+                for (i, (&p, &t)) in ps.iter().zip(tilted).enumerate() {
+                    lw += if bit(i) {
+                        (p / t).ln()
+                    } else {
+                        ((1.0 - p) / (1.0 - t)).ln()
+                    };
+                }
+                let got = exp.payoff(&words, &mut at_least);
+                assert_eq!(got.to_bits(), y.to_bits(), "k = {k}, {words:x?}");
+                let got = plan.log_weight(&words);
+                assert!(
+                    (got - lw).abs() < 1e-12 * lw.abs().max(1.0),
+                    "k = {k}, {words:x?}: {got} vs {lw}"
+                );
+            }
+        }
+    }
+
+    /// Per-bit sample rates of the 80-bit plan against its tilted
+    /// probabilities. Each count is Binomial(n, p'), so a 5σ band
+    /// misses with probability 5.7e-7 per bit, 4.6e-5 over 80 bits.
+    #[test]
+    fn packed_plan_samples_each_bit_at_its_tilted_probability() {
+        let exp = RareEventExperiment::from_shared(
+            &wide_shared(20, 0.05),
+            3,
+            2,
+            RareEstimator::ImportanceTilt { theta: 1.5 },
+        )
+        .unwrap();
+        let plan = tilted_plan(&exp);
+        let mut rng = StdRng::seed_from_u64(81);
+        let n = 20_000;
+        let mut counts = [0u64; 80];
+        let mut words = [0u64; 2];
+        for _ in 0..n {
+            plan.sample_into(&mut rng, &mut words);
+            for (b, c) in counts.iter_mut().enumerate() {
+                *c += words[b / 64] >> (b % 64) & 1;
+            }
+        }
+        assert_eq!(words[1] >> 16, 0, "bits past the universe stay clear");
+        for (b, (&c, &t)) in counts.iter().zip(plan.tilted_ps()).enumerate() {
+            let rate = c as f64 / n as f64;
+            let sd = (t * (1.0 - t) / n as f64).sqrt();
+            assert!(
+                (rate - t).abs() < 5.0 * sd,
+                "bit {b}: rate {rate} vs tilted {t}"
+            );
+        }
+    }
+
+    /// Naive and tilted runs take up to 64 faults at any channel count:
+    /// 64 faults x 10 layers is a 640-bit universe.
+    #[test]
+    fn naive_and_tilt_take_universes_wider_than_a_word() {
+        let m = wide_shared(64, 0.01);
+        for est in [
+            RareEstimator::Naive,
+            RareEstimator::ImportanceTilt { theta: 3.0 },
+        ] {
+            let exp = RareEventExperiment::from_shared(&m, 9, 5, est).unwrap();
+            assert_eq!(tilted_plan(&exp).words(), 10);
+            let acc = exp.run_cell(256, 3);
+            assert_eq!(acc.count(), 256);
+            assert!(acc.estimate().is_finite());
+        }
+        assert!(
+            RareEventExperiment::from_shared(&m, 9, 5, RareEstimator::StratifyByCount).is_err()
         );
     }
 

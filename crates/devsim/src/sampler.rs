@@ -91,17 +91,17 @@ impl WordPlan {
                 never |= 1u64 << bit;
                 continue;
             }
-            // Exact binary expansion: doubling and subtracting are
-            // exact in IEEE754 for values in [0, 1).
-            let mut frac = p.max(0.0);
-            for plane in planes.iter_mut() {
-                frac *= 2.0;
-                if frac >= 1.0 {
-                    *plane |= 1u64 << bit;
-                    frac -= 1.0;
-                }
+            // Exact binary expansion: scaling by 2^DEPTH is exact, the
+            // integer part holds the first DEPTH fraction digits, most
+            // significant first, and the fractional part left over is
+            // exact too.
+            let scaled = p * (1u64 << DEPTH) as f64;
+            let mut digits = scaled as u64;
+            tail_p[bit] = scaled - digits as f64;
+            while digits != 0 {
+                planes[DEPTH - 1 - digits.trailing_zeros() as usize] |= 1u64 << bit;
+                digits &= digits - 1;
             }
-            tail_p[bit] = frac;
         }
         // Drop all-zero trailing planes (p's with short expansions).
         while planes.last() == Some(&0) && planes.len() > 1 {
@@ -332,11 +332,125 @@ impl BitSampler {
     }
 }
 
+/// The exponential tilt of each Bernoulli probability in `ps`:
+/// `p' = p·eᶿ / (1 − p + p·eᶿ)`, the natural exponential family
+/// through it, so `θ = 0` is the identity and growing `θ` pushes `p'`
+/// up smoothly without ever leaving `(0, 1)`. `θ = 0` and degenerate
+/// `p ∈ {0, 1}` keep `p` itself, with no rounding detour through the
+/// formula, so their likelihood ratios are exactly 1.
+pub(crate) fn exponential_tilt(ps: &[f64], theta: f64) -> Vec<f64> {
+    let e = theta.exp();
+    ps.iter()
+        .map(|&p| {
+            if theta == 0.0 || p <= 0.0 || p >= 1.0 {
+                p
+            } else {
+                p * e / (1.0 - p + p * e)
+            }
+        })
+        .collect()
+}
+
+/// Importance sampling over a universe of independent Bernoulli bits
+/// of any size, packed densely into `u64` words (bit `i` is bit
+/// `i % 64` of word `i / 64`): one bit-plane plan per word draws from
+/// the **tilted** probabilities `p'ᵢ`, and one table of per-bit deltas
+/// gives the **exact** log likelihood ratio of a sampled universe, in
+/// the factorised form [`BiasedBitSampler`] documents. A bit with
+/// `p' = p`, `p = 0` or `p = 1` has factor 1.
+#[derive(Debug, Clone)]
+pub(crate) struct BiasedUniverse {
+    /// One plan per word; the last word may be partial.
+    plans: Vec<WordPlan>,
+    tilted: Vec<f64>,
+    /// `δᵢ` per bit (0 for untilted and degenerate bits).
+    delta: Vec<f64>,
+    /// `Σᵢ log((1−pᵢ)/(1−p'ᵢ))`: the all-absent log ratio.
+    total_absent: f64,
+}
+
+impl BiasedUniverse {
+    /// The universe that draws bit `i` with probability `tilted[i]`
+    /// and weighs it against `ps[i]`.
+    ///
+    /// # Errors
+    ///
+    /// [`DevSimError::InvalidConfig`] for probabilities outside
+    /// `[0, 1]`.
+    pub(crate) fn new(ps: &[f64], tilted: Vec<f64>) -> Result<Self, DevSimError> {
+        assert_eq!(ps.len(), tilted.len(), "one tilted probability per bit");
+        for &p in ps {
+            if !(0.0..=1.0).contains(&p) || p.is_nan() {
+                return Err(DevSimError::InvalidConfig(format!(
+                    "bit probability {p} outside [0, 1]"
+                )));
+            }
+        }
+        let mut delta = vec![0.0f64; ps.len()];
+        let mut total_absent = 0.0f64;
+        for (b, (&p, &t)) in ps.iter().zip(&tilted).enumerate() {
+            if p <= 0.0 || p >= 1.0 || t == p {
+                continue;
+            }
+            let absent = ((1.0 - p) / (1.0 - t)).ln();
+            delta[b] = (p / t).ln() - absent;
+            total_absent += absent;
+        }
+        Ok(BiasedUniverse {
+            plans: tilted.chunks(WORD_BITS).map(WordPlan::new).collect(),
+            tilted,
+            delta,
+            total_absent,
+        })
+    }
+
+    /// Words a sampled universe fills.
+    pub(crate) fn words(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// The tilted probabilities the plan draws from.
+    pub(crate) fn tilted_ps(&self) -> &[f64] {
+        &self.tilted
+    }
+
+    /// Draws one universe from the **tilted** probabilities into `out`
+    /// (one entry per word).
+    #[inline]
+    pub(crate) fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
+        debug_assert_eq!(out.len(), self.plans.len(), "universe word count mismatch");
+        for (word, plan) in out.iter_mut().zip(&self.plans) {
+            *word = plan.sample(rng);
+        }
+    }
+
+    /// Exact log likelihood ratio `log(P_original/P_tilted)` of a
+    /// sampled universe. Always finite for universes the tilted plan
+    /// can produce.
+    #[inline]
+    pub(crate) fn log_weight(&self, words: &[u64]) -> f64 {
+        let mut lw = self.total_absent;
+        for ((&word, plan), delta) in words
+            .iter()
+            .zip(&self.plans)
+            .zip(self.delta.chunks(WORD_BITS))
+        {
+            let mut set = word & plan.mask;
+            while set != 0 {
+                lw += delta[set.trailing_zeros() as usize];
+                set &= set - 1;
+            }
+        }
+        lw
+    }
+}
+
 /// Importance sampling over one ≤ 64-bit lane of independent Bernoulli
-/// draws: samples from **tilted** inclusion probabilities `p'ᵢ ≥ pᵢ`
-/// through the same bit-plane machinery as [`BitSampler`], and returns
-/// the **exact** log likelihood ratio of any sampled word against the
-/// original probabilities — so a rare-event estimator reweighting by
+/// draws under one exponential tilt: samples from **tilted**
+/// inclusion probabilities `p'ᵢ ≥ pᵢ` through the same bit-plane
+/// machinery as [`BitSampler`], and returns the **exact** log
+/// likelihood ratio of any sampled word against the original
+/// probabilities, so a rare-event estimator reweighting by
 /// [`Self::log_weight`] is unbiased by construction.
 ///
 /// The per-word ratio factorises over bits:
@@ -348,20 +462,15 @@ impl BitSampler {
 ///
 /// with `total_absent = Σᵢ log((1−pᵢ)/(1−p'ᵢ))` precomputed and
 /// `δᵢ = log(pᵢ/p'ᵢ) − log((1−pᵢ)/(1−p'ᵢ))`, so evaluating a weight is
-/// one popcount-style loop over set bits — no per-sample logs.
+/// one popcount-style loop over set bits — no per-sample logs. The
+/// rare-event engine's concatenated universe, of any width, is drawn
+/// by the same plan and weighed by the same deltas.
 ///
 /// Degenerate bits never distort the ratio: `p = 0` stays untilted
 /// (the bit cannot appear, so its factor is 1) and `p = 1` stays
 /// always-present (factor 1 again).
 #[derive(Debug, Clone)]
-pub struct BiasedBitSampler {
-    plan: WordPlan,
-    tilted: Vec<f64>,
-    /// `δᵢ` per lane bit (0 for untilted/degenerate bits).
-    delta: Vec<f64>,
-    /// `Σᵢ log((1−pᵢ)/(1−p'ᵢ))` — the all-absent log ratio.
-    total_absent: f64,
-}
+pub struct BiasedBitSampler(BiasedUniverse);
 
 impl BiasedBitSampler {
     /// Exponential tilt: `p'ᵢ = pᵢ·eᶿ / (1 − pᵢ + pᵢ·eᶿ)` — the
@@ -379,73 +488,36 @@ impl BiasedBitSampler {
                 "tilt theta must be finite, got {theta}"
             )));
         }
-        let e = theta.exp();
-        let tilted: Vec<f64> = ps
-            .iter()
-            .map(|&p| {
-                // θ = 0 is the exact identity (no rounding detour
-                // through the tilt formula), so every weight is 1.0.
-                if theta == 0.0 || p <= 0.0 || p >= 1.0 {
-                    p
-                } else {
-                    p * e / (1.0 - p + p * e)
-                }
-            })
-            .collect();
-        Self::with_tilted(ps, tilted)
-    }
-
-    fn with_tilted(ps: &[f64], tilted: Vec<f64>) -> Result<Self, DevSimError> {
         if ps.len() > WORD_BITS {
             return Err(DevSimError::InvalidConfig(format!(
                 "biased lane holds at most {WORD_BITS} bits, got {}",
                 ps.len()
             )));
         }
-        for &p in ps {
-            if !(0.0..=1.0).contains(&p) || p.is_nan() {
-                return Err(DevSimError::InvalidConfig(format!(
-                    "bit probability {p} outside [0, 1]"
-                )));
-            }
-        }
-        let mut delta = vec![0.0f64; ps.len()];
-        let mut total_absent = 0.0f64;
-        for (b, (&p, &t)) in ps.iter().zip(&tilted).enumerate() {
-            if p <= 0.0 || p >= 1.0 || t == p {
-                continue;
-            }
-            let absent = (1.0 - p).ln() - (1.0 - t).ln();
-            delta[b] = (p.ln() - t.ln()) - absent;
-            total_absent += absent;
-        }
-        Ok(BiasedBitSampler {
-            plan: WordPlan::new(&tilted),
-            tilted,
-            delta,
-            total_absent,
-        })
+        BiasedUniverse::new(ps, exponential_tilt(ps, theta)).map(BiasedBitSampler)
     }
 
     /// The tilted probabilities the sampler actually draws from.
     pub fn tilted_ps(&self) -> &[f64] {
-        &self.tilted
+        self.0.tilted_ps()
     }
 
     /// Number of lane bits.
     pub fn len(&self) -> usize {
-        self.tilted.len()
+        self.0.tilted_ps().len()
     }
 
     /// True for an empty lane.
     pub fn is_empty(&self) -> bool {
-        self.tilted.is_empty()
+        self.0.tilted_ps().is_empty()
     }
 
     /// Draws one word from the **tilted** probabilities.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        self.plan.sample(rng)
+        let mut word = [0u64];
+        self.0.sample_into(rng, &mut word[..self.0.words()]);
+        word[0]
     }
 
     /// Exact log likelihood ratio `log(P_original(word)/P_tilted(word))`
@@ -453,14 +525,7 @@ impl BiasedBitSampler {
     /// can produce.
     #[inline]
     pub fn log_weight(&self, word: u64) -> f64 {
-        let mut lw = self.total_absent;
-        let mut set = word & self.plan.mask;
-        while set != 0 {
-            let b = set.trailing_zeros() as usize;
-            lw += self.delta[b];
-            set &= set - 1;
-        }
-        lw
+        self.0.log_weight(&[word])
     }
 }
 
@@ -614,7 +679,7 @@ impl CountConditionedSampler {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn model(ps: &[f64]) -> FaultModel {
         let qs = vec![0.01; ps.len()];
@@ -804,6 +869,34 @@ mod tests {
                     (got - want).abs() < 0.01,
                     "{intro:?} fault {i}: {got} vs {want}"
                 );
+            }
+        }
+    }
+
+    /// The plan's digits and tails are the binary expansion the
+    /// comparison `u < p` reads: the same as doubling `p` and taking
+    /// off the integer part DEPTH times, exact in IEEE754 for `p` in
+    /// `[0, 1)`.
+    #[test]
+    fn plan_planes_are_the_binary_expansion_of_each_probability() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut ps: Vec<f64> = (0..60).map(|_| rng.gen::<f64>().powi(9)).collect();
+        ps.extend([0.5, 0.75, 1e-300, f64::MIN_POSITIVE, 1.0 - f64::EPSILON]);
+        for lane in ps.chunks(WORD_BITS) {
+            let plan = WordPlan::new(lane);
+            for (bit, &p) in lane.iter().enumerate() {
+                let mut frac = p;
+                for (depth, plane) in plan.planes.iter().enumerate() {
+                    frac *= 2.0;
+                    let digit = frac >= 1.0;
+                    frac -= if digit { 1.0 } else { 0.0 };
+                    assert_eq!(plane >> bit & 1 == 1, digit, "p = {p}, digit {depth}");
+                }
+                for _ in plan.planes.len()..DEPTH {
+                    frac *= 2.0;
+                    assert!(frac < 1.0, "p = {p}: a dropped plane held a digit");
+                }
+                assert_eq!(plan.tail_p[bit].to_bits(), frac.to_bits(), "p = {p}");
             }
         }
     }

@@ -263,6 +263,19 @@ impl WeightedMean {
         }
         (2.0 * self.log_w.value() - self.log_w2.value()).exp()
     }
+
+    /// Payoff effective sample size `(Σwy)²/Σ(wy)²` — how many
+    /// unweighted failing draws the weighted payoffs are worth. Kish's
+    /// [`Self::ess`] counts every draw, failing or not; this counts only
+    /// the draws the estimate is made of, so a few heavy ones read low
+    /// however many draws there were. 0 when no draw paid.
+    #[must_use]
+    pub fn payoff_ess(&self) -> f64 {
+        if self.log_wy.is_empty() {
+            return 0.0;
+        }
+        (2.0 * self.log_wy.value() - self.log_wy2.value()).exp()
+    }
 }
 
 impl SweepReduce for WeightedMean {
@@ -362,6 +375,9 @@ mod tests {
         let m2: f64 = ys.iter().map(|y| y * y).sum::<f64>() / ys.len() as f64;
         let se = ((m2 - mean * mean) / (ys.len() as f64 - 1.0)).sqrt();
         assert!((wm.std_error().unwrap() - se).abs() < 1e-12);
+        // (Σy)²/Σy²: 4.5² / 8.25 effective failing draws of the 3.
+        assert!((wm.payoff_ess() - 4.5 * 4.5 / 8.25).abs() < 1e-12);
+        assert_eq!(WeightedMean::new().payoff_ess(), 0.0);
     }
 
     #[test]
@@ -376,6 +392,7 @@ mod tests {
         assert!(wm.estimate().is_finite());
         assert!(wm.std_error().unwrap().is_finite());
         assert!(wm.ess() > 1.0 && wm.ess() <= 100.0);
+        assert!(wm.payoff_ess() > 1.0 && wm.payoff_ess() <= 100.0);
     }
 
     #[test]

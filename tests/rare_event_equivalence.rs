@@ -18,14 +18,14 @@
 //!    `dist_equivalence`), and across a mid-campaign coordinator kill
 //!    with a journal resume.
 
-use divrel::devsim::rare::{RareEstimator, RareEventExperiment};
+use divrel::devsim::rare::{RareEstimator, RareEventExperiment, MIN_PAYOFF_ESS};
 use divrel::devsim::sampler::BiasedBitSampler;
 use divrel::model::shared::SharedCauseModel;
 use divrel::model::FaultModel;
 use divrel::numerics::special::erfc;
 use divrel::numerics::sweep::SeedSpec;
 use divrel_bench::dist::{Coordinator, JsonLines, Transport, Worker};
-use divrel_bench::scenario::{ExperimentSpec, Scenario};
+use divrel_bench::scenario::{ExperimentSpec, Scenario, ScenarioOutcome};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -170,6 +170,50 @@ fn the_committed_rare_scenario_nails_its_closed_form() {
         "committed scenario lost its precision: rel err {}",
         r.relative_error
     );
+}
+
+/// The card's validity verdict on pinned seeds. At θ = 4 the moderate
+/// system's tilt covers its PFD in about 33 of 400 runs, on a median of
+/// 1.9 effective failing draws, so every run must warn; the committed
+/// system covers in about 379 of 400 on a median of 287, so none may.
+#[test]
+fn the_rare_card_warns_when_its_interval_cannot_be_trusted() {
+    let warns = |outcome: ScenarioOutcome| {
+        let r = *outcome.as_rare_event().expect("rare-event outcome");
+        let card = outcome.card("rare").results_markdown();
+        assert!(card.contains("(payoff ESS)**: "), "{card}");
+        let warned = card.contains("- **warning**: fewer than 100 effective failing draws");
+        assert_eq!(warned, r.payoff_ess < MIN_PAYOFF_ESS, "{card}");
+        warned
+    };
+    for seed in 1..=5 {
+        let moderate = RareEventExperiment::from_shared(
+            &moderate_model(),
+            3,
+            2,
+            RareEstimator::ImportanceTilt { theta: 4.0 },
+        )
+        .expect("valid config")
+        .samples(8192)
+        .seed(seed)
+        .run()
+        .expect("runs");
+        assert!(
+            warns(ScenarioOutcome::RareEvent(moderate)),
+            "moderate, seed {seed}"
+        );
+    }
+    let mut scenario = committed_rare_scenario();
+    assert!(!warns(scenario.run(1).expect("committed spec runs")));
+    let ExperimentSpec::RareEvent { samples, .. } = &mut scenario.experiment else {
+        panic!("the committed rare spec is a RareEvent");
+    };
+    *samples = 8192;
+    for seed in 1..=5 {
+        scenario.seed = SeedSpec::new(seed);
+        let outcome = scenario.run(1).expect("committed spec runs");
+        assert!(!warns(outcome), "committed, seed {seed}");
+    }
 }
 
 #[test]

@@ -125,12 +125,18 @@ fn canonical_toml_is_a_fixed_point_for_committed_specs() {
 /// folding into one weighted mean: a cell is the bare `WeightedMean`,
 /// without the empty `strata` field beside it, and its numbers kept
 /// every bit (journal format v3 refuses the older records).
+///
+/// `rare_event_protection` moved a second time on purpose, from
+/// `fnv1a:d34e11ac5a71d005`, when naive and tilted rare-event cells
+/// began drawing the concatenated `γ ++ ρ×channels` fault universe from
+/// one plan instead of one lane per layer: same law, another random
+/// stream (journal format v5 and protocol v6 refuse the older cells).
 const WIRE_PINS: &[(&str, &str)] = &[
     ("adaptive_confidence", "fnv1a:222cc249e61709b8"),
     ("asymmetric_difficulty", "fnv1a:59b21e44ecac7cde"),
     ("common_cause_diversity", "fnv1a:048b97a663a44ba9"),
     ("kl_bimodal", "fnv1a:a2957f2279c0ee6b"),
-    ("rare_event_protection", "fnv1a:d34e11ac5a71d005"),
+    ("rare_event_protection", "fnv1a:93c68a8d0df76fc8"),
     ("slow_markov_plant", "fnv1a:848956bf34709885"),
     ("three_channel_forced", "fnv1a:fce94f013c249d76"),
     ("tree_2oo3", "fnv1a:245ef89de10eeaf9"),
